@@ -23,7 +23,7 @@ from .terms import (
     AConv, ADiff, ADomRes, AIden, AInter, AJoin, ANone, AProd, ARanRes,
     ARel, ASig, AStar, AUnion, AUniv, AVar, AlloyExpr, AlloyForm,
     ArityError, FAll, FAnd, FEq, FImp, FIn, FLone, FNot, FOr, FPredCall,
-    FSome, FSomeQ, a_children, arity_of, form_children, is_core,
+    FSome, FSomeQ, arity_of, children, is_core, map_children,
 )
 
 
@@ -572,26 +572,11 @@ def _resolve(model: AlloyModel) -> AlloyModel:
                 raise ParseError("unknown identifier %r%s"
                                  % (e.name, _at_pos(e.pos)))
             return e
-        reps = {fl.name: fixed for fl in dataclasses.fields(e)
-                if isinstance(v := getattr(e, fl.name), AlloyExpr)
-                and (fixed := fix_expr(v)) is not v}
-        return dataclasses.replace(e, **reps) if reps else e
+        return map_children(e, fix_expr)
 
     def fix_form(f):
-        reps = {}
-        for fl in dataclasses.fields(f):
-            v = getattr(f, fl.name)
-            if isinstance(v, AlloyForm):
-                w = fix_form(v)
-            elif isinstance(v, AlloyExpr):
-                w = fix_expr(v)
-            elif isinstance(v, tuple) and v and isinstance(v[0], AlloyExpr):
-                w = tuple(fix_expr(x) for x in v)
-            else:
-                continue
-            if w != v:
-                reps[fl.name] = w
-        return dataclasses.replace(f, **reps) if reps else f
+        return map_children(f, lambda c: fix_form(c)
+                            if isinstance(c, AlloyForm) else fix_expr(c))
 
     return dataclasses.replace(
         model,
@@ -729,17 +714,8 @@ def free_vars(x) -> set:
     if isinstance(x, AVar):
         return {x.name}
     out = set()
-    if isinstance(x, AlloyExpr):
-        for c in a_children(x):
-            out |= free_vars(c)
-        return out
-    for fl in dataclasses.fields(x):
-        v = getattr(x, fl.name)
-        if isinstance(v, (AlloyExpr, AlloyForm)):
-            out |= free_vars(v)
-        elif isinstance(v, tuple) and v and isinstance(v[0], AlloyExpr):
-            for a in v:
-                out |= free_vars(a)
+    for _, c in children(x):
+        out |= free_vars(c)
     if isinstance(x, (FAll, FSomeQ)):
         out.discard(x.var)
         out |= free_vars(x.bound)
@@ -749,10 +725,7 @@ def free_vars(x) -> set:
 def _subst_expr(e: AlloyExpr, env: dict) -> AlloyExpr:
     if isinstance(e, AVar):
         return env.get(e.name, e)
-    reps = {fl.name: s for fl in dataclasses.fields(e)
-            if isinstance(v := getattr(e, fl.name), AlloyExpr)
-            and (s := _subst_expr(v, env)) is not v}
-    return dataclasses.replace(e, **reps) if reps else e
+    return map_children(e, lambda c: _subst_expr(c, env))
 
 
 def subst(f: AlloyForm, env: dict, fresh=None) -> AlloyForm:
@@ -769,20 +742,8 @@ def subst(f: AlloyForm, env: dict, fresh=None) -> AlloyForm:
             body = subst(body, {f.var: AVar(var)}, fresh)
         return dataclasses.replace(f, var=var, bound=bound,
                                    body=subst(body, env, fresh))
-    reps = {}
-    for fl in dataclasses.fields(f):
-        v = getattr(f, fl.name)
-        if isinstance(v, AlloyForm):
-            w = subst(v, env, fresh)
-        elif isinstance(v, AlloyExpr):
-            w = _subst_expr(v, env)
-        elif isinstance(v, tuple) and v and isinstance(v[0], AlloyExpr):
-            w = tuple(_subst_expr(a, env) for a in v)
-        else:
-            continue
-        if w != v:
-            reps[fl.name] = w
-    return dataclasses.replace(f, **reps) if reps else f
+    return map_children(f, lambda c: subst(c, env, fresh)
+                        if isinstance(c, AlloyForm) else _subst_expr(c, env))
 
 
 class _FreshNames:
@@ -820,19 +781,14 @@ def _inline_calls(f: AlloyForm, model: AlloyModel, stack: tuple) -> AlloyForm:
                 % (f.name, len(p.params), len(f.args), _at_pos(f.pos)))
         body = _inline_calls(p.body, model, stack + (f.name,))
         return subst(body, {n: a for (n, _), a in zip(p.params, f.args)})
-    reps = {fl.name: w for fl in dataclasses.fields(f)
-            if isinstance(v := getattr(f, fl.name), AlloyForm)
-            and (w := _inline_calls(v, model, stack)) is not v}
-    return dataclasses.replace(f, **reps) if reps else f
+    return map_children(f, lambda c: _inline_calls(c, model, stack)
+                        if isinstance(c, AlloyForm) else c)
 
 
 def _to_core(f: AlloyForm, arities: dict) -> AlloyForm:
     """Rewrite the sugared connectives away, innermost first."""
-    reps = {fl.name: w for fl in dataclasses.fields(f)
-            if isinstance(v := getattr(f, fl.name), AlloyForm)
-            and (w := _to_core(v, arities)) is not v}
-    if reps:
-        f = dataclasses.replace(f, **reps)
+    f = map_children(f, lambda c: _to_core(c, arities)
+                     if isinstance(c, AlloyForm) else c)
     if isinstance(f, FEq):
         return FAnd(FIn(f.l, f.r), FIn(f.r, f.l))
     if isinstance(f, FImp):
@@ -894,8 +850,9 @@ def desugar(model: AlloyModel) -> AlloyModel:
 
 
 def check_arities(model: AlloyModel) -> AlloyModel:
-    """Annotate every expression with its arity; quantifier ranges must
-    be unary. Raises ArityError with source positions on conflicts."""
+    """Validate the arity of every expression; quantifier ranges must be
+    unary. Returns the model unchanged, or raises ArityError with source
+    positions on conflicts."""
     arities = model.rel_arity()
 
     def walk(f: AlloyForm):
@@ -915,8 +872,9 @@ def check_arities(model: AlloyModel) -> AlloyModel:
         elif isinstance(f, FPredCall):
             raise ArityError("cannot type an uninlined predicate call %r%s"
                              % (f.name, _at_pos(f.pos)))
-        for c in form_children(f):
-            walk(c)
+        for _, c in children(f):
+            if isinstance(c, AlloyForm):
+                walk(c)
 
     for f in model.facts:
         walk(f)

@@ -12,7 +12,8 @@ elements and stay as small as the inputs that produced them.
 
 Logical and definition rules are sound pointwise over any carrier, so
 every rewrite step preserves truth on every finite model, not just on
-the full pair closure.  That property is what the trace tests sample.
+the full pair closure.  Whole translations are certified against the
+finite-model oracle; single steps are not checked on their own.
 """
 
 from __future__ import annotations
@@ -22,18 +23,17 @@ from typing import Optional
 
 from .expand import expand_form
 from .pipeline import (
-    TranslateError,
-    _COMBINE_RULES,
-    _DISCHARGE_RULES,
-    _FRAME_RULES,
+    MECHANICAL_BANKS,
     _NORMALIZE_RULES,
     _flat,
     _r_ex_ranged,
-    _rot_app,
-    fact_of,
-    insert_vars,
-    nesting,
+    absorb_diagonal,
+    compose_apps,
+    eliminate,
+    project_out,
     star_lifter,
+    to_end,
+    to_front,
 )
 from .strategy import Choice, Many, Once, Rule, RunState
 from .terms import (
@@ -63,7 +63,6 @@ from .terms import (
     Pi1,
     Pi2,
     Prod,
-    Rdiv,
     RAll,
     RAnd,
     RApp,
@@ -75,11 +74,8 @@ from .terms import (
     ROr,
     Rot,
     RTrue,
-    Star,
     Top,
-    cut,
-    ncomp,
-    rl_text,
+    children,
     unbind,
 )
 
@@ -259,19 +255,11 @@ def _r_ex_fuse(t, ctx):
 
 
 def _occurs(f, lvl: int) -> bool:
-    if f is None or not isinstance(f, RLFormula):
+    if f is None:
         return False
     if isinstance(f, RApp):
         return lvl in _flat(f)
-
-    def walk(x):
-        for fl in dataclasses.fields(x):
-            v = getattr(x, fl.name)
-            if isinstance(v, RLFormula) and _occurs(v, lvl):
-                return True
-        return False
-
-    return walk(f)
+    return any(_occurs(c, lvl) for _, c in children(f))
 
 
 def _r_binder_trim(t, ctx):
@@ -325,16 +313,9 @@ def _last_level(t, ctx) -> int:
 
 
 def _count(f, lvl: int) -> int:
-    if f is None or not isinstance(f, RLFormula):
-        return 0
     if isinstance(f, RApp):
         return _flat(f).count(lvl)
-    n = 0
-    for fl in dataclasses.fields(f):
-        v = getattr(f, fl.name)
-        if isinstance(v, RLFormula):
-            n += _count(v, lvl)
-    return n
+    return sum(_count(c, lvl) for _, c in children(f))
 
 
 def _shrink(t: REx, leaves: list):
@@ -394,13 +375,10 @@ def _r_absorb_diag(t, ctx):
         for j, q in enumerate(leaves):
             if j == i or not isinstance(q, RApp) or not _plain(q):
                 continue
-            items = _flat(q)
-            if d.lhs[0] not in items:
+            if d.lhs[0] not in _flat(q):
                 continue
-            q2 = _rot_app(q, (len(items) - items.index(d.lhs[0])) % len(items))
-            merged = RApp(q2.lhs, Comp(Meet(d.rel, ID), q2.rel), q2.rhs)
             rest = [x for k, x in enumerate(leaves) if k not in (i, j)]
-            return _rebuild(RAnd, [merged] + rest)
+            return _rebuild(RAnd, [absorb_diagonal(d, q)] + rest)
     return None
 
 
@@ -418,19 +396,11 @@ def _r_compose(t, ctx):
     if len(apps) != 2:
         return None
     (i, p), (j, q) = apps
-    items = _flat(p)
-    p = _rot_app(p, (len(items) - 1 - items.index(lvl)) % len(items))
-    items = _flat(q)
-    q = _rot_app(q, (len(items) - items.index(lvl)) % len(items))
-    if len(p.rhs) == 1:
-        merged = RApp(p.lhs, Comp(p.rel, q.rel), q.rhs)
-    elif len(q.rhs) == 1:
-        merged = RApp(p.lhs, ncomp(p.rel, q.rel, len(p.rhs) + 1),
-                      p.rhs[:-1] + q.rhs)
-    else:
+    p, q = to_end(p, lvl), to_front(q, lvl)
+    if len(p.rhs) > 1 and len(q.rhs) > 1:  # both wide: no shortcut
         return None
     rest = [x for k, x in enumerate(leaves) if k not in (i, j)]
-    return _shrink(t, [merged] + rest)
+    return _shrink(t, [compose_apps(p, q)] + rest)
 
 
 def _r_project(t, ctx):
@@ -447,10 +417,8 @@ def _r_project(t, ctx):
         items = _flat(p)
         if lvl not in items or len(items) < 3:
             continue
-        p = _rot_app(p, (len(items) - 1 - items.index(lvl)) % len(items))
-        merged = RApp(p.lhs, Comp(p.rel, cut(len(p.rhs))), p.rhs[:-1])
         rest = [x for k, x in enumerate(leaves) if k != i]
-        return _shrink(t, [merged] + rest)
+        return _shrink(t, [project_out(p, lvl)] + rest)
     return None
 
 
@@ -700,27 +668,11 @@ _SIMPLIFY = Many(Choice(
     Once(FACT_RULES),
 ))
 
-_LOOP = Many(Choice(
-    Once(_LOOP_LOGIC),
-    Once(DEFINITION_RULES),
-    Once(ALGEBRA_RULES),
-    Once(_COMBINE_RULES),
-    Once(_DISCHARGE_RULES),
-    Once(_FRAME_RULES),
-    Once(_NORMALIZE_RULES),
-))
-
-
-def simplify(t, budget: int = 10000):
-    """Rewrite a formula, term or fact to a fixpoint of all rule banks."""
-    out, _ = simplify_with_trace(t, budget)
-    return out
-
-
-def simplify_with_trace(t, budget: int = 10000):
-    state = RunState(budget=budget)
-    out = _SIMPLIFY.run(t, state)
-    return out, state.trace
+# The elimination banks: the simplification rules first, then the
+# mechanical ones, and normalization last, for the implications and
+# universals the simplification rules leave behind.
+SHORTCUT_BANKS = ((_LOOP_LOGIC, DEFINITION_RULES, ALGEBRA_RULES)
+                  + MECHANICAL_BANKS + (_NORMALIZE_RULES,))
 
 
 def _oriented(app: RApp) -> Optional[FAExpr]:
@@ -767,23 +719,14 @@ def translate_h(f: RLFormula, budget: int = 10000, label: str = "") -> FAFact:
 
 def translate_h_with_trace(f: RLFormula, budget: int = 10000,
                            label: str = ""):
+    """Like translate_h, also returning the rewrite trace: (fact, trace)."""
     state = RunState(budget=budget)
     g = _SIMPLIFY.run(f, state)
-    width = 0
     fact = drop_vars(g)
     if fact is None:
-        g = Many(Once(_NORMALIZE_RULES)).run(g, state)
-        width = max(1, nesting(g))
-        out = _LOOP.run(insert_vars(g), state)
-        fact = fact_of(out)
-        if fact is None:
-            raise TranslateError(
-                "shortcut elimination got stuck at: %s" % rl_text(out),
-                state.trace)
-    fact = dataclasses.replace(fact, width=width)
+        fact = eliminate(g, SHORTCUT_BANKS, state)
     done = Many(Choice(Once(ALGEBRA_RULES), Once(FACT_RULES))).run(fact, state)
-    done = dataclasses.replace(done, label=label, width=width)
-    return done, state.trace
+    return dataclasses.replace(done, label=label, width=fact.width), state.trace
 
 
 def translate_form_h(f: AlloyForm, rel_arity, budget: int = 10000,
@@ -792,17 +735,3 @@ def translate_form_h(f: AlloyForm, rel_arity, budget: int = 10000,
     rl = expand_form(f, rel_arity, closure=star_lifter(rel_arity))
     return translate_h(rl, budget=budget, label=label)
 
-
-def rel_op_count(x) -> int:
-    """Number of relational operators in a term or fact (leaves are free)."""
-    if isinstance(x, FAFact):
-        return rel_op_count(x.lhs) + rel_op_count(x.rhs)
-    if not isinstance(x, FAExpr):
-        return 0
-    n = 1 if isinstance(x, (Comp, Conv, Compl, Meet, Join, Ldiv, Rdiv,
-                            Fork, Prod, Star, NComp, Rot)) else 0
-    for fl in dataclasses.fields(x):
-        v = getattr(x, fl.name)
-        if isinstance(v, FAExpr):
-            n += rel_op_count(v)
-    return n

@@ -27,7 +27,6 @@ Atoms must be strings; every tuple element is a nested pair of them.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 from dataclasses import dataclass
@@ -41,9 +40,9 @@ from .terms import (
     ASig, AStar, AUnion, AUniv, AVar, AConv, AlloyExpr, AlloyForm,
     Bot, Comp, Compl, Conv, FAExpr, FAFact, FactEq,
     FAll, FAnd, FEq, FImp, FIn, FLone, FNot, FOr, FPredCall, FSome, FSomeQ,
-    Fork, Id, Join, Ldiv, Meet, Phi, Pi1, Pi2, Prod, Rdiv, Rel, Star, Top,
+    Fork, Id, Join, Ldiv, Meet, Phi, Pi1, Pi2, Prod, Rel, Star, Top,
     RAll, RAnd, RApp, REx, RFalse, RImp, RLFormula, RNot, ROr, RTrue,
-    rl_map_apps, unfold,
+    children, map_children, rl_map_apps, subterms, unfold,
 )
 
 
@@ -301,7 +300,8 @@ def eval_fa(e: FAExpr, space: Space, interp: dict, cache=None):
     Subterms free of relation symbols are cached on the space itself and
     shared across models; the optional cache dict (keyed by node
     identity, so reuse the same term objects) shares the symbol-bearing
-    parts between calls for one model.
+    parts between calls for one model. Each entry holds its node, so a
+    freed temporary's id cannot be reused while the cache lives.
     """
     m, _ = _eval2(unfold(e), space, interp,
                   {} if cache is None else cache)
@@ -314,13 +314,12 @@ def _eval(e, space, interp, cache):
 
 def _eval2(e, space, interp, cache):
     hit = cache.get(id(e))
-    if hit is not None:
-        return hit
+    if hit is not None and hit[0] is e:
+        return hit[1], hit[2]
     shared = space.cache.get(e)
     if shared is not None:
-        out = (shared, True)
-        cache[id(e)] = out
-        return out
+        cache[id(e)] = (e, shared, True)
+        return shared, True
     n = space.n
     const = True
     if isinstance(e, Rel):
@@ -343,7 +342,7 @@ def _eval2(e, space, interp, cache):
     elif isinstance(e, Pi2):
         m = np.zeros((n, n), dtype=bool)
         m[space._right, space._pairs] = True
-    elif isinstance(e, (Join, Meet, Comp, Ldiv, Rdiv)):
+    elif isinstance(e, (Join, Meet, Comp, Ldiv)):
         l, cl = _eval2(e.l, space, interp, cache)
         r, cr = _eval2(e.r, space, interp, cache)
         const = cl and cr
@@ -353,12 +352,9 @@ def _eval2(e, space, interp, cache):
             m = l & r
         elif isinstance(e, Comp):
             m = _mm(l, r)
-        elif isinstance(e, Ldiv):
+        else:
             # u (L\R) v  iff  for all w: w L u implies w R v
             m = ~_mm(l.T, ~r)
-        else:
-            # u (L/R) v  iff  for all w: u L w implies v R w
-            m = ~_mm(l, (~r).T)
     elif isinstance(e, Conv):
         sub, const = _eval2(e.e, space, interp, cache)
         m = sub.T
@@ -392,9 +388,8 @@ def _eval2(e, space, interp, cache):
         raise TypeError("cannot evaluate %r" % (e,))
     if const:
         space.cache[e] = m
-    out = (m, const)
-    cache[id(e)] = out
-    return out
+    cache[id(e)] = (e, m, const)
+    return m, const
 
 
 # ---------------------------------------------------------------------------
@@ -584,10 +579,8 @@ def _width(e):
     chain = _pi_chain(e)
     if chain:
         w = max(w, chain + 1)
-    for fl in dataclasses.fields(e):
-        v = getattr(e, fl.name)
-        if isinstance(v, FAExpr):
-            w = max(w, _width(v))
+    for _, c in children(e):
+        w = max(w, _width(c))
     return w
 
 
@@ -641,50 +634,10 @@ class Verdict:
         return self.status != "FAIL"
 
 
-def _alloy_rel_names(x, out):
-    if isinstance(x, ARel):
-        out.add(x.name)
-    if isinstance(x, (AlloyExpr, AlloyForm)):
-        for f in dataclasses.fields(x):
-            v = getattr(x, f.name)
-            if isinstance(v, (AlloyExpr, AlloyForm)):
-                _alloy_rel_names(v, out)
-            elif isinstance(v, tuple):
-                for item in v:
-                    _alloy_rel_names(item, out)
-
-
-def _fa_rel_names(e, out):
-    if isinstance(e, Rel):
-        out.add(e.name)
-    for f in dataclasses.fields(e):
-        v = getattr(e, f.name)
-        if isinstance(v, FAExpr):
-            _fa_rel_names(v, out)
-
-
-def _rl_rel_names(f, out):
-    if isinstance(f, RApp):
-        _fa_rel_names(f.rel, out)
-        return
-    for fl in dataclasses.fields(f):
-        v = getattr(f, fl.name)
-        if isinstance(v, RLFormula):
-            _rl_rel_names(v, out)
-
-
 def mentioned_rels(x) -> set:
-    out = set()
-    if isinstance(x, (AlloyExpr, AlloyForm)):
-        _alloy_rel_names(x, out)
-    elif isinstance(x, RLFormula):
-        _rl_rel_names(x, out)
-    elif isinstance(x, FAFact):
-        _fa_rel_names(x.lhs, out)
-        _fa_rel_names(x.rhs, out)
-    elif isinstance(x, FAExpr):
-        _fa_rel_names(x, out)
-    return out
+    """Names of the relations a formula, term or fact of any language
+    mentions."""
+    return {t.name for t in subterms(x) if isinstance(t, (ARel, Rel))}
 
 
 def _source_truth(source, model, space, interp, cache):
@@ -719,14 +672,12 @@ def check_equiv(source, fact: FAFact, vocab: Vocab, bound=3,
     sizes = list(range(0 if include_empty else 1, bound + 1))
 
     # pre-unfold so the per-model identity caches see stable node objects
-    fact = dataclasses.replace(fact, lhs=unfold(fact.lhs),
-                               rhs=unfold(fact.rhs))
+    fact = map_children(fact, unfold)
     if isinstance(source, RLFormula):
         source = rl_map_apps(
             lambda a: RApp(a.lhs, unfold(a.rel), a.rhs), source)
     elif isinstance(source, FAFact):
-        source = dataclasses.replace(source, lhs=unfold(source.lhs),
-                                     rhs=unfold(source.rhs))
+        source = map_children(source, unfold)
 
     def against(model, checked):
         space = get_tuple_space(model.atoms, w)

@@ -17,7 +17,6 @@ that can be starred.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 from typing import Optional
 
 from .expand import expand_form, expand_membership
@@ -54,12 +53,12 @@ from .terms import (
     ROr,
     RTrue,
     Star,
-    a_children,
     cut,
     ncomp,
     projX,
     rl_text,
     rotate,
+    subterms,
 )
 
 
@@ -69,15 +68,6 @@ class TranslateError(Exception):
     def __init__(self, msg: str, trace=None):
         super().__init__(msg)
         self.trace = list(trace or [])
-
-
-@dataclass(frozen=True)
-class PipelineState:
-    """Snapshot of one elimination stage, for introspection and tests."""
-
-    formula: RLFormula
-    depth: int
-    special: bool
 
 
 def nesting(f: RLFormula) -> int:
@@ -298,41 +288,40 @@ def fact_of(f: RLFormula) -> Optional[FAFact]:
 # ---------------------------------------------------------------------------
 # the driver
 
-_STEP = Choice(
-    Once(_COMBINE_RULES),
-    Once(_DISCHARGE_RULES),
-    Once(_FRAME_RULES),
-)
+# The paper's mechanical elimination, in priority order; the shortcut
+# translator runs the same driver with its own banks in front of these.
+MECHANICAL_BANKS = (_COMBINE_RULES, _DISCHARGE_RULES, _FRAME_RULES)
 
 
-def translate(f: RLFormula, budget: int = 10000, label: str = "") -> FAFact:
-    """Eliminate all variables from a closed formula; returns the fact."""
-    fact, _, _ = translate_with_trace(f, budget=budget, label=label)
-    return fact
+def eliminate(f: RLFormula, banks, state: RunState) -> FAFact:
+    """Eliminate all variables from a closed formula with the given banks.
 
-
-def translate_with_trace(f: RLFormula, budget: int = 10000, label: str = ""):
-    """Like translate, also returning the rewrite trace and state snapshots."""
-    state = RunState(budget=budget)
-    g0 = Many(Once(_NORMALIZE_RULES)).run(f, state)
-    width = max(1, nesting(g0))
-    g = insert_vars(g0)
-    mark = len(state.trace)
-    out = Many(_STEP).run(g, state)
-    states = [_pstate(f), _pstate(g0), _pstate(g)]
-    states += [_pstate(s.after) for s in state.trace[mark:]]
+    Normalizes, wraps the result under the marker pair, then rewrites with
+    the banks (the first bank with a redex fires) to a fixpoint and reads
+    the fact off it. The fact's width is the deepest level nesting of the
+    normalized formula; it carries no label.
+    """
+    g = Many(Once(_NORMALIZE_RULES)).run(f, state)
+    width = max(1, nesting(g))
+    out = Many(Choice(*(Once(b) for b in banks))).run(insert_vars(g), state)
     fact = fact_of(out)
     if fact is None:
         raise TranslateError(
             "variable elimination got stuck at: %s" % rl_text(out),
             state.trace)
-    fact = dataclasses.replace(fact, label=label, width=width)
-    return fact, state.trace, states
+    return dataclasses.replace(fact, width=width)
 
 
-def _pstate(t) -> PipelineState:
-    special = isinstance(t, RAll) and t.special
-    return PipelineState(t, nesting(t), special)
+def translate(f: RLFormula, budget: int = 10000, label: str = "") -> FAFact:
+    """Eliminate all variables from a closed formula; returns the fact."""
+    return translate_with_trace(f, budget=budget, label=label)[0]
+
+
+def translate_with_trace(f: RLFormula, budget: int = 10000, label: str = ""):
+    """Like translate, also returning the rewrite trace: (fact, trace)."""
+    state = RunState(budget=budget)
+    fact = eliminate(f, MECHANICAL_BANKS, state)
+    return dataclasses.replace(fact, label=label), state.trace
 
 
 def translate_form(f: AlloyForm, rel_arity, budget: int = 10000,
@@ -348,15 +337,7 @@ def translate_form(f: AlloyForm, rel_arity, budget: int = 10000,
 
 def free_var_levels(e: AlloyExpr, env) -> tuple:
     """Levels of the quantified variables an expression mentions, ascending."""
-    names = set()
-
-    def walk(x):
-        if isinstance(x, AVar):
-            names.add(x.name)
-        for c in a_children(x):
-            walk(c)
-
-    walk(e)
+    names = {x.name for x in subterms(e) if isinstance(x, AVar)}
     return tuple(sorted(env[n] for n in names))
 
 
@@ -378,6 +359,40 @@ def _rot_app(app: RApp, k: int) -> RApp:
     return RApp(items[:1], rel, items[1:])
 
 
+def to_end(app: RApp, item) -> RApp:
+    """The application rotated so that item is its last item."""
+    items = _flat(app)
+    return _rot_app(app, (len(items) - 1 - items.index(item)) % len(items))
+
+
+def to_front(app: RApp, item) -> RApp:
+    """The application rotated so that item is its first item."""
+    items = _flat(app)
+    return _rot_app(app, (len(items) - items.index(item)) % len(items))
+
+
+def compose_apps(p: RApp, q: RApp) -> RApp:
+    """Join p, rotated to end in a shared item, with q, rotated to start
+    with it; wider applications join through their last column."""
+    if len(p.rhs) == 1:
+        return RApp(p.lhs, Comp(p.rel, q.rel), q.rhs)
+    return RApp(p.lhs, ncomp(p.rel, q.rel, len(p.rhs) + 1),
+                p.rhs[:-1] + q.rhs)
+
+
+def absorb_diagonal(d: RApp, q: RApp) -> RApp:
+    """a (X) a  &&  a (R) ys  as one application  a ((X & id).R) ys; the
+    meet with id pins the composition's middle element to a."""
+    q = to_front(q, d.lhs[0])
+    return RApp(q.lhs, Comp(Meet(d.rel, ID), q.rel), q.rhs)
+
+
+def project_out(p: RApp, item) -> RApp:
+    """p with the column of item cut:  xs (R) (ys,w)  to  xs (R.cut) ys."""
+    p = to_end(p, item)
+    return RApp(p.lhs, Comp(p.rel, cut(len(p.rhs))), p.rhs[:-1])
+
+
 def _witness_rules(watermark: int):
     """Rules eliminating expansion witnesses inside a closure operand.
 
@@ -394,8 +409,7 @@ def _witness_rules(watermark: int):
         return lvl if lvl > watermark else None
 
     def compose(t, ctx):
-        # xs (P) w  &&  w (Q) ys  under the binder of w turns into P.Q;
-        # wider applications join through their last column.
+        # xs (P) w  &&  w (Q) ys  under the binder of w turns into P.Q
         if not (isinstance(t, REx) and t.width == 1 and t.rng is None
                 and isinstance(t.body, RAnd) and isinstance(t.body.l, RApp)
                 and isinstance(t.body.r, RApp)):
@@ -406,35 +420,20 @@ def _witness_rules(watermark: int):
             return None
         if _flat(p).count(lvl) != 1 or _flat(q).count(lvl) != 1:
             return None
-        items = _flat(p)
-        p = _rot_app(p, (len(items) - 1 - items.index(lvl)) % len(items))
-        items = _flat(q)
-        q = _rot_app(q, (len(items) - items.index(lvl)) % len(items))
-        if len(p.rhs) == 1:
-            return RApp(p.lhs, Comp(p.rel, q.rel), q.rhs)
-        return RApp(p.lhs, ncomp(p.rel, q.rel, len(p.rhs) + 1),
-                    p.rhs[:-1] + q.rhs)
+        return compose_apps(to_end(p, lvl), to_front(q, lvl))
 
     def absorb(t, ctx):
-        # a (X) a  &&  a (R) ys  collapses to  a ((X & id).R) ys; the
-        # meet with id pins the composition's middle element to a.
         if not isinstance(t, RAnd):
             return None
         for d, q in ((t.l, t.r), (t.r, t.l)):
-            if not (isinstance(d, RApp) and isinstance(q, RApp)
-                    and len(d.lhs) == 1 and d.lhs == d.rhs):
-                continue
-            item = d.lhs[0]
-            items = _flat(q)
-            if item not in items:
-                continue
-            q2 = _rot_app(q, (len(items) - items.index(item)) % len(items))
-            return RApp(q2.lhs, Comp(Meet(d.rel, ID), q2.rel), q2.rhs)
+            if (isinstance(d, RApp) and isinstance(q, RApp)
+                    and len(d.lhs) == 1 and d.lhs == d.rhs
+                    and d.lhs[0] in _flat(q)):
+                return absorb_diagonal(d, q)
         return None
 
     def project(t, ctx):
-        # A witness used by a single application is dropped by cutting
-        # its column:  ex w: xs (R) (ys,w)  turns into  xs (R.cut) ys.
+        # a witness used by a single application is dropped with its column
         if not (isinstance(t, REx) and t.width == 1 and t.rng is None
                 and isinstance(t.body, RApp)):
             return None
@@ -445,8 +444,7 @@ def _witness_rules(watermark: int):
         items = _flat(p)
         if items.count(lvl) != 1 or len(items) < 3:
             return None
-        p = _rot_app(p, (len(items) - 1 - items.index(lvl)) % len(items))
-        return RApp(p.lhs, Comp(p.rel, cut(len(p.rhs))), p.rhs[:-1])
+        return project_out(p, lvl)
 
     return [Rule("compose-shared-level", compose),
             Rule("absorb-diagonal-membership", absorb),
@@ -500,7 +498,7 @@ def _lift_rules(a_levels: tuple):
         if nx and ny:
             if nx > 1 or ny > 1:
                 return None
-            t2 = _rot_app(t, (len(items) - items.index(MARK_CX)) % len(items))
+            t2 = to_front(t, MARK_CX)
             core = sandwich(sel(t2.lhs[0], MARK_CX), t2.rel,
                             sel_side(t2.rhs, MARK_CY))
             return RApp(lframe, core, rframe)

@@ -2,8 +2,8 @@
 
 A rule is a named partial function on terms; it either fails (None) or
 returns a *different* term.  Strategies combine rules: `Once` applies the
-first matching rule at the leftmost-innermost position, `Seq` chains,
-`Choice` takes the first success, `Many` iterates to fixpoint.  Every
+first matching rule at the leftmost-innermost position, `Choice` takes
+the first success, `Many` iterates to fixpoint.  Every
 firing is recorded in a trace of whole-term snapshots so derivations can
 be replayed and pretty-printed.
 
@@ -11,19 +11,17 @@ Rules see a context carrying the quantifier depth at their position:
 `binder_depth` counts all bound levels on the path, `ex_depth` only the
 existentially bound ones, and `special` is set inside the marker wrapper.
 Terms of all three languages (RL formulas, FA expressions, facts) share
-one generic traversal based on their dataclass fields; item tuples inside
-applications are opaque to it.
+the generic traversal `terms.children`; item tuples inside applications
+are opaque to it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List
 
-from .terms import FAExpr, FAFact, RAll, RApp, REx, RLFormula
-
-TERM_KINDS = (RLFormula, FAExpr, FAFact)
+from .terms import RAll, REx, children
 
 
 class StrategyError(Exception):
@@ -77,23 +75,16 @@ class RunState:
         self._path = path
 
 
-def child_slots(t):
-    """(field name, subterm) pairs, in declaration order."""
-    for f in dataclasses.fields(t):
-        v = getattr(t, f.name)
-        if isinstance(v, TERM_KINDS):
-            yield f.name, v
-
-
-def child_ctx(t, name: str, ctx: Ctx, index: int) -> Ctx:
+def child_ctx(t, ctx: Ctx, index: int) -> Ctx:
+    """Context of the index-th child of t; both slots of a quantifier
+    (range and body) lie inside its scope."""
     path = ctx.path + (index,)
-    if isinstance(t, (RAll, REx)) and name in ("rng", "body"):
+    if isinstance(t, (RAll, REx)):
         if isinstance(t, RAll) and t.special:
-            return dataclasses.replace(ctx, special=True, path=path)
+            return Ctx(ctx.binder_depth, ctx.ex_depth, True, path)
         ex = ctx.ex_depth + (t.width if isinstance(t, REx) else 0)
-        return dataclasses.replace(ctx, binder_depth=ctx.binder_depth + t.width,
-                                   ex_depth=ex, path=path)
-    return dataclasses.replace(ctx, path=path)
+        return Ctx(ctx.binder_depth + t.width, ex, ctx.special, path)
+    return Ctx(ctx.binder_depth, ctx.ex_depth, ctx.special, path)
 
 
 class Strategy:
@@ -121,8 +112,8 @@ class Once(Strategy):
         return res
 
     def _descend(self, t, ctx: Ctx, state: RunState):
-        for i, (name, v) in enumerate(child_slots(t)):
-            sub = self._descend(v, child_ctx(t, name, ctx, i), state)
+        for i, (name, v) in enumerate(children(t)):
+            sub = self._descend(v, child_ctx(t, ctx, i), state)
             if sub is not None:
                 return dataclasses.replace(t, **{name: sub})
         return self._here(t, ctx, state)
@@ -138,30 +129,6 @@ class Once(Strategy):
                 state._last_rule = rule.name
                 return res
         return None
-
-
-class AtRoot(Once):
-    """Apply rules at the root position only (no descent)."""
-
-    def run(self, t, state: RunState):
-        res = self._here(t, Ctx(), state)
-        if res is not None:
-            state.trace.append(
-                TraceStep(state._last_rule, t, res, ()))
-        return res
-
-
-class Seq(Strategy):
-    def __init__(self, *parts):
-        self.parts = parts
-
-    def run(self, t, state: RunState):
-        cur = t
-        for p in self.parts:
-            cur = p.run(cur, state)
-            if cur is None:
-                return None
-        return cur
 
 
 class Choice(Strategy):
@@ -189,12 +156,6 @@ class Many(Strategy):
             if res is None:
                 return cur
             cur = res
-
-
-def run_with_trace(s: Strategy, t, budget: int = 10000):
-    state = RunState(budget=budget)
-    out = s.run(t, state)
-    return (t if out is None else out), state.trace
 
 
 def replay(trace: List[TraceStep], first, final) -> bool:

@@ -27,11 +27,76 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Tuple, Union
 
 
 class ArityError(Exception):
     """An expression violates the arity rules."""
+
+
+# ---------------------------------------------------------------------------
+# generic traversal, shared by every walk over every term language
+
+# Field annotations of a subterm, and of a tuple of subterms. Every other
+# field is data: names, widths, markers, item tuples and source positions.
+_CHILD = frozenset({"FAExpr", "RLFormula", "Optional[RLFormula]",
+                    "AlloyExpr", "AlloyForm"})
+_CHILDREN = frozenset({"Tuple[AlloyExpr, ...]"})
+_SLOTS: dict = {}
+
+
+def _slots(cls) -> tuple:
+    """(field name, holds a tuple) per child slot of a node class."""
+    slots = _SLOTS.get(cls)
+    if slots is None:
+        slots = _SLOTS[cls] = tuple(
+            (f.name, f.type in _CHILDREN) for f in dataclasses.fields(cls)
+            if f.type in _CHILD or f.type in _CHILDREN)
+    return slots
+
+
+def children(t):
+    """(slot name, subterm) pairs of a node, in field order.
+
+    An absent optional subterm (a quantifier without range) is skipped,
+    and a tuple slot yields each of its elements under the slot's name.
+    """
+    for name, many in _slots(type(t)):
+        v = getattr(t, name)
+        if many:
+            for x in v:
+                yield name, x
+        elif v is not None:
+            yield name, v
+
+
+def subterms(t):
+    """Every node of a term, t included, in no particular order."""
+    todo = [t]
+    while todo:
+        cur = todo.pop()
+        yield cur
+        todo.extend(c for _, c in children(cur))
+
+
+def map_children(t, fn):
+    """The node with fn applied to every subterm.
+
+    Returns t itself when fn returns every subterm unchanged (by
+    identity), so unchanged subtrees stay shared.
+    """
+    changes = {}
+    for name, many in _slots(type(t)):
+        v = getattr(t, name)
+        if many:
+            w = tuple(fn(x) for x in v)
+            if any(a is not b for a, b in zip(w, v)):
+                changes[name] = w
+        elif v is not None:
+            w = fn(v)
+            if w is not v:
+                changes[name] = w
+    return dataclasses.replace(t, **changes) if changes else t
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +202,6 @@ class Ldiv(FAExpr):
 
 
 @dataclass(frozen=True)
-class Rdiv(FAExpr):
-    """u (L / R) v  iff  for all w: u L w implies v R w."""
-
-    l: FAExpr
-    r: FAExpr
-
-
-@dataclass(frozen=True)
 class Star(FAExpr):
     """Reflexive-transitive closure."""
 
@@ -175,11 +232,6 @@ PI1 = Pi1()
 PI2 = Pi2()
 
 _FA_LEAVES = (Rel, Phi, Top, Bot, Id, Pi1, Pi2)
-
-
-def fa_children(e: FAExpr) -> list:
-    return [v for f in dataclasses.fields(e)
-            if isinstance(v := getattr(e, f.name), FAExpr)]
 
 
 def projX(n: int, i: int) -> FAExpr:
@@ -245,10 +297,7 @@ def unfold(e: FAExpr) -> FAExpr:
             chain = Fork(projX(m, i), chain)
         chain = Fork(unfold(e.e), chain)
         return Comp(projX(m, m), Conv(chain))
-    reps = {f.name: u for f in dataclasses.fields(e)
-            if isinstance(v := getattr(e, f.name), FAExpr)
-            and (u := unfold(v)) is not v}
-    return dataclasses.replace(e, **reps) if reps else e
+    return map_children(e, unfold)
 
 
 def fa_key(e: FAExpr) -> str:
@@ -259,7 +308,7 @@ def fa_key(e: FAExpr) -> str:
         return "phi:" + e.sig
     if isinstance(e, _FA_LEAVES):
         return type(e).__name__.lower()
-    parts = ",".join(fa_key(c) for c in fa_children(e))
+    parts = ",".join(fa_key(c) for _, c in children(e))
     if isinstance(e, (NComp, Rot)):
         parts += ",%d" % e.n
     return "%s(%s)" % (type(e).__name__.lower(), parts)
@@ -277,9 +326,6 @@ def canonicalize(x):
     Works on terms and on facts; the result is the representative used for
     structural comparisons.
     """
-    if isinstance(x, FAFact):
-        return dataclasses.replace(x, lhs=canonicalize(x.lhs),
-                                   rhs=canonicalize(x.rhs))
     if isinstance(x, (Join, Meet)):
         parts = sorted((canonicalize(p) for p in _spine(x, type(x))),
                        key=fa_key)
@@ -287,31 +333,21 @@ def canonicalize(x):
         for p in reversed(parts[:-1]):
             out = type(x)(p, out)
         return out
-    reps = {f.name: c for f in dataclasses.fields(x)
-            if isinstance(v := getattr(x, f.name), FAExpr)
-            and (c := canonicalize(v)) is not v}
-    return dataclasses.replace(x, **reps) if reps else x
+    return map_children(x, canonicalize)
 
 
 def fa_op_count(e: FAExpr) -> int:
     """Number of operator nodes (constants and named relations are free)."""
-    if isinstance(e, _FA_LEAVES):
-        return 0
-    return 1 + sum(fa_op_count(c) for c in fa_children(e))
+    return sum(not isinstance(x, _FA_LEAVES) for x in subterms(e))
 
 
 def fa_rels(e: FAExpr) -> set:
     """All relation and coreflexive constants occurring in a term."""
-    if isinstance(e, (Rel, Phi)):
-        return {e}
-    out = set()
-    for c in fa_children(e):
-        out |= fa_rels(c)
-    return out
+    return {x for x in subterms(e) if isinstance(x, (Rel, Phi))}
 
 
 _INFIX = {Join: " + ", Meet: " & ", Comp: " . ", Fork: " nabla ",
-          Prod: " x ", Ldiv: " \\ ", Rdiv: " / "}
+          Prod: " x ", Ldiv: " \\ "}
 
 
 def fa_text(e: FAExpr) -> str:
@@ -377,10 +413,6 @@ def fact_text(f: FAFact) -> str:
     return fa_text(f.lhs) + op + fa_text(f.rhs)
 
 
-def fact_map(f: FAFact, g: Callable[[FAExpr], FAExpr]) -> FAFact:
-    return dataclasses.replace(f, lhs=g(f.lhs), rhs=g(f.rhs))
-
-
 # ---------------------------------------------------------------------------
 # core Alloy expressions
 
@@ -396,53 +428,45 @@ Pos = Optional[tuple]
 class ASig(AlloyExpr):
     name: str
     pos: Pos = field(default=None, compare=False, repr=False)
-    arity: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class ARel(AlloyExpr):
     name: str
     pos: Pos = field(default=None, compare=False, repr=False)
-    arity: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class AVar(AlloyExpr):
     name: str
     pos: Pos = field(default=None, compare=False, repr=False)
-    arity: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class AIden(AlloyExpr):
     pos: Pos = field(default=None, compare=False, repr=False)
-    arity: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class AUniv(AlloyExpr):
     pos: Pos = field(default=None, compare=False, repr=False)
-    arity: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class ANone(AlloyExpr):
     pos: Pos = field(default=None, compare=False, repr=False)
-    arity: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class AConv(AlloyExpr):
     e: AlloyExpr
     pos: Pos = field(default=None, compare=False, repr=False)
-    arity: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class AStar(AlloyExpr):
     e: AlloyExpr
     pos: Pos = field(default=None, compare=False, repr=False)
-    arity: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -450,7 +474,6 @@ class AJoin(AlloyExpr):
     l: AlloyExpr
     r: AlloyExpr
     pos: Pos = field(default=None, compare=False, repr=False)
-    arity: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -458,7 +481,6 @@ class AProd(AlloyExpr):
     l: AlloyExpr
     r: AlloyExpr
     pos: Pos = field(default=None, compare=False, repr=False)
-    arity: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -466,7 +488,6 @@ class AUnion(AlloyExpr):
     l: AlloyExpr
     r: AlloyExpr
     pos: Pos = field(default=None, compare=False, repr=False)
-    arity: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -474,7 +495,6 @@ class AInter(AlloyExpr):
     l: AlloyExpr
     r: AlloyExpr
     pos: Pos = field(default=None, compare=False, repr=False)
-    arity: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -482,7 +502,6 @@ class ADiff(AlloyExpr):
     l: AlloyExpr
     r: AlloyExpr
     pos: Pos = field(default=None, compare=False, repr=False)
-    arity: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -492,7 +511,6 @@ class ADomRes(AlloyExpr):
     l: AlloyExpr
     r: AlloyExpr
     pos: Pos = field(default=None, compare=False, repr=False)
-    arity: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -502,27 +520,14 @@ class ARanRes(AlloyExpr):
     l: AlloyExpr
     r: AlloyExpr
     pos: Pos = field(default=None, compare=False, repr=False)
-    arity: int = field(default=0, compare=False, repr=False)
-
-
-def a_children(e: AlloyExpr) -> list:
-    return [v for f in dataclasses.fields(e)
-            if isinstance(v := getattr(e, f.name), AlloyExpr)]
 
 
 def arity_of(e: AlloyExpr, rel_arity) -> int:
     """Arity of an expression, validating every operator along the way.
 
     rel_arity maps relation names to declared arities; variables and
-    signature names count as unary. The computed arity is also stamped
-    onto the node (the field is comparison-neutral metadata) so later
-    passes can read it back without re-deriving.
+    signature names count as unary.
     """
-    a = _arity_of(e, rel_arity)
-    return a
-
-
-def _arity_of(e, rel_arity):
     if isinstance(e, (ASig, AVar, AUniv, ANone)):
         a = 1
     elif isinstance(e, AIden):
@@ -533,37 +538,36 @@ def _arity_of(e, rel_arity):
         except KeyError:
             raise ArityError("unknown relation %r%s" % (e.name, _at(e)))
     elif isinstance(e, (AConv, AStar)):
-        sub = _arity_of(e.e, rel_arity)
+        sub = arity_of(e.e, rel_arity)
         if sub != 2:
             op = "~" if isinstance(e, AConv) else "*"
             raise ArityError("%s needs a binary operand, got arity %d%s"
                              % (op, sub, _at(e)))
         a = 2
     elif isinstance(e, AJoin):
-        la, ra = _arity_of(e.l, rel_arity), _arity_of(e.r, rel_arity)
+        la, ra = arity_of(e.l, rel_arity), arity_of(e.r, rel_arity)
         if la + ra < 3:
             raise ArityError("join of two unary expressions%s" % _at(e))
         a = la + ra - 2
     elif isinstance(e, AProd):
-        a = _arity_of(e.l, rel_arity) + _arity_of(e.r, rel_arity)
+        a = arity_of(e.l, rel_arity) + arity_of(e.r, rel_arity)
     elif isinstance(e, (AUnion, AInter, ADiff)):
-        la, ra = _arity_of(e.l, rel_arity), _arity_of(e.r, rel_arity)
+        la, ra = arity_of(e.l, rel_arity), arity_of(e.r, rel_arity)
         if la != ra:
             raise ArityError("arity mismatch %d vs %d%s" % (la, ra, _at(e)))
         a = la
     elif isinstance(e, ADomRes):
-        la = _arity_of(e.l, rel_arity)
+        la = arity_of(e.l, rel_arity)
         if la != 1:
             raise ArityError("<: needs a unary left operand%s" % _at(e))
-        a = _arity_of(e.r, rel_arity)
+        a = arity_of(e.r, rel_arity)
     elif isinstance(e, ARanRes):
-        ra = _arity_of(e.r, rel_arity)
+        ra = arity_of(e.r, rel_arity)
         if ra != 1:
             raise ArityError(":> needs a unary right operand%s" % _at(e))
-        a = _arity_of(e.l, rel_arity)
+        a = arity_of(e.l, rel_arity)
     else:
         raise ArityError("cannot compute arity of %r" % (e,))
-    object.__setattr__(e, "arity", a)
     return a
 
 
@@ -642,27 +646,19 @@ class FSomeQ(AlloyForm):
 @dataclass(frozen=True)
 class FPredCall(AlloyForm):
     name: str
-    args: tuple  # of AlloyExpr
+    args: Tuple[AlloyExpr, ...]
     pos: Pos = field(default=None, compare=False, repr=False)
 
 
 CORE_FORMS = (FIn, FSome, FNot, FAnd, FAll)
 
 
-def form_children(f: AlloyForm) -> list:
-    out = []
-    for fl in dataclasses.fields(f):
-        v = getattr(f, fl.name)
-        if isinstance(v, AlloyForm):
-            out.append(v)
-    return out
-
-
 def is_core(f: AlloyForm) -> bool:
     """Scanner for the shape the expansion step accepts."""
     if not isinstance(f, CORE_FORMS):
         return False
-    return all(is_core(c) for c in form_children(f))
+    return all(is_core(c) for _, c in children(f)
+               if isinstance(c, AlloyForm))
 
 
 # ---------------------------------------------------------------------------
@@ -755,19 +751,9 @@ def rl_map_apps(fn: Callable[[RApp], RLFormula], f: RLFormula) -> RLFormula:
     """Rebuild a formula with every application replaced by fn(app)."""
     if isinstance(f, RApp):
         return fn(f)
-    if isinstance(f, (RTrue, RFalse)):
-        return f
-    if isinstance(f, RNot):
-        return RNot(rl_map_apps(fn, f.f))
-    if isinstance(f, (RAnd, ROr, RImp)):
-        return type(f)(rl_map_apps(fn, f.l), rl_map_apps(fn, f.r))
-    if isinstance(f, RAll):
-        rng = None if f.rng is None else rl_map_apps(fn, f.rng)
-        return RAll(f.width, rng, rl_map_apps(fn, f.body), f.special)
-    if isinstance(f, REx):
-        rng = None if f.rng is None else rl_map_apps(fn, f.rng)
-        return REx(f.width, rng, rl_map_apps(fn, f.body))
-    raise TypeError("not an RL formula: %r" % (f,))
+    if not isinstance(f, RLFormula):
+        raise TypeError("not an RL formula: %r" % (f,))
+    return map_children(f, lambda c: rl_map_apps(fn, c))
 
 
 def _unbind_item(it: Item, lvl: int, repl: Item) -> Item:
@@ -789,17 +775,6 @@ def unbind(f: RLFormula, lvl: int, repl: Item) -> RLFormula:
         return RApp(tuple(_unbind_item(i, lvl, repl) for i in a.lhs), a.rel,
                     tuple(_unbind_item(i, lvl, repl) for i in a.rhs))
     return rl_map_apps(on_app, f)
-
-
-def uses_item(f: RLFormula, it: Item) -> bool:
-    found = [False]
-
-    def on_app(a: RApp) -> RLFormula:
-        if it in a.lhs or it in a.rhs:
-            found[0] = True
-        return a
-    rl_map_apps(on_app, f)
-    return found[0]
 
 
 def rl_text(f: RLFormula) -> str:

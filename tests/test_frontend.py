@@ -234,8 +234,9 @@ class TestCheckArities:
         body = d.asserts[0].form.body.body.body.f  # under the three alls
         first_in = body.l.l.l
         # (u.courses).Course in u.enrolled: left expr is unary
-        assert first_in.l.arity == 1
-        assert first_in.l.l.arity == 2  # u.courses
+        arities = d.rel_arity()
+        assert arity_of(first_in.l, arities) == 1
+        assert arity_of(first_in.l.l, arities) == 2  # u.courses
 
     def test_transpose_of_a_ternary_fails(self):
         m = parse("sig A { t : A -> A } fact { some ~t }")

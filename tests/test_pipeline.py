@@ -15,7 +15,6 @@ from alloy2fa.oracle import (
     tuple_space,
 )
 from alloy2fa.pipeline import (
-    PipelineState,
     TranslateError,
     _rot_app,
     aggregate,
@@ -75,7 +74,7 @@ from alloy2fa.terms import (
     RTRUE,
     Rel,
     Star,
-    fa_children,
+    children,
     projX,
     rl_text,
 )
@@ -258,7 +257,7 @@ class TestFactOf:
 
 def pure_fa(e):
     assert isinstance(e, FAExpr)
-    for c in fa_children(e):
+    for _, c in children(e):
         pure_fa(c)
 
 
@@ -309,8 +308,8 @@ class TestTranslate:
     def test_depth_never_increases(self):
         f = gen_formula(11)
         rl = _expand(f)
-        fact, trace, states = translate_with_trace(rl)
-        depths = [s.depth for s in states]
+        fact, trace = translate_with_trace(rl)
+        depths = [nesting(rl)] + [nesting(s.after) for s in trace]
         assert all(a >= b for a, b in zip(depths, depths[1:]))
         assert fact.width == depths[0] or depths[0] == 0
 
@@ -328,14 +327,14 @@ class TestTranslate:
 
         mem = lambda rel: REx(1, None, RAnd(app(1, rel, 3), app(3, ID, 2)))
         f = RAll(1, None, REx(1, None, RAnd(mem(Rel("r")), mem(Rel("s")))))
-        _, trace, _ = translate_with_trace(f)
+        _, trace = translate_with_trace(f)
         drops = [t for t in trace if t.rule == "discharge-innermost-exists"]
         assert len(drops) == 4
         assert all(levels(t.before) - levels(t.after) == 1 for t in drops)
 
     def test_trace_chains_across_the_wrap(self):
         f = RAll(1, None, REx(1, None, app(2, Rel("r"), 1)))
-        _, trace, _ = translate_with_trace(f)
+        _, trace = translate_with_trace(f)
         for a, b in zip(trace, trace[1:]):
             assert b.before in (a.after, insert_vars(a.after))
 
@@ -499,15 +498,22 @@ class TestClosureLifting:
         assert bool(v) and v.checked > 0
 
 
+def _wrapped(t):
+    return isinstance(t, RAll) and t.special
+
+
 class TestPipelineStates:
     def test_special_flag_tracks_the_wrapper(self):
         f = RAll(2, None, app(1, Rel("r"), 2))
-        _, _, states = translate_with_trace(f)
-        assert states[0].special is False
-        assert states[1].special is False
-        assert all(s.special for s in states[2:])
+        _, trace = translate_with_trace(f)
+        flags = [_wrapped(s.after) for s in trace]
+        # normalization runs before the wrap, elimination under it
+        assert not _wrapped(f) and not flags[0]
+        assert flags[-1]
+        assert flags == sorted(flags)
 
     def test_snapshots_are_pipeline_states(self):
-        _, _, states = translate_with_trace(RAll(1, None, RTRUE))
-        assert all(isinstance(s, PipelineState) for s in states)
-        assert states[-1].depth == 0
+        f = RAll(1, None, RTRUE)
+        _, trace = translate_with_trace(f)
+        assert trace and all(_wrapped(s.after) for s in trace[1:])
+        assert nesting(trace[-1].after) == 0

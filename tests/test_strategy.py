@@ -3,8 +3,7 @@
 import pytest
 
 from alloy2fa.strategy import (
-    AtRoot, BudgetError, Choice, Ctx, Many, Once, Rule, Seq, StrategyError,
-    replay, run_with_trace,
+    BudgetError, Choice, Many, Once, Rule, StrategyError, replay,
 )
 from alloy2fa.terms import (
     Comp, Conv, Join, Meet, Phi, RAll, RApp, REx, RNot, Rel, fa_text,
@@ -87,26 +86,6 @@ class TestCombinators:
         out, trace = Choice(Once(COLLAPSE), Once(DROP_CONV))(t)
         assert out is t and trace == []
 
-    def test_seq_threads_the_term(self):
-        t = Conv(Conv(Join(Rel("a"), Rel("a"))))
-        out, trace = Seq(Once(DROP_CONV), Once(COLLAPSE))(t)
-        assert out == Rel("a")
-        assert [s.rule for s in trace] == ["drop-double-converse",
-                                           "collapse-twin"]
-        assert replay(trace, t, out)
-
-    def test_seq_fails_if_a_part_fails(self):
-        t = Join(Rel("a"), Rel("a"))
-        out, trace = Seq(Once(COLLAPSE), Once(COLLAPSE))(t)
-        assert out is t  # second pass found nothing, the chain failed
-
-    def test_at_root_ignores_inner_matches(self):
-        t = Meet(Join(Rel("a"), Rel("a")), Rel("b"))
-        out, trace = AtRoot(COLLAPSE)(t)
-        assert out is t and trace == []
-        root = Join(Rel("a"), Rel("a"))
-        out2, trace2 = AtRoot(COLLAPSE)(root)
-        assert out2 == Rel("a") and trace2[0].path == ()
 
 
 class TestContext:
