@@ -242,9 +242,8 @@ class _Parser:
                 fields.extend(f)
             else:
                 self.fail("expected a paragraph (sig, fact, pred, assert)")
-        model = AlloyModel(tuple(sigs), tuple(fields), tuple(facts),
-                           tuple(preds), tuple(asserts))
-        return _resolve(model)
+        return AlloyModel(tuple(sigs), tuple(fields), tuple(facts),
+                          tuple(preds), tuple(asserts))
 
     def sig(self):
         t = self.peek()
@@ -537,7 +536,12 @@ class _Parser:
 
 def parse(text: str) -> AlloyModel:
     """Parse and name-resolve a model; raises ParseError with position."""
-    return _Parser(lex(text)).model()
+    p = _Parser(lex(text))
+    try:
+        model = p.model()
+    except RecursionError:
+        p.fail("input nested too deeply")
+    return _resolve(model)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .pipeline import (
     to_end,
     to_front,
 )
-from .strategy import Choice, Many, Once, Rule, RunState
+from .strategy import Rule, RunState, rewrite
 from .terms import (
     BOT,
     ID,
@@ -661,12 +661,7 @@ FACT_RULES = [Rule("inequation-normalize", _r_fact_norm)]
 # ---------------------------------------------------------------------------
 # the drivers
 
-_SIMPLIFY = Many(Choice(
-    Once(LOGIC_RULES),
-    Once(DEFINITION_RULES),
-    Once(ALGEBRA_RULES),
-    Once(FACT_RULES),
-))
+_SIMPLIFY = (LOGIC_RULES, DEFINITION_RULES, ALGEBRA_RULES, FACT_RULES)
 
 # The elimination banks: the simplification rules first, then the
 # mechanical ones, and normalization last, for the implications and
@@ -710,28 +705,26 @@ def drop_vars(f: RLFormula) -> Optional[FAFact]:
     return None
 
 
-def translate_h(f: RLFormula, budget: int = 10000, label: str = "") -> FAFact:
+def translate_h(f: RLFormula, label: str = "") -> FAFact:
     """Variable elimination with the shortcut rules; same facts semantics
     as the plain pipeline, usually far smaller terms."""
-    fact, _ = translate_h_with_trace(f, budget=budget, label=label)
+    fact, _ = translate_h_with_trace(f, label=label)
     return fact
 
 
-def translate_h_with_trace(f: RLFormula, budget: int = 10000,
-                           label: str = ""):
+def translate_h_with_trace(f: RLFormula, label: str = ""):
     """Like translate_h, also returning the rewrite trace: (fact, trace)."""
-    state = RunState(budget=budget)
-    g = _SIMPLIFY.run(f, state)
+    state = RunState()
+    g = rewrite(f, _SIMPLIFY, state)
     fact = drop_vars(g)
     if fact is None:
         fact = eliminate(g, SHORTCUT_BANKS, state)
-    done = Many(Choice(Once(ALGEBRA_RULES), Once(FACT_RULES))).run(fact, state)
+    done = rewrite(fact, (ALGEBRA_RULES, FACT_RULES), state)
     return dataclasses.replace(done, label=label, width=fact.width), state.trace
 
 
-def translate_form_h(f: AlloyForm, rel_arity, budget: int = 10000,
-                     label: str = "") -> FAFact:
+def translate_form_h(f: AlloyForm, rel_arity, label: str = "") -> FAFact:
     """Expand a core formula and eliminate variables the shortcut way."""
     rl = expand_form(f, rel_arity, closure=star_lifter(rel_arity))
-    return translate_h(rl, budget=budget, label=label)
+    return translate_h(rl, label=label)
 

@@ -734,7 +734,7 @@ def gen_formula(seed: int) -> AlloyForm:
     stay out of forcing positions: they appear freely on the right side
     of a membership but reach the left side (or a counting operand) only
     inside the negated arm of a set difference, whose left arm pins the
-    rows to atom tuples. The level budget keeps the expanded quantifier
+    rows to atom tuples. The cap on levels keeps the expanded quantifier
     depth small enough for exhaustive carriers.
     """
     rng = random.Random(seed)

@@ -1,11 +1,12 @@
 """Variable elimination: quantified relational formulas to point-free facts.
 
-The driver normalizes a closed formula to existential shape, wraps it
-under the marker pair, then rewrites with a prioritized rule bank until a
-single `x REL y` application survives; that application is read off as an
-(in)equation between variable-free terms.  Levels never need renaming
-along the way: every rule either discharges the innermost level of the
-enclosing block or leaves binders untouched.
+The driver, `eliminate`, rewrites a closed formula with the
+normalization bank to existential shape, wraps it under the marker pair,
+then calls `strategy.rewrite` with a tuple of prioritized rule banks
+until a single `x REL y` application survives; that application is read
+off as an equation between variable-free terms.  Levels never need
+renaming along the way: every rule either discharges the innermost level
+of the enclosing block or leaves binders untouched.
 
 Closure operands take a separate route.  Their membership formula is
 expanded with a private marker pair, bound join witnesses are discharged
@@ -20,7 +21,7 @@ import dataclasses
 from typing import Optional
 
 from .expand import expand_form, expand_membership
-from .strategy import Choice, Many, Once, Rule, RunState
+from .strategy import Rule, RunState, rewrite
 from .terms import (
     BOT,
     ID,
@@ -36,7 +37,6 @@ from .terms import (
     Compl,
     Conv,
     FactEq,
-    FactLe,
     FAFact,
     Fork,
     Id,
@@ -121,12 +121,6 @@ _NORMALIZE_RULES = [
 ]
 
 
-def normalize(f: RLFormula, budget: int = 10000) -> RLFormula:
-    """Remove implications, non-marker universals and quantifier ranges."""
-    out, _ = Many(Once(_NORMALIZE_RULES))(f, budget)
-    return out
-
-
 def insert_vars(f: RLFormula) -> RLFormula:
     """Wrap a closed formula under the marker pair the frames will use."""
     return RAll(2, None, f, special=True)
@@ -181,10 +175,6 @@ _FRAME_RULES = [
 ]
 
 
-def uniform(f: RLFormula, budget: int = 10000) -> RLFormula:
-    return _apply_once(_FRAME_RULES, f, "uniform", budget)
-
-
 # ---------------------------------------------------------------------------
 # combining: connectives between co-located applications become operators
 
@@ -219,10 +209,6 @@ _COMBINE_RULES = [
 ]
 
 
-def aggregate(f: RLFormula, budget: int = 10000) -> RLFormula:
-    return _apply_once(_COMBINE_RULES, f, "aggregate", budget)
-
-
 # ---------------------------------------------------------------------------
 # discharging: the innermost existential level is cut off the frame tuple
 
@@ -244,44 +230,16 @@ def _r_discharge(t, ctx):
 _DISCHARGE_RULES = [Rule("discharge-innermost-exists", _r_discharge)]
 
 
-def drop_exists(f: RLFormula, budget: int = 10000) -> RLFormula:
-    return _apply_once(_DISCHARGE_RULES, f, "drop_exists", budget)
-
-
-def _apply_once(rules, f, opname, budget):
-    state = RunState(budget=budget)
-    out = Once(rules).run(f, state)
-    if out is None:
-        raise TranslateError("%s found no redex in %s" % (opname, rl_text(f)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # reading the fact off the shortened formula
 
 
 def fact_of(f: RLFormula) -> Optional[FAFact]:
-    """Variable-free fact a fully shortened formula denotes, if any.
-
-    Covers the marker wrapper around `x R y`, the plain two-level
-    universal (totality), the one-level diagonal (reflexivity) and the
-    ranged two-level universal (inclusion).
-    """
-    if not isinstance(f, RAll) or not isinstance(f.body, RApp):
-        return None
-    b = f.body
-    if f.special:
-        if f.rng is None and b.lhs == (MARK_X,) and b.rhs == (MARK_Y,):
-            return FactEq(b.rel, TOP)
-        return None
-    if f.rng is None and f.width == 2 and len(b.lhs) == 1 \
-            and len(b.rhs) == 1 and set(b.lhs + b.rhs) == {1, 2}:
-        return FactEq(b.rel, TOP)
-    if f.rng is None and f.width == 1 and b.lhs == (1,) and b.rhs == (1,):
-        return FactLe(ID, b.rel)
-    if (f.width == 2 and isinstance(f.rng, RApp) and f.rng.lhs == (1,)
-            and f.rng.rhs == (2,) and b.lhs == (1,) and b.rhs == (2,)):
-        return FactLe(f.rng.rel, b.rel)
+    """The fact `x R y` under the marker wrapper denotes, if f is that."""
+    if (isinstance(f, RAll) and f.special and f.rng is None
+            and isinstance(f.body, RApp) and f.body.lhs == (MARK_X,)
+            and f.body.rhs == (MARK_Y,)):
+        return FactEq(f.body.rel, TOP)
     return None
 
 
@@ -296,14 +254,14 @@ MECHANICAL_BANKS = (_COMBINE_RULES, _DISCHARGE_RULES, _FRAME_RULES)
 def eliminate(f: RLFormula, banks, state: RunState) -> FAFact:
     """Eliminate all variables from a closed formula with the given banks.
 
-    Normalizes, wraps the result under the marker pair, then rewrites with
-    the banks (the first bank with a redex fires) to a fixpoint and reads
-    the fact off it. The fact's width is the deepest level nesting of the
+    Rewrites with the normalization bank, wraps the result under the
+    marker pair, rewrites with the banks to a fixpoint and reads the fact
+    off it.  The fact's width is the deepest level nesting of the
     normalized formula; it carries no label.
     """
-    g = Many(Once(_NORMALIZE_RULES)).run(f, state)
+    g = rewrite(f, (_NORMALIZE_RULES,), state)
     width = max(1, nesting(g))
-    out = Many(Choice(*(Once(b) for b in banks))).run(insert_vars(g), state)
+    out = rewrite(insert_vars(g), banks, state)
     fact = fact_of(out)
     if fact is None:
         raise TranslateError(
@@ -312,23 +270,22 @@ def eliminate(f: RLFormula, banks, state: RunState) -> FAFact:
     return dataclasses.replace(fact, width=width)
 
 
-def translate(f: RLFormula, budget: int = 10000, label: str = "") -> FAFact:
+def translate(f: RLFormula, label: str = "") -> FAFact:
     """Eliminate all variables from a closed formula; returns the fact."""
-    return translate_with_trace(f, budget=budget, label=label)[0]
+    return translate_with_trace(f, label=label)[0]
 
 
-def translate_with_trace(f: RLFormula, budget: int = 10000, label: str = ""):
+def translate_with_trace(f: RLFormula, label: str = ""):
     """Like translate, also returning the rewrite trace: (fact, trace)."""
-    state = RunState(budget=budget)
+    state = RunState()
     fact = eliminate(f, MECHANICAL_BANKS, state)
     return dataclasses.replace(fact, label=label), state.trace
 
 
-def translate_form(f: AlloyForm, rel_arity, budget: int = 10000,
-                   label: str = "") -> FAFact:
+def translate_form(f: AlloyForm, rel_arity, label: str = "") -> FAFact:
     """Expand a core formula (closures included) and eliminate variables."""
     rl = expand_form(f, rel_arity, closure=star_lifter(rel_arity))
-    return translate(rl, budget=budget, label=label)
+    return translate(rl, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +470,7 @@ def _lift_rules(a_levels: tuple):
     return [Rule("lift-application-to-frames", lift)]
 
 
-def translate_closure(e: AlloyExpr, env, rel_arity, nl: int = 0,
-                      budget: int = 10000):
+def translate_closure(e: AlloyExpr, env, rel_arity, nl: int = 0):
     """Lift a closure operand into an endorelation and star it.
 
     Free variables of the operand become leading tuple components of the
@@ -527,10 +483,9 @@ def translate_closure(e: AlloyExpr, env, rel_arity, nl: int = 0,
     body = expand_membership((MARK_CX, MARK_CY), e, rel_arity,
                              closure=star_lifter(rel_arity),
                              nl=watermark, env=env)
-    state = RunState(budget=budget)
-    loop = Many(Choice(Once(_COMBINE_RULES), Once(_witness_rules(watermark)),
-                       Once(_lift_rules(a_levels))))
-    out = loop.run(body, state)
+    state = RunState()
+    out = rewrite(body, (_COMBINE_RULES, _witness_rules(watermark),
+                         _lift_rules(a_levels)), state)
     lframe, rframe = a_levels + (MARK_CX,), a_levels + (MARK_CY,)
     if not (isinstance(out, RApp) and out.lhs == lframe
             and out.rhs == rframe):

@@ -1,15 +1,17 @@
-"""Strategic rewriting engine.
+"""Rewrite engine: prioritized rule banks, leftmost-innermost.
 
 A rule is a named partial function on terms; it either fails (None) or
-returns a *different* term.  Strategies combine rules: `Once` applies the
-first matching rule at the leftmost-innermost position, `Choice` takes
-the first success, `Many` iterates to fixpoint.  Every
-firing is recorded in a trace of whole-term snapshots so derivations can
-be replayed and pretty-printed.
+returns a *different* term.  A bank is a list of rules, and a rewrite
+runs over a tuple of banks in priority order.  `step` fires once: the
+first bank with a redex anywhere in the term wins, at that bank's
+leftmost-innermost redex, where the bank's first matching rule fires.
+`rewrite` repeats `step` to a fixpoint.  Every firing is recorded as a
+whole-term snapshot in the `RunState`, which also caps the number of
+firings of one run.
 
 Rules see a context carrying the quantifier depth at their position:
-`binder_depth` counts all bound levels on the path, `ex_depth` only the
-existentially bound ones, and `special` is set inside the marker wrapper.
+`binder_depth` counts all bound levels on the path and `ex_depth` only
+the existentially bound ones; the marker wrapper binds no levels.
 Terms of all three languages (RL formulas, FA expressions, facts) share
 the generic traversal `terms.children`; item tuples inside applications
 are opaque to it.
@@ -46,8 +48,6 @@ class Rule:
 class Ctx:
     binder_depth: int = 0
     ex_depth: int = 0
-    special: bool = False
-    path: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,6 @@ class TraceStep:
     rule: str
     before: object
     after: object
-    path: tuple
 
 
 @dataclass
@@ -63,106 +62,54 @@ class RunState:
     budget: int = 10000
     steps: int = 0
     trace: List[TraceStep] = field(default_factory=list)
-    _path: tuple = ()
-    _last_rule: str = ""
-
-    def fire(self, rule: Rule, path: tuple):
-        self.steps += 1
-        if self.steps > self.budget:
-            raise BudgetError(
-                "rewrite budget of %d steps exhausted (last rule %s)"
-                % (self.budget, rule.name), self.trace)
-        self._path = path
 
 
-def child_ctx(t, ctx: Ctx, index: int) -> Ctx:
-    """Context of the index-th child of t; both slots of a quantifier
-    (range and body) lie inside its scope."""
-    path = ctx.path + (index,)
-    if isinstance(t, (RAll, REx)):
-        if isinstance(t, RAll) and t.special:
-            return Ctx(ctx.binder_depth, ctx.ex_depth, True, path)
-        ex = ctx.ex_depth + (t.width if isinstance(t, REx) else 0)
-        return Ctx(ctx.binder_depth + t.width, ex, ctx.special, path)
-    return Ctx(ctx.binder_depth, ctx.ex_depth, ctx.special, path)
+def _once(t, bank, ctx: Ctx):
+    """(rewritten t, rule) at the bank's leftmost-innermost redex, or None.
 
-
-class Strategy:
-    def run(self, t, state: RunState):
-        raise NotImplementedError
-
-    def __call__(self, t, budget: int = 10000):
-        """Run standalone; returns the (possibly unchanged) term and trace."""
-        state = RunState(budget=budget)
-        out = self.run(t, state)
-        return (t if out is None else out), state.trace
-
-
-class Once(Strategy):
-    """Apply the first matching rule at the leftmost-innermost position."""
-
-    def __init__(self, rules):
-        self.rules = [rules] if isinstance(rules, Rule) else list(rules)
-
-    def run(self, t, state: RunState):
-        res = self._descend(t, Ctx(), state)
+    Both slots of a quantifier (range and body) lie inside its scope.
+    """
+    inner = ctx
+    if isinstance(t, REx):
+        inner = Ctx(ctx.binder_depth + t.width, ctx.ex_depth + t.width)
+    elif isinstance(t, RAll) and not t.special:
+        inner = Ctx(ctx.binder_depth + t.width, ctx.ex_depth)
+    for name, v in children(t):
+        hit = _once(v, bank, inner)
+        if hit is not None:
+            return dataclasses.replace(t, **{name: hit[0]}), hit[1]
+    for rule in bank:
+        res = rule.fn(t, ctx)
         if res is not None:
-            state.trace.append(
-                TraceStep(state._last_rule, t, res, state._path))
-        return res
+            if res == t:
+                raise StrategyError(
+                    "rule %s returned its input unchanged" % rule.name)
+            return res, rule
+    return None
 
-    def _descend(self, t, ctx: Ctx, state: RunState):
-        for i, (name, v) in enumerate(children(t)):
-            sub = self._descend(v, child_ctx(t, ctx, i), state)
-            if sub is not None:
-                return dataclasses.replace(t, **{name: sub})
-        return self._here(t, ctx, state)
 
-    def _here(self, t, ctx: Ctx, state: RunState):
-        for rule in self.rules:
-            res = rule.fn(t, ctx)
-            if res is not None:
-                if res == t:
-                    raise StrategyError(
-                        "rule %s returned its input unchanged" % rule.name)
-                state.fire(rule, ctx.path)
-                state._last_rule = rule.name
-                return res
+def step(t, banks, state: RunState):
+    """Fire the first bank with a redex once; None when no bank has one."""
+    for bank in banks:
+        hit = _once(t, bank, Ctx())
+        if hit is not None:
+            break
+    else:
         return None
+    out, rule = hit
+    state.steps += 1
+    if state.steps > state.budget:
+        raise BudgetError(
+            "rewrite budget of %d steps exhausted (last rule %s)"
+            % (state.budget, rule.name), state.trace)
+    state.trace.append(TraceStep(rule.name, t, out))
+    return out
 
 
-class Choice(Strategy):
-    def __init__(self, *parts):
-        self.parts = parts
-
-    def run(self, t, state: RunState):
-        for p in self.parts:
-            res = p.run(t, state)
-            if res is not None:
-                return res
-        return None
-
-
-class Many(Strategy):
-    """Iterate to fixpoint; zero applications still succeed."""
-
-    def __init__(self, inner: Strategy):
-        self.inner = inner
-
-    def run(self, t, state: RunState):
-        cur = t
-        while True:
-            res = self.inner.run(cur, state)
-            if res is None:
-                return cur
-            cur = res
-
-
-def replay(trace: List[TraceStep], first, final) -> bool:
-    """Check a trace chains from first to final with no gaps."""
-    cur = first
-    for step in trace:
-        if step.before != cur:
-            return False
-        cur = step.after
-    return cur == final
+def rewrite(t, banks, state: RunState):
+    """Repeat `step` until no bank has a redex; returns the fixpoint."""
+    while True:
+        out = step(t, banks, state)
+        if out is None:
+            return t
+        t = out

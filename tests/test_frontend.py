@@ -127,6 +127,14 @@ class TestParseErrors:
         with pytest.raises(ParseError, match=r"line 3, column 13"):
             parse("sig A {}\nsig B {}\nfact { some ^A }")
 
+    @pytest.mark.parametrize("inner", ["some A", "x.r in (A)"])
+    def test_deep_parentheses_fail_with_a_position(self, inner):
+        deep = "(" * 500 + inner + ")" * 500
+        text = "sig A { r : A }\nassert a { all x : A | %s }" % deep
+        with pytest.raises(ParseError,
+                           match=r"nested too deeply.* line 2, column \d+"):
+            parse(text)
+
 
 class TestDesugar:
     def test_running_example_assertion_inlines_to_one_closed_formula(

@@ -15,23 +15,25 @@ from alloy2fa.oracle import (
     tuple_space,
 )
 from alloy2fa.pipeline import (
+    MECHANICAL_BANKS,
     TranslateError,
+    _COMBINE_RULES,
+    _DISCHARGE_RULES,
+    _FRAME_RULES,
+    _NORMALIZE_RULES,
     _rot_app,
-    aggregate,
-    drop_exists,
+    eliminate,
     fact_of,
     free_var_levels,
     insert_vars,
     nesting,
-    normalize,
     translate,
     translate_closure,
     translate_form,
     translate_with_trace,
     star_lifter,
-    uniform,
 )
-from alloy2fa.strategy import BudgetError
+from alloy2fa.strategy import BudgetError, RunState, rewrite, step
 from alloy2fa.terms import (
     BOT,
     ID,
@@ -89,6 +91,16 @@ def app(l, rel, r):
     return RApp(l, rel, r)
 
 
+def normalized(f):
+    """The fixpoint of the normalization bank alone."""
+    return rewrite(f, (_NORMALIZE_RULES,), RunState())
+
+
+def step1(f, bank):
+    """One firing of a single bank, None when it has no redex."""
+    return step(f, (bank,), RunState())
+
+
 def two_rel_vocab():
     return Vocab(sigs={"A": SigInfo("A")},
                  rels={"r": ("A", "A"), "s": ("A", "A")})
@@ -97,30 +109,30 @@ def two_rel_vocab():
 class TestNormalize:
     def test_implication_becomes_or(self):
         f = RImp(app(1, R, 2), app(2, S, 1))
-        assert normalize(REx(2, None, f)) == REx(
+        assert normalized(REx(2, None, f)) == REx(
             2, None, ROr(RNot(app(1, R, 2)), app(2, S, 1)))
 
     def test_plain_forall_becomes_not_exists_not(self):
         f = RAll(2, None, app(1, R, 2))
-        assert normalize(f) == RNot(REx(2, None, RNot(app(1, R, 2))))
+        assert normalized(f) == RNot(REx(2, None, RNot(app(1, R, 2))))
 
     def test_ranged_forall_fixpoint(self):
         f = RAll(1, app(1, Phi("A"), 1), app(1, R, 1))
-        assert rl_text(normalize(f)) == "!<E1 :: !(!1 Phi_A 1 || 1 R 1)>"
+        assert rl_text(normalized(f)) == "!<E1 :: !(!1 Phi_A 1 || 1 R 1)>"
 
     def test_ranged_exists_absorbed(self):
         f = REx(1, app(1, Phi("A"), 1), app(1, R, 1))
-        assert normalize(f) == REx(
+        assert normalized(f) == REx(
             1, None, RAnd(app(1, Phi("A"), 1), app(1, R, 1)))
 
     def test_marker_wrapper_survives(self):
-        g = normalize(insert_vars(RAll(1, None, app(1, R, 1))))
+        g = normalized(insert_vars(RAll(1, None, app(1, R, 1))))
         assert isinstance(g, RAll) and g.special
         assert g.body == RNot(REx(1, None, RNot(app(1, R, 1))))
 
     def test_quantifier_free_unchanged(self):
         f = ROr(RNot(app(1, R, 2)), app(1, S, 2))
-        assert normalize(f) == f
+        assert normalized(f) == f
 
     def test_no_leftovers(self):
         f = RAll(1, app(1, Phi("A"), 1),
@@ -140,7 +152,7 @@ class TestNormalize:
                 scan(g.l)
                 scan(g.r)
 
-        scan(normalize(f))
+        scan(normalized(f))
 
 
 class TestInsertVars:
@@ -159,7 +171,7 @@ class TestUniform:
         f = REx(2, None, app(2, R, 1))
         want = REx(2, None, RApp(
             (MARK_X,), Comp(TOP, Meet(PI2, Comp(R, PI1))), (1, 2)))
-        assert uniform(f) == want
+        assert step1(f, _FRAME_RULES) == want
 
     def test_tuple_side_becomes_fork(self):
         t3 = Rel("T", 3)
@@ -167,23 +179,24 @@ class TestUniform:
         sel = Fork(projX(3, 2), projX(3, 3))
         want = REx(3, None, RApp(
             (MARK_X,), Comp(TOP, Meet(PI1, Comp(t3, sel))), (1, 2, 3)))
-        assert uniform(f) == want
+        assert step1(f, _FRAME_RULES) == want
 
     def test_already_framed_fails(self):
         f = REx(2, None, RApp((MARK_X,), R, (1, 2)))
-        with pytest.raises(TranslateError):
-            uniform(f)
+        assert step1(f, _FRAME_RULES) is None
 
     def test_literal_inside_block(self):
         f = REx(1, None, RTRUE)
-        assert uniform(f) == REx(1, None, RApp((MARK_X,), TOP, (1,)))
+        assert step1(f, _FRAME_RULES) == REx(
+            1, None, RApp((MARK_X,), TOP, (1,)))
 
     def test_literal_outside_blocks(self):
-        assert uniform(RTRUE) == RApp((MARK_X,), TOP, (MARK_Y,))
+        assert step1(RTRUE, _FRAME_RULES) == RApp(
+            (MARK_X,), TOP, (MARK_Y,))
 
     def test_leftmost_application_first(self):
         f = REx(1, None, RAnd(app(1, R, 1), app(1, S, 1)))
-        g = uniform(f)
+        g = step1(f, _FRAME_RULES)
         assert g.body.l.lhs == (MARK_X,)
         assert g.body.r == app(1, S, 1)
 
@@ -191,19 +204,20 @@ class TestUniform:
 class TestAggregate:
     def test_conjunction_becomes_meet(self):
         f = RAnd(RApp((MARK_X,), R, (1, 2)), RApp((MARK_X,), S, (1, 2)))
-        assert aggregate(f) == RApp((MARK_X,), Meet(R, S), (1, 2))
+        assert step1(f, _COMBINE_RULES) == RApp(
+            (MARK_X,), Meet(R, S), (1, 2))
 
     def test_disjunction_becomes_join(self):
         f = ROr(app(1, R, 2), app(1, S, 2))
-        assert aggregate(f) == app(1, Join(R, S), 2)
+        assert step1(f, _COMBINE_RULES) == app(1, Join(R, S), 2)
 
     def test_negation_becomes_complement(self):
-        assert aggregate(RNot(app(1, R, 2))) == app(1, Compl(R), 2)
+        assert step1(RNot(app(1, R, 2)), _COMBINE_RULES) == app(
+            1, Compl(R), 2)
 
     def test_mismatched_sides_fail(self):
         f = RAnd(app(1, R, 2), app(2, S, 1))
-        with pytest.raises(TranslateError):
-            aggregate(f)
+        assert step1(f, _COMBINE_RULES) is None
 
 
 class TestDropExists:
@@ -211,26 +225,25 @@ class TestDropExists:
         f = REx(2, None, RApp((MARK_X,), R, (1, 2)))
         want = REx(1, None, RApp(
             (MARK_X,), Comp(R, Fork(ID, TOP)), (1,)))
-        assert drop_exists(f) == want
+        assert step1(f, _DISCHARGE_RULES) == want
 
     def test_split_blocks_shrink_inner(self):
         f = REx(1, None, REx(1, None, RApp((MARK_X,), R, (1, 2))))
         want = REx(1, None, RApp(
             (MARK_X,), Comp(R, Fork(ID, TOP)), (1,)))
-        assert drop_exists(f) == want
+        assert step1(f, _DISCHARGE_RULES) == want
 
     def test_last_level_composes_top(self):
         f = REx(1, None, RApp((MARK_X,), R, (1,)))
-        assert drop_exists(f) == RApp((MARK_X,), Comp(R, TOP), (MARK_Y,))
+        assert step1(f, _DISCHARGE_RULES) == RApp(
+            (MARK_X,), Comp(R, TOP), (MARK_Y,))
 
     def test_no_existential_fails(self):
-        with pytest.raises(TranslateError):
-            drop_exists(RApp((MARK_X,), R, (MARK_Y,)))
+        assert step1(RApp((MARK_X,), R, (MARK_Y,)), _DISCHARGE_RULES) is None
 
     def test_unreduced_block_fails(self):
         f = REx(1, None, RAnd(app(1, R, 1), app(1, S, 1)))
-        with pytest.raises(TranslateError):
-            drop_exists(f)
+        assert step1(f, _DISCHARGE_RULES) is None
 
 
 class TestFactOf:
@@ -238,19 +251,10 @@ class TestFactOf:
         f = RAll(2, None, RApp((MARK_X,), R, (MARK_Y,)), special=True)
         assert fact_of(f) == FactEq(R, TOP)
 
-    def test_level_pair(self):
-        assert fact_of(RAll(2, None, app(1, R, 2))) == FactEq(R, TOP)
-        assert fact_of(RAll(2, None, app(2, R, 1))) == FactEq(R, TOP)
-
-    def test_diagonal(self):
-        assert fact_of(RAll(1, None, app(1, R, 1))) == FactLe(ID, R)
-
-    def test_ranged_pair_is_inclusion(self):
-        f = RAll(2, app(1, R, 2), app(1, S, 2))
-        assert fact_of(f) == FactLe(R, S)
-
     def test_non_facts(self):
         assert fact_of(app(1, R, 2)) is None
+        # plain universals are heuristics.drop_vars's to read
+        assert fact_of(RAll(2, None, app(1, R, 2))) is None
         assert fact_of(RAll(2, None, RAnd(app(1, R, 2), app(1, S, 2)))) is None
         assert fact_of(RAll(2, None, app(1, R, (1, 2)))) is None
 
@@ -353,7 +357,7 @@ class TestTranslate:
         f = RAll(1, None, REx(1, None, RAnd(app(1, Rel("r"), 2),
                                             app(1, Rel("s"), 2))))
         with pytest.raises(BudgetError):
-            translate(f, budget=3)
+            eliminate(f, MECHANICAL_BANKS, RunState(budget=3))
 
     def test_open_formula_diagnostic(self):
         with pytest.raises(TranslateError) as err:

@@ -1,9 +1,9 @@
-"""Engine discipline: positions, traces, budgets."""
+"""Engine discipline: positions, bank priority, traces, budgets."""
 
 import pytest
 
 from alloy2fa.strategy import (
-    BudgetError, Choice, Many, Once, Rule, StrategyError, replay,
+    BudgetError, Rule, RunState, StrategyError, rewrite, step,
 )
 from alloy2fa.terms import (
     Comp, Conv, Join, Meet, Phi, RAll, RApp, REx, RNot, Rel, fa_text,
@@ -28,64 +28,88 @@ def drop_conv(t, ctx):
 DROP_CONV = Rule("drop-double-converse", drop_conv)
 
 
+def run(t, banks, budget=10000):
+    """rewrite on a fresh state: (fixpoint, trace)."""
+    state = RunState(budget=budget)
+    return rewrite(t, banks, state), state.trace
+
+
 class TestOnce:
     def test_fires_leftmost_innermost(self):
         t = Meet(Join(Rel("a"), Rel("a")), Join(Rel("b"), Rel("b")))
-        out, trace = Once(COLLAPSE)(t)
+        state = RunState()
+        out = step(t, ([COLLAPSE],), state)
         assert fa_text(out) == "(a & (b + b))"
-        assert len(trace) == 1
-        assert trace[0].rule == "collapse-twin"
-        assert trace[0].path == (0,)
-        assert trace[0].before == t and trace[0].after == out
+        assert len(state.trace) == 1
+        assert state.trace[0].rule == "collapse-twin"
+        assert state.trace[0].before == t and state.trace[0].after == out
 
     def test_inner_beats_outer(self):
         t = Join(Join(Rel("a"), Rel("a")), Join(Rel("a"), Rel("a")))
-        out, trace = Once(COLLAPSE)(t)
+        out = step(t, ([COLLAPSE],), RunState())
         # the root also matches, but the left child goes first
         assert fa_text(out) == "(a + (a + a))"
 
     def test_no_match_returns_input_unchanged(self):
         t = Meet(Rel("a"), Rel("b"))
-        out, trace = Once(COLLAPSE)(t)
-        assert out is t and trace == []
+        state = RunState()
+        assert step(t, ([COLLAPSE],), state) is None
+        out, trace = run(t, ([COLLAPSE],))
+        assert out is t and trace == [] and state.trace == []
 
     def test_rule_order_decides_at_one_position(self):
         to_meet = Rule("join-to-meet",
                        lambda t, ctx: Meet(t.l, t.r)
                        if isinstance(t, Join) else None)
         t = Join(Rel("a"), Rel("a"))
-        assert Once([COLLAPSE, to_meet])(t)[0] == Rel("a")
-        assert Once([to_meet, COLLAPSE])(t)[0] == Meet(Rel("a"), Rel("a"))
+        assert step(t, ([COLLAPSE, to_meet],), RunState()) == Rel("a")
+        assert step(t, ([to_meet, COLLAPSE],), RunState()) == Meet(
+            Rel("a"), Rel("a"))
+
+    def test_position_beats_rule_order_within_a_bank(self):
+        t = Meet(Conv(Conv(Rel("a"))), Join(Rel("b"), Rel("b")))
+        out = step(t, ([COLLAPSE, DROP_CONV],), RunState())
+        assert fa_text(out) == "(a & (b + b))"
 
     def test_identity_rule_is_rejected(self):
         bad = Rule("noop", lambda t, ctx: t if isinstance(t, Join) else None)
         with pytest.raises(StrategyError, match="noop"):
-            Once(bad)(Join(Rel("a"), Rel("b")))
+            step(Join(Rel("a"), Rel("b")), ([bad],), RunState())
 
 
 class TestCombinators:
+    """Bank tuples: `rewrite` iterates `step`, whose first bank with a
+    redex fires."""
+
     def test_many_reaches_the_fixpoint(self):
         t = Join(Join(Rel("a"), Rel("a")), Join(Rel("a"), Rel("a")))
-        out, trace = Many(Once(COLLAPSE))(t)
+        out, trace = run(t, ([COLLAPSE],))
         assert out == Rel("a")
         assert [s.rule for s in trace] == ["collapse-twin"] * 3
-        assert replay(trace, t, out)
+        assert trace[0].before == t and trace[-1].after == out
+        assert all(a.after == b.before for a, b in zip(trace, trace[1:]))
 
     def test_many_with_zero_firings_still_succeeds(self):
         t = Rel("a")
-        out, trace = Many(Once(COLLAPSE))(t)
+        out, trace = run(t, ([COLLAPSE],))
         assert out is t and trace == []
 
     def test_choice_takes_the_first_success(self):
         t = Conv(Conv(Rel("a")))
-        out, _ = Choice(Once(COLLAPSE), Once(DROP_CONV))(t)
-        assert out == Rel("a")
+        assert step(t, ([COLLAPSE], [DROP_CONV]), RunState()) == Rel("a")
 
     def test_choice_fails_when_all_fail(self):
-        t = Rel("a")
-        out, trace = Choice(Once(COLLAPSE), Once(DROP_CONV))(t)
-        assert out is t and trace == []
+        assert step(Rel("a"), ([COLLAPSE], [DROP_CONV]), RunState()) is None
 
+    def test_bank_priority_is_global(self):
+        # the first bank's redex deep on the right beats the second
+        # bank's redex at the leftmost position
+        t = Meet(Conv(Conv(Rel("a"))),
+                 Meet(Rel("b"), Join(Rel("c"), Rel("c"))))
+        state = RunState()
+        out = step(t, ([COLLAPSE], [DROP_CONV]), state)
+        assert fa_text(out) == "((a~)~ & (b & c))"
+        assert [s.rule for s in state.trace] == ["collapse-twin"]
 
 
 class TestContext:
@@ -94,52 +118,48 @@ class TestContext:
 
         def probe(t, ctx):
             if isinstance(t, RApp):
-                seen[fa_text(t.rel)] = (ctx.binder_depth, ctx.ex_depth,
-                                        ctx.special)
+                seen[fa_text(t.rel)] = (ctx.binder_depth, ctx.ex_depth)
             return None
 
         f = RAll(2, RApp((1,), Phi("A"), (1,)),
                  REx(1, None, RNot(RApp((1,), Rel("r"), (3,)))))
-        Once(Rule("probe", probe))(f)
+        step(f, ([Rule("probe", probe)],), RunState())
         # the range lives inside the binder's scope, like the body
-        assert seen["Phi_A"] == (2, 0, False)
-        assert seen["r"] == (3, 1, False)
+        assert seen["Phi_A"] == (2, 0)
+        assert seen["r"] == (3, 1)
 
-    def test_special_wrapper_sets_the_flag(self):
+    def test_special_wrapper_keeps_both_depths(self):
         seen = {}
 
         def probe(t, ctx):
             if isinstance(t, RApp):
-                seen["app"] = (ctx.binder_depth, ctx.special)
+                seen[fa_text(t.rel)] = (ctx.binder_depth, ctx.ex_depth)
             return None
 
-        f = RAll(2, None, RApp(("x",), Rel("r"), ("y",)), special=True)
-        Once(Rule("probe", probe))(f)
-        assert seen["app"] == (0, True)
+        f = RAll(2, None, REx(1, None, RAll(
+            2, None, RApp(("x",), Rel("r"), ("y",)), special=True)),
+            special=True)
+        step(f, ([Rule("probe", probe)],), RunState())
+        assert seen["r"] == (1, 1)
 
-    def test_paths_address_field_positions(self):
-        hits = []
+    def test_never_firing_rule_visits_innermost_first(self):
+        seen = []
 
         def probe(t, ctx):
-            if isinstance(t, Rel):
-                hits.append((t.name, ctx.path))
+            seen.append(fa_text(t))
             return None
 
-        # a never-firing rule sees every position, innermost-first
-        Once(Rule("probe", probe))(Meet(Comp(Rel("a"), Rel("b")), Rel("c")))
-        assert hits == [("a", (0, 0)), ("b", (0, 1)), ("c", (1,))]
+        t = Meet(Comp(Rel("a"), Rel("b")), Rel("c"))
+        assert step(t, ([Rule("probe", probe)],), RunState()) is None
+        assert seen == ["a", "b", "(a . b)", "c", "((a . b) & c)"]
 
 
 class TestBudgets:
     def test_budget_aborts_with_partial_trace(self):
         t = Join(Join(Rel("a"), Rel("a")), Join(Rel("a"), Rel("a")))
         with pytest.raises(BudgetError) as exc:
-            Many(Once(COLLAPSE))(t, budget=2)
-        assert len(exc.value.trace) == 2
-
-    def test_replay_rejects_tampered_traces(self):
-        t = Join(Join(Rel("a"), Rel("a")), Join(Rel("a"), Rel("a")))
-        out, trace = Many(Once(COLLAPSE))(t)
-        assert replay(trace, t, out)
-        assert not replay(trace[1:], t, out)
-        assert not replay(trace, t, Rel("b"))
+            run(t, ([COLLAPSE],), budget=2)
+        trace = exc.value.trace
+        assert len(trace) == 2
+        assert trace[0].before == t
+        assert trace[1].before == trace[0].after
