@@ -73,9 +73,8 @@ def _form(f, rel_arity, closure, nl, env):
     if isinstance(f, FSome):
         w = arity_of(f.e, rel_arity)
         xs = tuple(range(nl + 1, nl + w + 1))
-        return REx(w, None,
-                   expand_membership(xs, f.e, rel_arity, closure,
-                                     nl + w, env))
+        return REx(w, expand_membership(xs, f.e, rel_arity, closure,
+                                        nl + w, env))
     if isinstance(f, FIn):
         w = arity_of(f.l, rel_arity)
         if w != arity_of(f.r, rel_arity):
@@ -138,7 +137,7 @@ def _member(xs, e, rel_arity, closure, nl, env):
         k = nl + 1
         left = _member(xs[:la - 1] + (k,), e.l, rel_arity, closure, k, env)
         right = _member((k,) + xs[la - 1:], e.r, rel_arity, closure, k, env)
-        return REx(1, None, RAnd(left, right))
+        return REx(1, RAnd(left, right))
     if isinstance(e, AProd):
         la = arity_of(e.l, rel_arity)
         return RAnd(_member(xs[:la], e.l, rel_arity, closure, nl, env),

@@ -23,7 +23,7 @@ from .terms import (
     AConv, ADiff, ADomRes, AIden, AInter, AJoin, ANone, AProd, ARanRes,
     ARel, ASig, AStar, AUnion, AUniv, AVar, AlloyExpr, AlloyForm,
     ArityError, FAll, FAnd, FEq, FImp, FIn, FLone, FNot, FOr, FPredCall,
-    FSome, FSomeQ, arity_of, children, is_core, map_children,
+    FSome, FSomeQ, arity_of, children, map_children, subterms,
 )
 
 
@@ -582,17 +582,28 @@ def _resolve(model: AlloyModel) -> AlloyModel:
         return map_children(f, lambda c: fix_form(c)
                             if isinstance(c, AlloyForm) else fix_expr(c))
 
+    def fix(x, fn):
+        # the walks recurse once per operator; a long chain of them (say
+        # 1,000 conjuncts) is reported at the first position it holds
+        try:
+            return fn(x)
+        except RecursionError:
+            pos = min((t.pos for t in subterms(x)
+                       if getattr(t, "pos", None)), default=None)
+            raise ParseError("input nested too deeply%s"
+                             % _at_pos(pos)) from None
+
     return dataclasses.replace(
         model,
-        facts=tuple(fix_form(f) for f in model.facts),
+        facts=tuple(fix(f, fix_form) for f in model.facts),
         preds=tuple(
             dataclasses.replace(p, params=tuple(
-                (n, fix_expr(r)) for n, r in p.params),
-                body=fix_form(p.body)) for p in model.preds),
+                (n, fix(r, fix_expr)) for n, r in p.params),
+                body=fix(p.body, fix_form)) for p in model.preds),
         asserts=tuple(
             dataclasses.replace(a, params=tuple(
-                (n, fix_expr(r)) for n, r in a.params),
-                form=fix_form(a.form)) for a in model.asserts))
+                (n, fix(r, fix_expr)) for n, r in a.params),
+                form=fix(a.form, fix_form)) for a in model.asserts))
 
 
 def _check_forest(model: AlloyModel):
@@ -845,12 +856,7 @@ def desugar(model: AlloyModel) -> AlloyModel:
     asserts = tuple(dataclasses.replace(a, params=(),
                                         form=_to_core(close(a), arities))
                     for a in model.asserts)
-    out = AlloyModel(model.sigs, model.fields, facts, model.preds, asserts)
-    for f in out.facts:
-        assert is_core(f)
-    for a in out.asserts:
-        assert is_core(a.form)
-    return out
+    return AlloyModel(model.sigs, model.fields, facts, model.preds, asserts)
 
 
 def check_arities(model: AlloyModel) -> AlloyModel:

@@ -13,7 +13,8 @@ elements and stay as small as the inputs that produced them.
 Logical and definition rules are sound pointwise over any carrier, so
 every rewrite step preserves truth on every finite model, not just on
 the full pair closure.  Whole translations are certified against the
-finite-model oracle; single steps are not checked on their own.
+finite-model oracle; single steps are checked on their own only for the
+rules that no corpus translation fires.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .pipeline import (
     MECHANICAL_BANKS,
     _NORMALIZE_RULES,
     _flat,
-    _r_ex_ranged,
     absorb_diagonal,
     compose_apps,
     eliminate,
@@ -39,10 +39,6 @@ from .strategy import Rule, RunState, rewrite
 from .terms import (
     BOT,
     ID,
-    MARK_CX,
-    MARK_CY,
-    MARK_X,
-    MARK_Y,
     TOP,
     AlloyForm,
     Bot,
@@ -79,36 +75,21 @@ from .terms import (
     unbind,
 )
 
-_MARKERS = (MARK_X, MARK_Y, MARK_CX, MARK_CY)
-
 
 def _is_level(it) -> bool:
+    """Items are levels or markers; only levels name a bound element."""
     return isinstance(it, int)
 
 
-def _is_point(it) -> bool:
-    """Item denoting a single element the rules may keep: level or atom."""
-    return isinstance(it, int) or (isinstance(it, str) and it not in _MARKERS)
-
-
 def _plain(*apps) -> bool:
-    """True when no application touches a frame marker.
+    """True when every item of the applications is a level.
 
     The definition rules work the pre-frame phase; once an application
-    carries a marker side it belongs to the mechanical combine and
-    discharge rules, and merging it here would only feed the framer
-    junk it frames again.
+    carries a marker it belongs to the mechanical combine and discharge
+    rules, and merging it here would only feed the framer junk it
+    frames again.
     """
-    def deep(items):
-        for it in items:
-            if isinstance(it, tuple):
-                if not deep(it):
-                    return False
-            elif isinstance(it, str) and it in _MARKERS:
-                return False
-        return True
-
-    return all(deep(_flat(a)) for a in apps)
+    return all(_is_level(i) for a in apps for i in _flat(a))
 
 
 # ---------------------------------------------------------------------------
@@ -234,29 +215,25 @@ def _conj(a: Optional[RLFormula], b: Optional[RLFormula]):
 
 def _r_all_absorb_imp(t, ctx):
     # forall u : rng : (a => b)  keeps a as part of the range
-    if isinstance(t, RAll) and not t.special and isinstance(t.body, RImp):
+    if isinstance(t, RAll) and isinstance(t.body, RImp):
         return RAll(t.width, _conj(t.rng, t.body.l), t.body.r)
     return None
 
 
 def _r_all_fuse(t, ctx):
-    if (isinstance(t, RAll) and not t.special and isinstance(t.body, RAll)
-            and not t.body.special):
+    if isinstance(t, RAll) and isinstance(t.body, RAll):
         return RAll(t.width + t.body.width, _conj(t.rng, t.body.rng),
                     t.body.body)
     return None
 
 
 def _r_ex_fuse(t, ctx):
-    if (isinstance(t, REx) and t.rng is None and isinstance(t.body, REx)
-            and t.body.rng is None):
-        return REx(t.width + t.body.width, None, t.body.body)
+    if isinstance(t, REx) and isinstance(t.body, REx):
+        return REx(t.width + t.body.width, t.body.body)
     return None
 
 
 def _occurs(f, lvl: int) -> bool:
-    if f is None:
-        return False
     if isinstance(f, RApp):
         return lvl in _flat(f)
     return any(_occurs(c, lvl) for _, c in children(f))
@@ -264,15 +241,14 @@ def _occurs(f, lvl: int) -> bool:
 
 def _r_binder_trim(t, ctx):
     """Drop or narrow a binder whose trailing levels are never used."""
-    if not isinstance(t, (RAll, REx)) or getattr(t, "special", False):
+    if not isinstance(t, (RAll, REx)):
         return None
     lo = ctx.binder_depth
-    used = [l for l in range(lo + 1, lo + t.width + 1)
-            if _occurs(t.rng, l) or _occurs(t.body, l)]
+    used = [l for l in range(lo + 1, lo + t.width + 1) if _occurs(t, l)]
     if not used:
-        if isinstance(t, RAll):
-            return t.body if t.rng is None else RImp(t.rng, t.body)
-        return t.body if t.rng is None else RAnd(t.rng, t.body)
+        if isinstance(t, RAll) and t.rng is not None:
+            return RImp(t.rng, t.body)
+        return t.body
     w = max(used) - lo
     if w == t.width:
         return None
@@ -290,7 +266,6 @@ LOGIC_RULES = [
     Rule("implication-curry", _r_imp_curry),
     _pair_rule("negation-to-implication", ROr, _or_to_imp),
     Rule("forall-absorb-implication", _r_all_absorb_imp),
-    Rule("exists-range-to-and", _r_ex_ranged),
     Rule("forall-fuse", _r_all_fuse),
     Rule("exists-fuse", _r_ex_fuse),
     Rule("binder-trim", _r_binder_trim),
@@ -320,7 +295,7 @@ def _count(f, lvl: int) -> int:
 
 def _shrink(t: REx, leaves: list):
     body = _rebuild(RAnd, leaves) if leaves else RTrue()
-    return body if t.width == 1 else REx(t.width - 1, None, body)
+    return body if t.width == 1 else REx(t.width - 1, body)
 
 
 def _first(app: RApp, lvl: int):
@@ -336,10 +311,10 @@ def _first(app: RApp, lvl: int):
 
 def _r_substitute(t, ctx):
     """An identity conjunct pins a bound level to another item."""
-    if not isinstance(t, (RAll, REx)) or getattr(t, "special", False):
+    if not isinstance(t, (RAll, REx)):
         return None
     host = t.rng if isinstance(t, RAll) else t.body
-    if host is None or (isinstance(t, REx) and t.rng is not None):
+    if host is None:
         return None
     lo = ctx.binder_depth
     leaves = _leaves(RAnd, host)
@@ -351,13 +326,13 @@ def _r_substitute(t, ctx):
                           (leaf.rhs[0], leaf.lhs[0])):
             if not (_is_level(lvl) and lo < lvl <= lo + t.width):
                 continue
-            if not _is_point(repl) or repl == lvl:
+            if not _is_level(repl) or repl == lvl:
                 continue
             rest = [unbind(x, lvl, repl)
                     for k, x in enumerate(leaves) if k != i]
             if isinstance(t, REx):
                 return _shrink(t, rest) if lvl == lo + t.width else \
-                    REx(t.width, None, _rebuild(RAnd, rest or [RTrue()]))
+                    REx(t.width, _rebuild(RAnd, rest or [RTrue()]))
             rng = _rebuild(RAnd, rest) if rest else None
             return RAll(t.width, rng, unbind(t.body, lvl, repl))
     return None
@@ -384,7 +359,7 @@ def _r_absorb_diag(t, ctx):
 
 def _r_compose(t, ctx):
     """Two applications sharing the innermost level compose it away."""
-    if not (isinstance(t, REx) and t.rng is None):
+    if not isinstance(t, REx):
         return None
     lvl = _last_level(t, ctx)
     leaves = _leaves(RAnd, t.body)
@@ -405,7 +380,7 @@ def _r_compose(t, ctx):
 
 def _r_project(t, ctx):
     """A level used once in a wide application is cut from its column."""
-    if not (isinstance(t, REx) and t.rng is None):
+    if not isinstance(t, REx):
         return None
     lvl = _last_level(t, ctx)
     if _count(t.body, lvl) != 1:
@@ -424,7 +399,7 @@ def _r_project(t, ctx):
 
 def _r_close_membership(t, ctx):
     """A level seen once in a binary application marks a domain element."""
-    if not (isinstance(t, REx) and t.rng is None):
+    if not isinstance(t, REx):
         return None
     lvl = _last_level(t, ctx)
     if _count(t.body, lvl) != 1:
@@ -434,7 +409,7 @@ def _r_close_membership(t, ctx):
         if not isinstance(p, RApp):
             continue
         got = _first(p, lvl)
-        if got is None or not _is_point(got[1]):
+        if got is None or not _is_level(got[1]):
             continue
         rel, u = got
         # lvl (rel) u, so u has lvl in rel's converse image: u (T.rel) u
@@ -446,7 +421,7 @@ def _r_close_membership(t, ctx):
 
 def _r_residual(t, ctx):
     """A universal level linking two applications becomes a residual."""
-    if not (isinstance(t, RAll) and not t.special and t.rng is not None
+    if not (isinstance(t, RAll) and t.rng is not None
             and isinstance(t.body, RApp)):
         return None
     lvl = _last_level(t, ctx)
@@ -688,7 +663,7 @@ def drop_vars(f: RLFormula) -> Optional[FAFact]:
         return FactEq(TOP, TOP)
     if isinstance(f, RFalse):
         return FactEq(TOP, BOT)
-    if not isinstance(f, RAll) or f.special or not isinstance(f.body, RApp):
+    if not isinstance(f, RAll) or not isinstance(f.body, RApp):
         return None
     body = _oriented(f.body) if f.width == 2 else None
     if f.width == 2 and f.rng is None and body is not None:

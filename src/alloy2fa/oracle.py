@@ -41,7 +41,7 @@ from .terms import (
     Bot, Comp, Compl, Conv, FAExpr, FAFact, FactEq,
     FAll, FAnd, FEq, FImp, FIn, FLone, FNot, FOr, FPredCall, FSome, FSomeQ,
     Fork, Id, Join, Ldiv, Meet, Phi, Pi1, Pi2, Prod, Rel, Star, Top,
-    RAll, RAnd, RApp, REx, RFalse, RImp, RLFormula, RNot, ROr, RTrue,
+    RAll, RAnd, RApp, REx, RFalse, RImp, RLFormula, RMark, RNot, ROr, RTrue,
     children, map_children, rl_map_apps, subterms, unfold,
 )
 
@@ -473,8 +473,7 @@ def eval_aexpr(e: AlloyExpr, model: FiniteModel, env) -> set:
 # relational-logic semantics
 
 
-def eval_rl(f: RLFormula, space: Space, interp: dict, env=None,
-            cache=None) -> bool:
+def eval_rl(f: RLFormula, space: Space, interp: dict, env=None) -> bool:
     """Truth of an RL formula; quantifiers range over the whole carrier.
 
     That is the untyped reading the translation preserves: formulas
@@ -484,14 +483,12 @@ def eval_rl(f: RLFormula, space: Space, interp: dict, env=None,
     can tell a cut-down carrier from the full pair closure).
 
     env maps de Bruijn levels and free markers to carrier elements.
-    Ordinary binders bind consecutive levels below the ones already in
-    env; the special wrapper binds the marker pair and no levels.
+    Quantifiers bind consecutive levels below the ones already in env;
+    the marker wrapper binds the marker pair and no levels.
     """
-    if cache is None:
-        cache = {}
     env = dict(env or {})
     base = max((k for k in env if isinstance(k, int)), default=0)
-    return _rl(f, space, interp, env, base + 1, cache)
+    return _rl(f, space, interp, env, base + 1, {})
 
 
 def _rl(f, space, interp, env, nl, cache):
@@ -510,27 +507,21 @@ def _rl(f, space, interp, env, nl, cache):
     if isinstance(f, RImp):
         return ((not _rl(f.l, space, interp, env, nl, cache))
                 or _rl(f.r, space, interp, env, nl, cache))
-    if isinstance(f, (RAll, REx)):
-        forall = isinstance(f, RAll)
-        if getattr(f, "special", False):
-            slots = (MARK_X, MARK_Y)
-            combos = itertools.product(space.elements, repeat=2)
-            inner_nl = nl
+    if isinstance(f, (RAll, REx, RMark)):
+        if isinstance(f, RMark):
+            slots, inner = (MARK_X, MARK_Y), nl
         else:
-            slots = tuple(range(nl, nl + f.width))
-            combos = itertools.product(space.elements, repeat=f.width)
-            inner_nl = nl + f.width
-        for combo in combos:
+            slots, inner = range(nl, nl + f.width), nl + f.width
+        rng = f.rng if isinstance(f, RAll) else None
+        forall = not isinstance(f, REx)
+        for combo in itertools.product(space.elements, repeat=len(slots)):
             env2 = dict(env)
             env2.update(zip(slots, combo))
-            if f.rng is not None:
-                if not _rl(f.rng, space, interp, env2, inner_nl, cache):
-                    continue
-            got = _rl(f.body, space, interp, env2, inner_nl, cache)
-            if forall and not got:
-                return False
-            if not forall and got:
-                return True
+            if rng is not None and not _rl(rng, space, interp, env2, inner,
+                                           cache):
+                continue
+            if _rl(f.body, space, interp, env2, inner, cache) != forall:
+                return not forall
         return forall
     if isinstance(f, RApp):
         lv = _side_index(f.lhs, env, space)
@@ -652,7 +643,7 @@ def _source_truth(source, model, space, interp, cache):
 
 def check_equiv(source, fact: FAFact, vocab: Vocab, bound=3,
                 include_empty=False, max_exhaustive=1 << 14, samples=4096,
-                seed=0, width=None) -> Verdict:
+                seed=0) -> Verdict:
     """Does the fact have the same truth as the source on every model?
 
     Models are built from the vocabulary: all placements of up to
@@ -666,7 +657,7 @@ def check_equiv(source, fact: FAFact, vocab: Vocab, bound=3,
     """
     names = mentioned_rels(source) | mentioned_rels(fact)
     rel_names = sorted(n for n in names if n in vocab.rels)
-    w = max(width or 1, getattr(fact, "width", 0) or 1, infer_width(fact))
+    w = max(fact.width, infer_width(fact))
     for r in rel_names:
         w = max(w, len(vocab.rels[r]) - 1)
     sizes = list(range(0 if include_empty else 1, bound + 1))

@@ -49,10 +49,12 @@ from .terms import (
     RFalse,
     RImp,
     RLFormula,
+    RMark,
     RNot,
     ROr,
     RTrue,
     Star,
+    children,
     cut,
     ncomp,
     projX,
@@ -72,17 +74,12 @@ class TranslateError(Exception):
 
 def nesting(f: RLFormula) -> int:
     """Largest number of levels simultaneously in scope anywhere in f."""
-    if isinstance(f, (RAll, REx)):
-        w = 0 if getattr(f, "special", False) else f.width
-        inner = nesting(f.body)
-        if f.rng is not None:
-            inner = max(inner, nesting(f.rng))
-        return w + inner
-    if isinstance(f, RNot):
-        return nesting(f.f)
-    if isinstance(f, (RAnd, ROr, RImp)):
-        return max(nesting(f.l), nesting(f.r))
-    return 0
+    if isinstance(f, RApp):
+        return 0
+    inner = 0
+    for _, c in children(f):
+        inner = max(inner, nesting(c))
+    return inner + (f.width if isinstance(f, (RAll, REx)) else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -96,20 +93,14 @@ def _r_imp(t, ctx):
 
 
 def _r_all_ranged(t, ctx):
-    if isinstance(t, RAll) and not t.special and t.rng is not None:
+    if isinstance(t, RAll) and t.rng is not None:
         return RAll(t.width, None, RImp(t.rng, t.body))
     return None
 
 
 def _r_all_plain(t, ctx):
-    if isinstance(t, RAll) and not t.special and t.rng is None:
-        return RNot(REx(t.width, None, RNot(t.body)))
-    return None
-
-
-def _r_ex_ranged(t, ctx):
-    if isinstance(t, REx) and t.rng is not None:
-        return REx(t.width, None, RAnd(t.rng, t.body))
+    if isinstance(t, RAll) and t.rng is None:
+        return RNot(REx(t.width, RNot(t.body)))
     return None
 
 
@@ -117,13 +108,12 @@ _NORMALIZE_RULES = [
     Rule("implication-to-or", _r_imp),
     Rule("forall-range-to-implication", _r_all_ranged),
     Rule("forall-to-not-exists", _r_all_plain),
-    Rule("exists-range-to-and", _r_ex_ranged),
 ]
 
 
-def insert_vars(f: RLFormula) -> RLFormula:
-    """Wrap a closed formula under the marker pair the frames will use."""
-    return RAll(2, None, f, special=True)
+def insert_vars(f: RLFormula) -> RMark:
+    """Wrap a closed formula under the marker pair x/y the frames use."""
+    return RMark(f)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +204,7 @@ _COMBINE_RULES = [
 
 
 def _r_discharge(t, ctx):
-    if not (isinstance(t, REx) and t.rng is None
-            and isinstance(t.body, RApp)):
+    if not (isinstance(t, REx) and isinstance(t.body, RApp)):
         return None
     app = t.body
     n = ctx.ex_depth + t.width
@@ -224,7 +213,7 @@ def _r_discharge(t, ctx):
     if n == 1:
         return RApp((MARK_X,), Comp(app.rel, TOP), (MARK_Y,))
     inner = RApp((MARK_X,), Comp(app.rel, cut(n)), tuple(range(1, n)))
-    return inner if t.width == 1 else REx(t.width - 1, None, inner)
+    return inner if t.width == 1 else REx(t.width - 1, inner)
 
 
 _DISCHARGE_RULES = [Rule("discharge-innermost-exists", _r_discharge)]
@@ -236,9 +225,8 @@ _DISCHARGE_RULES = [Rule("discharge-innermost-exists", _r_discharge)]
 
 def fact_of(f: RLFormula) -> Optional[FAFact]:
     """The fact `x R y` under the marker wrapper denotes, if f is that."""
-    if (isinstance(f, RAll) and f.special and f.rng is None
-            and isinstance(f.body, RApp) and f.body.lhs == (MARK_X,)
-            and f.body.rhs == (MARK_Y,)):
+    if (isinstance(f, RMark) and isinstance(f.body, RApp)
+            and f.body.lhs == (MARK_X,) and f.body.rhs == (MARK_Y,)):
         return FactEq(f.body.rel, TOP)
     return None
 
@@ -254,9 +242,9 @@ MECHANICAL_BANKS = (_COMBINE_RULES, _DISCHARGE_RULES, _FRAME_RULES)
 def eliminate(f: RLFormula, banks, state: RunState) -> FAFact:
     """Eliminate all variables from a closed formula with the given banks.
 
-    Rewrites with the normalization bank, wraps the result under the
-    marker pair, rewrites with the banks to a fixpoint and reads the fact
-    off it.  The fact's width is the deepest level nesting of the
+    Rewrites with the normalization bank, wraps the result in the marker
+    wrapper `RMark`, rewrites with the banks to a fixpoint and reads the
+    fact off it.  The fact's width is the deepest level nesting of the
     normalized formula; it carries no label.
     """
     g = rewrite(f, (_NORMALIZE_RULES,), state)
@@ -367,7 +355,7 @@ def _witness_rules(watermark: int):
 
     def compose(t, ctx):
         # xs (P) w  &&  w (Q) ys  under the binder of w turns into P.Q
-        if not (isinstance(t, REx) and t.width == 1 and t.rng is None
+        if not (isinstance(t, REx) and t.width == 1
                 and isinstance(t.body, RAnd) and isinstance(t.body.l, RApp)
                 and isinstance(t.body.r, RApp)):
             return None
@@ -391,7 +379,7 @@ def _witness_rules(watermark: int):
 
     def project(t, ctx):
         # a witness used by a single application is dropped with its column
-        if not (isinstance(t, REx) and t.width == 1 and t.rng is None
+        if not (isinstance(t, REx) and t.width == 1
                 and isinstance(t.body, RApp)):
             return None
         p = t.body

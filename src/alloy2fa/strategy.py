@@ -11,7 +11,7 @@ firings of one run.
 
 Rules see a context carrying the quantifier depth at their position:
 `binder_depth` counts all bound levels on the path and `ex_depth` only
-the existentially bound ones; the marker wrapper binds no levels.
+the existentially bound ones; the marker wrapper `RMark` binds none.
 Terms of all three languages (RL formulas, FA expressions, facts) share
 the generic traversal `terms.children`; item tuples inside applications
 are opaque to it.
@@ -72,7 +72,7 @@ def _once(t, bank, ctx: Ctx):
     inner = ctx
     if isinstance(t, REx):
         inner = Ctx(ctx.binder_depth + t.width, ctx.ex_depth + t.width)
-    elif isinstance(t, RAll) and not t.special:
+    elif isinstance(t, RAll):
         inner = Ctx(ctx.binder_depth + t.width, ctx.ex_depth)
     for name, v in children(t):
         hit = _once(v, bank, inner)

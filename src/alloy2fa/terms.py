@@ -18,9 +18,8 @@ Conventions that the whole pipeline relies on:
 * Quantified variables are de Bruijn levels: 1 is the variable of the
   outermost quantifier on the path, counting every bound variable of
   every quantifier node (a node of width w binds w consecutive levels).
-  The special variables introduced around a closed formula are not
-  levels; they are the marker items "x" and "y" ("cx"/"cy" inside
-  closure lifting).
+  Every other item is a marker: the wrapper `RMark` around a closed
+  formula binds "x" and "y", closure lifting uses "cx" and "cy".
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ def _slots(cls) -> tuple:
 def children(t):
     """(slot name, subterm) pairs of a node, in field order.
 
-    An absent optional subterm (a quantifier without range) is skipped,
+    An absent optional subterm (a universal without range) is skipped,
     and a tuple slot yields each of its elements under the slot's name.
     """
     for name, many in _slots(type(t)):
@@ -711,22 +710,29 @@ class RImp(RLFormula):
 
 @dataclass(frozen=True)
 class RAll(RLFormula):
-    """Universal quantifier binding `width` consecutive levels.
-
-    A special node binds the marker pair x/y instead of levels and is the
-    wrapper the variable-elimination phase works under.
-    """
+    """Universal quantifier binding `width` consecutive levels; the body
+    must hold wherever the optional range does."""
 
     width: int
     rng: Optional[RLFormula]
     body: RLFormula
-    special: bool = False
 
 
 @dataclass(frozen=True)
 class REx(RLFormula):
+    """Existential quantifier binding `width` consecutive levels."""
+
     width: int
-    rng: Optional[RLFormula]
+    body: RLFormula
+
+
+@dataclass(frozen=True)
+class RMark(RLFormula):
+    """Universal wrapper binding the marker pair x/y and no levels.
+
+    Variable elimination works under it and reads the fact off it.
+    """
+
     body: RLFormula
 
 
@@ -792,12 +798,12 @@ def rl_text(f: RLFormula) -> str:
     if isinstance(f, RImp):
         return "%s => %s" % (_rl_atom(f.l), _rl_atom(f.r))
     if isinstance(f, RAll):
-        head = "Axy" if f.special else "A%d" % f.width
         rng = "" if f.rng is None else " " + rl_text(f.rng)
-        return "<%s :%s: %s>" % (head, rng, rl_text(f.body))
+        return "<A%d :%s: %s>" % (f.width, rng, rl_text(f.body))
     if isinstance(f, REx):
-        rng = "" if f.rng is None else " " + rl_text(f.rng)
-        return "<E%d :%s: %s>" % (f.width, rng, rl_text(f.body))
+        return "<E%d :: %s>" % (f.width, rl_text(f.body))
+    if isinstance(f, RMark):
+        return "<Axy :: %s>" % rl_text(f.body)
     if isinstance(f, RApp):
         rel = fa_text(f.rel)
         if not isinstance(f.rel, _FA_LEAVES) and not rel.startswith("("):
@@ -814,6 +820,6 @@ def _side_text(side: tuple) -> str:
 
 def _rl_atom(f: RLFormula) -> str:
     t = rl_text(f)
-    if isinstance(f, (RTrue, RFalse, RApp, RAll, REx, RNot)):
+    if isinstance(f, (RTrue, RFalse, RApp, RAll, REx, RMark, RNot)):
         return t
     return "(" + t + ")"

@@ -127,9 +127,12 @@ class TestParseErrors:
         with pytest.raises(ParseError, match=r"line 3, column 13"):
             parse("sig A {}\nsig B {}\nfact { some ^A }")
 
-    @pytest.mark.parametrize("inner", ["some A", "x.r in (A)"])
-    def test_deep_parentheses_fail_with_a_position(self, inner):
-        deep = "(" * 500 + inner + ")" * 500
+    @pytest.mark.parametrize("deep", [
+        "(" * 500 + "some A" + ")" * 500,
+        "(" * 500 + "x.r in (A)" + ")" * 500,
+        " && ".join(["some A"] * 1000),
+    ], ids=["some A", "x.r in (A)", "1000 conjuncts"])
+    def test_deep_parentheses_fail_with_a_position(self, deep):
         text = "sig A { r : A }\nassert a { all x : A | %s }" % deep
         with pytest.raises(ParseError,
                            match=r"nested too deeply.* line 2, column \d+"):

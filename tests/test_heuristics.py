@@ -18,6 +18,7 @@ from alloy2fa.terms import (
     RApp,
     REx,
     RFalse,
+    RMark,
     RNot,
     RTrue,
     Rel,
@@ -67,11 +68,11 @@ class TestDropVars:
             == "PASS"
 
     @pytest.mark.parametrize("formula", [
-        RAll(2, None, app(1, R, 2), special=True),
+        RMark(app(1, R, 2)),
         RAll(2, None, RAnd(app(1, R, 2), app(1, S, 2))),
         RAll(2, None, app(1, R, 1)),
         RAll(1, app(1, R, 2), app(1, S, 1)),
-        REx(2, None, app(1, R, 2)),
+        REx(2, app(1, R, 2)),
         RNot(RTrue()),
     ])
     def test_other_shapes_need_frames(self, formula):
@@ -87,8 +88,7 @@ class TestTranslate:
         assert trace == []
 
     def test_framed_fact_carries_its_width(self):
-        f = RAll(1, None, REx(1, None, RAnd(app(1, R, 2),
-                                            RNot(app(2, S, 1)))))
+        f = RAll(1, None, REx(1, RAnd(app(1, R, 2), RNot(app(2, S, 1)))))
         fact, trace = translate_h_with_trace(f, label="goal")
         assert (fact.label, fact.width) == ("goal", 2)
         assert any(s.rule == "discharge-innermost-exists" for s in trace)

@@ -15,7 +15,7 @@ from alloy2fa.terms import (
     Comp, Compl, Conv, FAll, FAnd, FIn, FNot, FSome,
     FactEq, FactLe, Fork, Join, Ldiv, Meet, NComp, Phi, Prod, Rel, Rot, Star,
     BOT, ID, PI1, PI2, TOP,
-    RAll, RApp, REx, arity_of, children, cut, is_core, ncomp,
+    RAll, RApp, REx, RMark, arity_of, children, cut, is_core, ncomp,
     fa_text, projX, rotate,
 )
 from alloy2fa.oracle import (
@@ -351,19 +351,19 @@ class TestRLEvaluation:
 
     def test_ranged_universal(self):
         f = RAll(1, RApp((1,), Phi("A"), (1,)),
-                 REx(1, None, RApp((1,), Rel("r"), (2,))))
+                 REx(1, RApp((1,), Rel("r"), (2,))))
         assert eval_rl(f, self.sp, self.interp) is True
 
     def test_unranged_universal_sees_the_whole_carrier(self):
-        f = RAll(1, None, REx(1, None, RApp((1,), Rel("r"), (2,))))
+        f = RAll(1, None, REx(1, RApp((1,), Rel("r"), (2,))))
         assert eval_rl(f, self.sp, self.interp) is False  # b has no image
 
     def test_width_two_existential(self):
-        f = REx(2, None, RApp((1,), Rel("r"), (2,)))
+        f = REx(2, RApp((1,), Rel("r"), (2,)))
         assert eval_rl(f, self.sp, self.interp) is True
 
     def test_special_wrapper_binds_markers(self):
-        f = RAll(2, None, RApp(("x",), Rel("r"), ("y",)), special=True)
+        f = RMark(RApp(("x",), Rel("r"), ("y",)))
         assert eval_rl(f, self.sp, self.interp) is False  # r not full
         full = FiniteModel(("a",), {}, {"r": frozenset({("a", "a")})})
         spf = get_tuple_space(full.atoms, 1)
@@ -379,7 +379,7 @@ class TestRLEvaluation:
     def test_tuple_sides_nest(self):
         m = FiniteModel(("a", "b"), {}, {"t": frozenset({("a", "a", "b")})})
         sp = get_tuple_space(m.atoms, 2)
-        f = REx(3, None, RApp((1,), Rel("t", 3), (2, 3)))
+        f = REx(3, RApp((1,), Rel("t", 3), (2, 3)))
         assert eval_rl(f, sp, interp_from_model(m, sp)) is True
 
     def test_unbound_item_is_an_error(self):
@@ -472,7 +472,7 @@ class TestChecker:
     def test_mentioned_rels_walks_all_three_languages(self):
         assert mentioned_rels(FSome(AJoin(ARel("r"), ARel("t")))) == {
             "r", "t"}
-        assert mentioned_rels(REx(1, None, RApp((1,), Rel("s"), (1,)))) == {
+        assert mentioned_rels(REx(1, RApp((1,), Rel("s"), (1,)))) == {
             "s"}
         assert mentioned_rels(FactLe(Rel("a"), Comp(Rel("b"), TOP))) == {
             "a", "b"}

@@ -71,6 +71,7 @@ from alloy2fa.terms import (
     RApp,
     REx,
     RImp,
+    RMark,
     RNot,
     ROr,
     RTRUE,
@@ -109,26 +110,21 @@ def two_rel_vocab():
 class TestNormalize:
     def test_implication_becomes_or(self):
         f = RImp(app(1, R, 2), app(2, S, 1))
-        assert normalized(REx(2, None, f)) == REx(
-            2, None, ROr(RNot(app(1, R, 2)), app(2, S, 1)))
+        assert normalized(REx(2, f)) == REx(
+            2, ROr(RNot(app(1, R, 2)), app(2, S, 1)))
 
     def test_plain_forall_becomes_not_exists_not(self):
         f = RAll(2, None, app(1, R, 2))
-        assert normalized(f) == RNot(REx(2, None, RNot(app(1, R, 2))))
+        assert normalized(f) == RNot(REx(2, RNot(app(1, R, 2))))
 
     def test_ranged_forall_fixpoint(self):
         f = RAll(1, app(1, Phi("A"), 1), app(1, R, 1))
         assert rl_text(normalized(f)) == "!<E1 :: !(!1 Phi_A 1 || 1 R 1)>"
 
-    def test_ranged_exists_absorbed(self):
-        f = REx(1, app(1, Phi("A"), 1), app(1, R, 1))
-        assert normalized(f) == REx(
-            1, None, RAnd(app(1, Phi("A"), 1), app(1, R, 1)))
-
     def test_marker_wrapper_survives(self):
         g = normalized(insert_vars(RAll(1, None, app(1, R, 1))))
-        assert isinstance(g, RAll) and g.special
-        assert g.body == RNot(REx(1, None, RNot(app(1, R, 1))))
+        assert isinstance(g, RMark)
+        assert g.body == RNot(REx(1, RNot(app(1, R, 1))))
 
     def test_quantifier_free_unchanged(self):
         f = ROr(RNot(app(1, R, 2)), app(1, S, 2))
@@ -136,15 +132,12 @@ class TestNormalize:
 
     def test_no_leftovers(self):
         f = RAll(1, app(1, Phi("A"), 1),
-                 RImp(REx(2, app(2, Phi("B"), 2), app(1, R, 2)),
+                 RImp(REx(2, RAnd(app(2, Phi("B"), 2), app(1, R, 2))),
                       RAll(1, None, app(2, S, 2))))
 
         def scan(g):
-            assert not isinstance(g, RImp)
-            if isinstance(g, RAll):
-                assert g.special
-            if isinstance(g, (RAll, REx)):
-                assert g.rng is None
+            assert not isinstance(g, (RImp, RAll))
+            if isinstance(g, REx):
                 scan(g.body)
             elif isinstance(g, RNot):
                 scan(g.f)
@@ -159,43 +152,43 @@ class TestInsertVars:
     def test_wrapper_shape(self):
         f = app(1, R, 2)
         g = insert_vars(f)
-        assert g == RAll(2, None, f, special=True)
+        assert g == RMark(f)
 
     def test_wrapping_is_not_idempotent(self):
         g = insert_vars(insert_vars(RTRUE))
-        assert g.special and g.body.special
+        assert isinstance(g, RMark) and isinstance(g.body, RMark)
 
 
 class TestUniform:
     def test_two_level_application(self):
-        f = REx(2, None, app(2, R, 1))
-        want = REx(2, None, RApp(
+        f = REx(2, app(2, R, 1))
+        want = REx(2, RApp(
             (MARK_X,), Comp(TOP, Meet(PI2, Comp(R, PI1))), (1, 2)))
         assert step1(f, _FRAME_RULES) == want
 
     def test_tuple_side_becomes_fork(self):
         t3 = Rel("T", 3)
-        f = REx(3, None, app(1, t3, (2, 3)))
+        f = REx(3, app(1, t3, (2, 3)))
         sel = Fork(projX(3, 2), projX(3, 3))
-        want = REx(3, None, RApp(
+        want = REx(3, RApp(
             (MARK_X,), Comp(TOP, Meet(PI1, Comp(t3, sel))), (1, 2, 3)))
         assert step1(f, _FRAME_RULES) == want
 
     def test_already_framed_fails(self):
-        f = REx(2, None, RApp((MARK_X,), R, (1, 2)))
+        f = REx(2, RApp((MARK_X,), R, (1, 2)))
         assert step1(f, _FRAME_RULES) is None
 
     def test_literal_inside_block(self):
-        f = REx(1, None, RTRUE)
+        f = REx(1, RTRUE)
         assert step1(f, _FRAME_RULES) == REx(
-            1, None, RApp((MARK_X,), TOP, (1,)))
+            1, RApp((MARK_X,), TOP, (1,)))
 
     def test_literal_outside_blocks(self):
         assert step1(RTRUE, _FRAME_RULES) == RApp(
             (MARK_X,), TOP, (MARK_Y,))
 
     def test_leftmost_application_first(self):
-        f = REx(1, None, RAnd(app(1, R, 1), app(1, S, 1)))
+        f = REx(1, RAnd(app(1, R, 1), app(1, S, 1)))
         g = step1(f, _FRAME_RULES)
         assert g.body.l.lhs == (MARK_X,)
         assert g.body.r == app(1, S, 1)
@@ -222,19 +215,19 @@ class TestAggregate:
 
 class TestDropExists:
     def test_wide_block_shrinks(self):
-        f = REx(2, None, RApp((MARK_X,), R, (1, 2)))
-        want = REx(1, None, RApp(
+        f = REx(2, RApp((MARK_X,), R, (1, 2)))
+        want = REx(1, RApp(
             (MARK_X,), Comp(R, Fork(ID, TOP)), (1,)))
         assert step1(f, _DISCHARGE_RULES) == want
 
     def test_split_blocks_shrink_inner(self):
-        f = REx(1, None, REx(1, None, RApp((MARK_X,), R, (1, 2))))
-        want = REx(1, None, RApp(
+        f = REx(1, REx(1, RApp((MARK_X,), R, (1, 2))))
+        want = REx(1, RApp(
             (MARK_X,), Comp(R, Fork(ID, TOP)), (1,)))
         assert step1(f, _DISCHARGE_RULES) == want
 
     def test_last_level_composes_top(self):
-        f = REx(1, None, RApp((MARK_X,), R, (1,)))
+        f = REx(1, RApp((MARK_X,), R, (1,)))
         assert step1(f, _DISCHARGE_RULES) == RApp(
             (MARK_X,), Comp(R, TOP), (MARK_Y,))
 
@@ -242,13 +235,13 @@ class TestDropExists:
         assert step1(RApp((MARK_X,), R, (MARK_Y,)), _DISCHARGE_RULES) is None
 
     def test_unreduced_block_fails(self):
-        f = REx(1, None, RAnd(app(1, R, 1), app(1, S, 1)))
+        f = REx(1, RAnd(app(1, R, 1), app(1, S, 1)))
         assert step1(f, _DISCHARGE_RULES) is None
 
 
 class TestFactOf:
     def test_marker_wrapper(self):
-        f = RAll(2, None, RApp((MARK_X,), R, (MARK_Y,)), special=True)
+        f = RMark(RApp((MARK_X,), R, (MARK_Y,)))
         assert fact_of(f) == FactEq(R, TOP)
 
     def test_non_facts(self):
@@ -278,8 +271,8 @@ class TestTranslate:
 
     def test_heuristic_free_shape_matches_known_result(self):
         # all a | some b | a R b && a S b, ranges dropped
-        f = RAll(1, None, REx(1, None, RAnd(app(1, Rel("r"), 2),
-                                            app(1, Rel("s"), 2))))
+        f = RAll(1, None, REx(1, RAnd(app(1, Rel("r"), 2),
+                                      app(1, Rel("s"), 2))))
         fact = translate(f)
         w1 = Comp(TOP, Meet(PI1, Comp(Rel("r"), PI2)))
         w2 = Comp(TOP, Meet(PI1, Comp(Rel("s"), PI2)))
@@ -289,8 +282,8 @@ class TestTranslate:
         assert check_equiv(known, fact, voc, bound=2).status == "PASS"
         # the ranged variant is the non-vacuous check
         g = RAll(1, app(1, Phi("A"), 1),
-                 REx(1, app(2, Phi("A"), 2),
-                     RAnd(app(1, Rel("r"), 2), app(1, Rel("s"), 2))))
+                 REx(1, RAnd(app(2, Phi("A"), 2),
+                             RAnd(app(1, Rel("r"), 2), app(1, Rel("s"), 2)))))
         gfact = translate(g)
         assert check_equiv(g, gfact, voc, bound=2).status == "PASS"
         truths = {fact_holds(gfact, m)
@@ -299,8 +292,8 @@ class TestTranslate:
 
     def test_expanded_joins_reach_the_same_fact(self):
         # same formula with the joins spelled out through a witness level
-        mem = lambda rel: REx(1, None, RAnd(app(1, rel, 3), app(3, ID, 2)))
-        f = RAll(1, None, REx(1, None, RAnd(mem(Rel("r")), mem(Rel("s")))))
+        mem = lambda rel: REx(1, RAnd(app(1, rel, 3), app(3, ID, 2)))
+        f = RAll(1, None, REx(1, RAnd(mem(Rel("r")), mem(Rel("s")))))
         fact = translate(f)
         assert fact.width == 3
         w1 = Comp(TOP, Meet(PI1, Comp(Rel("r"), PI2)))
@@ -319,25 +312,20 @@ class TestTranslate:
 
     def test_each_discharge_removes_one_level(self):
         def levels(g):
-            if isinstance(g, (RAll, REx)):
-                mine = g.width if isinstance(g, REx) else 0
-                rng = levels(g.rng) if g.rng is not None else 0
-                return mine + rng + levels(g.body)
-            if isinstance(g, RNot):
-                return levels(g.f)
-            if isinstance(g, (RAnd, ROr)):
-                return levels(g.l) + levels(g.r)
-            return 0
+            if isinstance(g, RApp):
+                return 0
+            mine = g.width if isinstance(g, REx) else 0
+            return mine + sum(levels(c) for _, c in children(g))
 
-        mem = lambda rel: REx(1, None, RAnd(app(1, rel, 3), app(3, ID, 2)))
-        f = RAll(1, None, REx(1, None, RAnd(mem(Rel("r")), mem(Rel("s")))))
+        mem = lambda rel: REx(1, RAnd(app(1, rel, 3), app(3, ID, 2)))
+        f = RAll(1, None, REx(1, RAnd(mem(Rel("r")), mem(Rel("s")))))
         _, trace = translate_with_trace(f)
         drops = [t for t in trace if t.rule == "discharge-innermost-exists"]
         assert len(drops) == 4
         assert all(levels(t.before) - levels(t.after) == 1 for t in drops)
 
     def test_trace_chains_across_the_wrap(self):
-        f = RAll(1, None, REx(1, None, app(2, Rel("r"), 1)))
+        f = RAll(1, None, REx(1, app(2, Rel("r"), 1)))
         _, trace = translate_with_trace(f)
         for a, b in zip(trace, trace[1:]):
             assert b.before in (a.after, insert_vars(a.after))
@@ -354,8 +342,8 @@ class TestTranslate:
         assert fact.width == 2
 
     def test_budget_exhaustion(self):
-        f = RAll(1, None, REx(1, None, RAnd(app(1, Rel("r"), 2),
-                                            app(1, Rel("s"), 2))))
+        f = RAll(1, None, REx(1, RAnd(app(1, Rel("r"), 2),
+                                      app(1, Rel("s"), 2))))
         with pytest.raises(BudgetError):
             eliminate(f, MECHANICAL_BANKS, RunState(budget=3))
 
@@ -373,7 +361,7 @@ class TestTranslate:
 
     def test_literal_only_formulas(self):
         always = translate(RAll(1, None, RTRUE))
-        never = translate(RNot(REx(1, None, RTRUE)))
+        never = translate(RNot(REx(1, RTRUE)))
         for m in iter_models(two_rel_vocab(), 2, ["r"]):
             assert fact_holds(always, m)
             assert not fact_holds(never, m)
@@ -503,11 +491,11 @@ class TestClosureLifting:
 
 
 def _wrapped(t):
-    return isinstance(t, RAll) and t.special
+    return isinstance(t, RMark)
 
 
 class TestPipelineStates:
-    def test_special_flag_tracks_the_wrapper(self):
+    def test_marker_wrapper_tracks_the_phase(self):
         f = RAll(2, None, app(1, Rel("r"), 2))
         _, trace = translate_with_trace(f)
         flags = [_wrapped(s.after) for s in trace]

@@ -6,7 +6,7 @@ from alloy2fa.strategy import (
     BudgetError, Rule, RunState, StrategyError, rewrite, step,
 )
 from alloy2fa.terms import (
-    Comp, Conv, Join, Meet, Phi, RAll, RApp, REx, RNot, Rel, fa_text,
+    Comp, Conv, Join, Meet, Phi, RAll, RApp, REx, RMark, RNot, Rel, fa_text,
 )
 
 
@@ -122,7 +122,7 @@ class TestContext:
             return None
 
         f = RAll(2, RApp((1,), Phi("A"), (1,)),
-                 REx(1, None, RNot(RApp((1,), Rel("r"), (3,)))))
+                 REx(1, RNot(RApp((1,), Rel("r"), (3,)))))
         step(f, ([Rule("probe", probe)],), RunState())
         # the range lives inside the binder's scope, like the body
         assert seen["Phi_A"] == (2, 0)
@@ -136,9 +136,7 @@ class TestContext:
                 seen[fa_text(t.rel)] = (ctx.binder_depth, ctx.ex_depth)
             return None
 
-        f = RAll(2, None, REx(1, None, RAll(
-            2, None, RApp(("x",), Rel("r"), ("y",)), special=True)),
-            special=True)
+        f = RMark(REx(1, RMark(RApp(("x",), Rel("r"), ("y",)))))
         step(f, ([Rule("probe", probe)],), RunState())
         assert seen["r"] == (1, 1)
 

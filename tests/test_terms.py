@@ -12,7 +12,7 @@ from alloy2fa.terms import (
     FPredCall, FSome, FactEq, FactLe, Fork, Join, Ldiv, Meet, NComp,
     Phi, Prod, Rel, Rot, Star,
     BOT, ID, PI1, PI2, TOP,
-    RAll, RAnd, RApp, REx, RImp, RNot, ROr, RTrue, RFalse,
+    RAll, RAnd, RApp, REx, RImp, RMark, RNot, ROr, RTrue, RFalse,
     arity_of, canonicalize, children, cut, fa_op_count, fa_rels,
     fa_text, fact_text, is_core, map_children, ncomp,
     projX, rl_text, rl_map_apps, rotate, unbind, unfold,
@@ -157,9 +157,9 @@ class TestRendering:
     def test_rl_text(self):
         f = RAll(2, None,
                  RImp(RApp((1,), Phi("A"), (1,)),
-                      REx(1, None, RApp((1, 2), Rel("t", 3), (3,)))))
+                      REx(1, RApp((1, 2), Rel("t", 3), (3,)))))
         assert rl_text(f) == "<A2 :: 1 Phi_A 1 => <E1 :: (1,2) t 3>>"
-        g = RAll(2, None, RApp(("x",), Star(Rel("r")), ("y",)), special=True)
+        g = RMark(RApp(("x",), Star(Rel("r")), ("y",)))
         assert rl_text(g) == "<Axy :: x (r*) y>"
         assert rl_text(RNot(RAnd(RTrue(), RFalse()))) == "!(true && false)"
 
@@ -254,11 +254,13 @@ class TestTraversal:
     def test_absent_range_is_skipped(self):
         body = RApp((1,), Rel("r"), (1,))
         assert list(children(RAll(1, None, body))) == [("body", body)]
-        assert list(children(REx(1, body, body))) == [("rng", body),
-                                                     ("body", body)]
+        assert list(children(RAll(1, body, body))) == [("rng", body),
+                                                      ("body", body)]
+        assert list(children(REx(1, body))) == [("body", body)]
+        assert list(children(RMark(body))) == [("body", body)]
 
     def test_every_field_is_classified(self):
-        data = {"str", "int", "bool", "tuple", "Pos"}
+        data = {"str", "int", "tuple", "Pos"}
         known = terms._CHILD | terms._CHILDREN | data
         for name in dir(terms):
             cls = getattr(terms, name)
