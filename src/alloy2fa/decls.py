@@ -31,7 +31,7 @@ from .terms import (
 
 
 def _union(names):
-    # right-nested, declaration order; callers compare via canonicalize
+    # right-nested, declaration order
     exprs = [Phi(n) for n in names]
     out = exprs[-1]
     for e in reversed(exprs[:-1]):

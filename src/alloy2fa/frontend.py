@@ -909,9 +909,6 @@ class SymbolTable:
     def tops(self):
         return [s for s, p in self.sig_parent.items() if p is None]
 
-    def arity(self, name: str) -> int:
-        return self.rel_arity[name]
-
 
 def symbol_table(model: AlloyModel) -> SymbolTable:
     children = {s.name: [] for s in model.sigs}

@@ -680,26 +680,21 @@ def drop_vars(f: RLFormula) -> Optional[FAFact]:
     return None
 
 
-def translate_h(f: RLFormula, label: str = "") -> FAFact:
+def translate_h_with_trace(f: RLFormula):
     """Variable elimination with the shortcut rules; same facts semantics
-    as the plain pipeline, usually far smaller terms."""
-    fact, _ = translate_h_with_trace(f, label=label)
-    return fact
-
-
-def translate_h_with_trace(f: RLFormula, label: str = ""):
-    """Like translate_h, also returning the rewrite trace: (fact, trace)."""
+    as the plain pipeline, usually far smaller terms.  Returns the fact
+    and the rewrite trace: (fact, trace)."""
     state = RunState()
     g = rewrite(f, _SIMPLIFY, state)
     fact = drop_vars(g)
     if fact is None:
         fact = eliminate(g, SHORTCUT_BANKS, state)
     done = rewrite(fact, (ALGEBRA_RULES, FACT_RULES), state)
-    return dataclasses.replace(done, label=label, width=fact.width), state.trace
+    return dataclasses.replace(done, width=fact.width), state.trace
 
 
-def translate_form_h(f: AlloyForm, rel_arity, label: str = "") -> FAFact:
+def translate_form_h(f: AlloyForm, rel_arity) -> FAFact:
     """Expand a core formula and eliminate variables the shortcut way."""
     rl = expand_form(f, rel_arity, closure=star_lifter(rel_arity))
-    return translate_h(rl, label=label)
+    return translate_h_with_trace(rl)[0]
 

@@ -40,9 +40,9 @@ from .terms import (
     ASig, AStar, AUnion, AUniv, AVar, AConv, AlloyExpr, AlloyForm,
     Bot, Comp, Compl, Conv, FAExpr, FAFact, FactEq,
     FAll, FAnd, FEq, FImp, FIn, FLone, FNot, FOr, FPredCall, FSome, FSomeQ,
-    Fork, Id, Join, Ldiv, Meet, Phi, Pi1, Pi2, Prod, Rel, Star, Top,
-    RAll, RAnd, RApp, REx, RFalse, RImp, RLFormula, RMark, RNot, ROr, RTrue,
-    children, map_children, rl_map_apps, subterms, unfold,
+    Fork, Id, Join, Ldiv, Meet, NComp, Phi, Pi1, Pi2, Prod, Rel, Rot, Star,
+    Top, RAll, RAnd, RApp, REx, RFalse, RImp, RLFormula, RMark, RNot, ROr,
+    RTrue, children, subterms, unfold,
 )
 
 
@@ -293,19 +293,14 @@ def _mm(a, b):
     return (a.astype(np.float32) @ b.astype(np.float32)) > 0.0
 
 
-def eval_fa(e: FAExpr, space: Space, interp: dict, cache=None):
+def eval_fa(e: FAExpr, space: Space, interp: dict):
     """Boolean matrix of a variable-free term over the carrier.
 
     Unknown relation and signature names denote the empty relation.
     Subterms free of relation symbols are cached on the space itself and
-    shared across models; the optional cache dict (keyed by node
-    identity, so reuse the same term objects) shares the symbol-bearing
-    parts between calls for one model. Each entry holds its node, so a
-    freed temporary's id cannot be reused while the cache lives.
+    shared across models.
     """
-    m, _ = _eval2(unfold(e), space, interp,
-                  {} if cache is None else cache)
-    return m
+    return _eval(e, space, interp, {})
 
 
 def _eval(e, space, interp, cache):
@@ -313,6 +308,10 @@ def _eval(e, space, interp, cache):
 
 
 def _eval2(e, space, interp, cache):
+    """(matrix, constant?) of a term; cache maps node ids to results
+    for one model.  Each entry holds its node and a hit must be that
+    node, so the id of a freed temporary (an unfolded rotation or n-ary
+    composition) cannot alias while the cache lives."""
     hit = cache.get(id(e))
     if hit is not None and hit[0] is e:
         return hit[1], hit[2]
@@ -376,6 +375,8 @@ def _eval2(e, space, interp, cache):
             m[np.ix_(space._pairs, space._pairs)] = (
                 l[np.ix_(space._left, space._left)]
                 & r[np.ix_(space._right, space._right)])
+    elif isinstance(e, (NComp, Rot)):
+        m, const = _eval2(unfold(e), space, interp, cache)
     elif isinstance(e, Star):
         sub, const = _eval2(e.e, space, interp, cache)
         m = np.eye(n, dtype=bool) | sub
@@ -528,7 +529,7 @@ def _rl(f, space, interp, env, nl, cache):
         rv = _side_index(f.rhs, env, space)
         if lv is None or rv is None:
             return False
-        m = _eval(unfold(f.rel), space, interp, cache)
+        m = _eval(f.rel, space, interp, cache)
         return bool(m[lv, rv])
     raise TypeError("not an RL formula: %r" % (f,))
 
@@ -600,8 +601,8 @@ def fact_holds(fact: FAFact, model: FiniteModel, width=None,
 
 
 def _fact_truth(fact, space, interp, cache, frame):
-    a = _eval(unfold(fact.lhs), space, interp, cache)
-    b = _eval(unfold(fact.rhs), space, interp, cache)
+    a = _eval(fact.lhs, space, interp, cache)
+    b = _eval(fact.rhs, space, interp, cache)
     if frame == "atoms":
         k = space.atom_count
         a, b = a[:k, :k], b[:k, :k]
@@ -661,14 +662,6 @@ def check_equiv(source, fact: FAFact, vocab: Vocab, bound=3,
     for r in rel_names:
         w = max(w, len(vocab.rels[r]) - 1)
     sizes = list(range(0 if include_empty else 1, bound + 1))
-
-    # pre-unfold so the per-model identity caches see stable node objects
-    fact = map_children(fact, unfold)
-    if isinstance(source, RLFormula):
-        source = rl_map_apps(
-            lambda a: RApp(a.lhs, unfold(a.rel), a.rhs), source)
-    elif isinstance(source, FAFact):
-        source = map_children(source, unfold)
 
     def against(model, checked):
         space = get_tuple_space(model.atoms, w)

@@ -111,11 +111,6 @@ _NORMALIZE_RULES = [
 ]
 
 
-def insert_vars(f: RLFormula) -> RMark:
-    """Wrap a closed formula under the marker pair x/y the frames use."""
-    return RMark(f)
-
-
 # ---------------------------------------------------------------------------
 # framing: every application gets the frame sides x REL (1,..,n)
 
@@ -249,7 +244,7 @@ def eliminate(f: RLFormula, banks, state: RunState) -> FAFact:
     """
     g = rewrite(f, (_NORMALIZE_RULES,), state)
     width = max(1, nesting(g))
-    out = rewrite(insert_vars(g), banks, state)
+    out = rewrite(RMark(g), banks, state)
     fact = fact_of(out)
     if fact is None:
         raise TranslateError(
@@ -258,22 +253,17 @@ def eliminate(f: RLFormula, banks, state: RunState) -> FAFact:
     return dataclasses.replace(fact, width=width)
 
 
-def translate(f: RLFormula, label: str = "") -> FAFact:
-    """Eliminate all variables from a closed formula; returns the fact."""
-    return translate_with_trace(f, label=label)[0]
-
-
-def translate_with_trace(f: RLFormula, label: str = ""):
-    """Like translate, also returning the rewrite trace: (fact, trace)."""
+def translate_with_trace(f: RLFormula):
+    """Eliminate all variables from a closed formula with the mechanical
+    banks; returns the fact and the rewrite trace: (fact, trace)."""
     state = RunState()
-    fact = eliminate(f, MECHANICAL_BANKS, state)
-    return dataclasses.replace(fact, label=label), state.trace
+    return eliminate(f, MECHANICAL_BANKS, state), state.trace
 
 
-def translate_form(f: AlloyForm, rel_arity, label: str = "") -> FAFact:
+def translate_form(f: AlloyForm, rel_arity) -> FAFact:
     """Expand a core formula (closures included) and eliminate variables."""
     rl = expand_form(f, rel_arity, closure=star_lifter(rel_arity))
-    return translate(rl, label=label)
+    return translate_with_trace(rl)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -410,15 +400,8 @@ def _lift_rules(a_levels: tuple):
     rframe = a_levels + (MARK_CY,)
     pos = {lvl: i + 1 for i, lvl in enumerate(a_levels)}
 
-    def sel(item, mark):
-        if item == mark:
-            return projX(w, w)
-        return projX(w, pos[item])
-
-    def sel_side(side, mark):
-        if len(side) == 1:
-            return sel(side[0], mark)
-        return Fork(sel(side[0], mark), sel_side(side[1:], mark))
+    def sel(side, mark):
+        return _selector(w, tuple(w if i == mark else pos[i] for i in side))
 
     def sandwich(left, rel, right):
         e = rel
@@ -444,15 +427,15 @@ def _lift_rules(a_levels: tuple):
             if nx > 1 or ny > 1:
                 return None
             t2 = to_front(t, MARK_CX)
-            core = sandwich(sel(t2.lhs[0], MARK_CX), t2.rel,
-                            sel_side(t2.rhs, MARK_CY))
+            core = sandwich(sel(t2.lhs, MARK_CX), t2.rel,
+                            sel(t2.rhs, MARK_CY))
             return RApp(lframe, core, rframe)
         if ny == 0:
-            core = sandwich(sel(t.lhs[0], MARK_CX), t.rel,
-                            sel_side(t.rhs, MARK_CX))
+            core = sandwich(sel(t.lhs, MARK_CX), t.rel,
+                            sel(t.rhs, MARK_CX))
             return RApp(lframe, Comp(Meet(core, ID), TOP), rframe)
-        core = sandwich(sel(t.lhs[0], MARK_CY), t.rel,
-                        sel_side(t.rhs, MARK_CY))
+        core = sandwich(sel(t.lhs, MARK_CY), t.rel,
+                        sel(t.rhs, MARK_CY))
         return RApp(lframe, Comp(TOP, Meet(core, ID)), rframe)
 
     return [Rule("lift-application-to-frames", lift)]

@@ -299,50 +299,9 @@ def unfold(e: FAExpr) -> FAExpr:
     return map_children(e, unfold)
 
 
-def fa_key(e: FAExpr) -> str:
-    """Total order on terms, used to canonicalize union/meet operand order."""
-    if isinstance(e, Rel):
-        return "rel:" + e.name
-    if isinstance(e, Phi):
-        return "phi:" + e.sig
-    if isinstance(e, _FA_LEAVES):
-        return type(e).__name__.lower()
-    parts = ",".join(fa_key(c) for _, c in children(e))
-    if isinstance(e, (NComp, Rot)):
-        parts += ",%d" % e.n
-    return "%s(%s)" % (type(e).__name__.lower(), parts)
-
-
-def _spine(e: FAExpr, kind: type) -> list:
-    if isinstance(e, kind):
-        return _spine(e.l, kind) + _spine(e.r, kind)
-    return [e]
-
-
-def canonicalize(x):
-    """Sort union/meet spines by fa_key and renest to the right.
-
-    Works on terms and on facts; the result is the representative used for
-    structural comparisons.
-    """
-    if isinstance(x, (Join, Meet)):
-        parts = sorted((canonicalize(p) for p in _spine(x, type(x))),
-                       key=fa_key)
-        out = parts[-1]
-        for p in reversed(parts[:-1]):
-            out = type(x)(p, out)
-        return out
-    return map_children(x, canonicalize)
-
-
 def fa_op_count(e: FAExpr) -> int:
     """Number of operator nodes (constants and named relations are free)."""
     return sum(not isinstance(x, _FA_LEAVES) for x in subterms(e))
-
-
-def fa_rels(e: FAExpr) -> set:
-    """All relation and coreflexive constants occurring in a term."""
-    return {x for x in subterms(e) if isinstance(x, (Rel, Phi))}
 
 
 _INFIX = {Join: " + ", Meet: " & ", Comp: " . ", Fork: " nabla ",

@@ -42,9 +42,7 @@ from alloy2fa.terms import (
     FSome,
     Id,
     Phi,
-    RAll,
     RApp,
-    REx,
     Rel,
     Star,
     rl_text,

@@ -4,13 +4,13 @@ import os
 
 import pytest
 
+from alloy2fa.expand import expand_form
 from alloy2fa.frontend import (
-    AlloyModel, Assertion, DesugarError, FieldDecl, ParseError, PredDecl,
-    SigDecl, check_arities, desugar, parse, pp_expr, pp_form, pretty,
-    subst, symbol_table,
+    DesugarError, ParseError, SigDecl, check_arities, desugar, parse,
+    pp_expr, pp_form, pretty, subst, symbol_table,
 )
 from alloy2fa.terms import (
-    AJoin, ARel, ASig, AStar, AUnion, AVar, ArityError,
+    AJoin, ARel, ASig, AStar, AVar, ArityError,
     FAll, FAnd, FIn, FNot, FSome, arity_of, is_core,
 )
 
@@ -137,6 +137,18 @@ class TestParseErrors:
         with pytest.raises(ParseError,
                            match=r"nested too deeply.* line 2, column \d+"):
             parse(text)
+
+    @pytest.mark.parametrize("op", ["or", "=>", "and"])
+    def test_long_chains_pass_every_stage_or_fail_with_a_position(self, op):
+        def chain(n):
+            return "sig A {}\nassert a { %s }" % (" %s " % op).join(
+                ["some A"] * n)
+
+        model = check_arities(desugar(parse(chain(300))))
+        expand_form(model.asserts[0].form, model.rel_arity())
+        with pytest.raises(ParseError,
+                           match=r"nested too deeply.* line 2, column \d+"):
+            parse(chain(400))
 
 
 class TestDesugar:
@@ -296,7 +308,7 @@ class TestSymbolTable:
         assert st.rel_cols["courses"] == ("University", "Student", "Course")
         assert st.rel_mults["lecturer"] == (None, "some")
         assert st.rel_mults["courses"] == (None, None, None)
-        assert st.arity("courses") == 3
+        assert st.rel_arity["courses"] == 3
 
     def test_owner_is_the_first_column(self):
         st = symbol_table(parse("sig A { r : A -> A }"))

@@ -81,16 +81,15 @@ class TestDropVars:
 
 class TestTranslate:
     def test_frame_free_fact_has_width_zero(self):
-        fact, trace = translate_h_with_trace(RAll(2, None, app(1, R, 2)),
-                                             label="goal")
+        fact, trace = translate_h_with_trace(RAll(2, None, app(1, R, 2)))
         assert fact == FactEq(R, TOP)
-        assert (fact.label, fact.width) == ("goal", 0)
+        assert fact.width == 0
         assert trace == []
 
     def test_framed_fact_carries_its_width(self):
         f = RAll(1, None, REx(1, RAnd(app(1, R, 2), RNot(app(2, S, 1)))))
-        fact, trace = translate_h_with_trace(f, label="goal")
-        assert (fact.label, fact.width) == ("goal", 2)
+        fact, trace = translate_h_with_trace(f)
+        assert fact.width == 2
         assert any(s.rule == "discharge-innermost-exists" for s in trace)
         assert check_equiv(f, fact, two_rel_vocab(), bound=2).status \
             == "PASS"

@@ -12,14 +12,14 @@ import pytest
 
 from alloy2fa.terms import (
     AConv, ADiff, AInter, AJoin, AProd, ARel, ASig, AStar, AUnion, AVar,
-    Comp, Compl, Conv, FAll, FAnd, FIn, FNot, FSome,
+    Comp, Compl, Conv, FAll, FIn, FSome,
     FactEq, FactLe, Fork, Join, Ldiv, Meet, NComp, Phi, Prod, Rel, Rot, Star,
-    BOT, ID, PI1, PI2, TOP,
-    RAll, RApp, REx, RMark, arity_of, children, cut, is_core, ncomp,
-    fa_text, projX, rotate,
+    ID, PI1, PI2, TOP,
+    RAll, RAnd, RApp, REx, RImp, RMark, arity_of, children, cut, is_core,
+    ncomp, projX, rotate,
 )
 from alloy2fa.oracle import (
-    FiniteModel, SigInfo, SizingError, Verdict, Vocab,
+    FiniteModel, SigInfo, SizingError, Vocab,
     check_equiv, describe_model, eval_aexpr, eval_alloy, eval_fa, eval_rl,
     fact_holds, gen_formula, gen_vocab, get_tuple_space, infer_width,
     interp_from_model, iter_models, mentioned_rels, model_count, nest,
@@ -208,22 +208,29 @@ class TestMatrixSemantics:
         assert not eval_fa(Phi("nope"), sp, interp).any()
 
     def test_model_cache_survives_freed_temporaries(self):
-        # eval_fa evaluates a fresh unfolded copy that is freed when it
-        # returns; a later copy may get its id() and must not see its entry
+        # one eval_rl call shares one per-model cache across all four
+        # terms; each is evaluated through a fresh unfolded copy that is
+        # freed afterwards, and a later copy may get its id() and must not
+        # see its entry.  m_i is term i evaluated on its own, and the
+        # formula says every term agrees with it on every pair.
         voc = gen_vocab()
         t = Rel("t", 3)
         terms = [Rot(t, 3), Rot(Rot(t, 3), 3), NComp(t, Rel("r"), 3),
                  NComp(t, Conv(Rel("s")), 3)]
+        agree = None
+        for i, e in enumerate(terms):
+            a, m = RApp((1,), e, (2,)), RApp((1,), Rel("m%d" % i), (2,))
+            iff = RAnd(RImp(a, m), RImp(m, a))
+            agree = iff if agree is None else RAnd(agree, iff)
         rng = random.Random(0)
         for _ in range(200):
             model = sample_model(voc, 2, ["r", "s", "t"], rng)
             sp = get_tuple_space(model.atoms, 2)
             interp = interp_from_model(model, sp)
-            shared = {}
-            for e in terms:
-                assert np.array_equal(eval_fa(e, sp, interp, shared),
-                                      eval_fa(e, sp, interp)), (
-                    fa_text(e), describe_model(model))
+            for i, e in enumerate(terms):
+                interp[("rel", "m%d" % i)] = eval_fa(e, sp, interp)
+            assert eval_rl(RAll(2, None, agree), sp, interp), \
+                describe_model(model)
 
     def test_oversized_tuple_raises(self):
         model = FiniteModel(("a",), {}, {"t": frozenset({("a", "a", "a")})})

@@ -25,9 +25,7 @@ from alloy2fa.pipeline import (
     eliminate,
     fact_of,
     free_var_levels,
-    insert_vars,
     nesting,
-    translate,
     translate_closure,
     translate_form,
     translate_with_trace,
@@ -35,7 +33,6 @@ from alloy2fa.pipeline import (
 )
 from alloy2fa.strategy import BudgetError, RunState, rewrite, step
 from alloy2fa.terms import (
-    BOT,
     ID,
     MARK_X,
     MARK_Y,
@@ -122,7 +119,7 @@ class TestNormalize:
         assert rl_text(normalized(f)) == "!<E1 :: !(!1 Phi_A 1 || 1 R 1)>"
 
     def test_marker_wrapper_survives(self):
-        g = normalized(insert_vars(RAll(1, None, app(1, R, 1))))
+        g = normalized(RMark(RAll(1, None, app(1, R, 1))))
         assert isinstance(g, RMark)
         assert g.body == RNot(REx(1, RNot(app(1, R, 1))))
 
@@ -146,17 +143,6 @@ class TestNormalize:
                 scan(g.r)
 
         scan(normalized(f))
-
-
-class TestInsertVars:
-    def test_wrapper_shape(self):
-        f = app(1, R, 2)
-        g = insert_vars(f)
-        assert g == RMark(f)
-
-    def test_wrapping_is_not_idempotent(self):
-        g = insert_vars(insert_vars(RTRUE))
-        assert isinstance(g, RMark) and isinstance(g.body, RMark)
 
 
 class TestUniform:
@@ -262,7 +248,7 @@ class TestTranslate:
     def test_totality(self):
         rng = RAnd(app(1, Phi("A"), 1), app(2, Phi("A"), 2))
         f = RAll(2, rng, app(1, Rel("r"), 2))
-        fact = translate(f)
+        fact = translate_with_trace(f)[0]
         assert isinstance(fact, FactEq) and fact.rhs == TOP
         voc = two_rel_vocab()
         assert check_equiv(f, fact, voc, bound=2).status == "PASS"
@@ -273,7 +259,7 @@ class TestTranslate:
         # all a | some b | a R b && a S b, ranges dropped
         f = RAll(1, None, REx(1, RAnd(app(1, Rel("r"), 2),
                                       app(1, Rel("s"), 2))))
-        fact = translate(f)
+        fact = translate_with_trace(f)[0]
         w1 = Comp(TOP, Meet(PI1, Comp(Rel("r"), PI2)))
         w2 = Comp(TOP, Meet(PI1, Comp(Rel("s"), PI2)))
         known = FactLe(TOP, Compl(Comp(Compl(Comp(
@@ -284,7 +270,7 @@ class TestTranslate:
         g = RAll(1, app(1, Phi("A"), 1),
                  REx(1, RAnd(app(2, Phi("A"), 2),
                              RAnd(app(1, Rel("r"), 2), app(1, Rel("s"), 2)))))
-        gfact = translate(g)
+        gfact = translate_with_trace(g)[0]
         assert check_equiv(g, gfact, voc, bound=2).status == "PASS"
         truths = {fact_holds(gfact, m)
                   for m in iter_models(voc, 2, ["r", "s"])}
@@ -294,7 +280,7 @@ class TestTranslate:
         # same formula with the joins spelled out through a witness level
         mem = lambda rel: REx(1, RAnd(app(1, rel, 3), app(3, ID, 2)))
         f = RAll(1, None, REx(1, RAnd(mem(Rel("r")), mem(Rel("s")))))
-        fact = translate(f)
+        fact = translate_with_trace(f)[0]
         assert fact.width == 3
         w1 = Comp(TOP, Meet(PI1, Comp(Rel("r"), PI2)))
         w2 = Comp(TOP, Meet(PI1, Comp(Rel("s"), PI2)))
@@ -328,7 +314,7 @@ class TestTranslate:
         f = RAll(1, None, REx(1, app(2, Rel("r"), 1)))
         _, trace = translate_with_trace(f)
         for a, b in zip(trace, trace[1:]):
-            assert b.before in (a.after, insert_vars(a.after))
+            assert b.before in (a.after, RMark(a.after))
 
     def test_output_is_variable_free(self):
         for seed in (0, 3, 17, 40):
@@ -337,9 +323,8 @@ class TestTranslate:
             pure_fa(fact.rhs)
 
     def test_label_and_width_stamp(self):
-        fact = translate(RAll(2, None, app(1, Rel("r"), 2)), label="goal")
-        assert fact.label == "goal"
-        assert fact.width == 2
+        fact, _ = translate_with_trace(RAll(2, None, app(1, Rel("r"), 2)))
+        assert (fact.label, fact.width) == ("", 2)
 
     def test_budget_exhaustion(self):
         f = RAll(1, None, REx(1, RAnd(app(1, Rel("r"), 2),
@@ -349,7 +334,7 @@ class TestTranslate:
 
     def test_open_formula_diagnostic(self):
         with pytest.raises(TranslateError) as err:
-            translate(app(5, Rel("r"), 6))
+            translate_with_trace(app(5, Rel("r"), 6))
         assert "stuck" in str(err.value)
         assert isinstance(err.value.trace, list)
 
@@ -360,8 +345,8 @@ class TestTranslate:
         assert v.status == "PASS" and v.checked > 0
 
     def test_literal_only_formulas(self):
-        always = translate(RAll(1, None, RTRUE))
-        never = translate(RNot(REx(1, RTRUE)))
+        always = translate_with_trace(RAll(1, None, RTRUE))[0]
+        never = translate_with_trace(RNot(REx(1, RTRUE)))[0]
         for m in iter_models(two_rel_vocab(), 2, ["r"]):
             assert fact_holds(always, m)
             assert not fact_holds(never, m)

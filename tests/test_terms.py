@@ -9,11 +9,11 @@ from alloy2fa.terms import (
     AConv, AIden, AJoin, ANone, AProd, ARel, ASig, AStar, AUnion, AUniv,
     AVar, ADiff, ADomRes, ARanRes, AInter,
     ArityError, Comp, Compl, Conv, FAll, FAnd, FEq, FIn, FNot, FOr,
-    FPredCall, FSome, FactEq, FactLe, Fork, Join, Ldiv, Meet, NComp,
+    FPredCall, FSome, FactEq, FactLe, Fork, Ldiv, Meet, NComp,
     Phi, Prod, Rel, Rot, Star,
     BOT, ID, PI1, PI2, TOP,
-    RAll, RAnd, RApp, REx, RImp, RMark, RNot, ROr, RTrue, RFalse,
-    arity_of, canonicalize, children, cut, fa_op_count, fa_rels,
+    RAll, RAnd, RApp, REx, RImp, RMark, RNot, RTrue, RFalse,
+    arity_of, children, cut, fa_op_count,
     fa_text, fact_text, is_core, map_children, ncomp,
     projX, rl_text, rl_map_apps, rotate, unbind, unfold,
 )
@@ -109,28 +109,6 @@ class TestUnfold:
         assert unfold(e) is e
 
 
-class TestCanonicalize:
-    def test_sorts_and_renests_right(self):
-        e = Join(Join(Rel("c"), Rel("a")), Rel("b"))
-        assert fa_text(canonicalize(e)) == "(a + (b + c))"
-
-    def test_meet_spines_too(self):
-        e = Meet(Meet(Rel("b"), Phi("A")), Rel("a"))
-        assert fa_text(canonicalize(e)) == "(Phi_A & (a & b))"
-
-    def test_duplicates_survive(self):
-        e = Join(Rel("a"), Rel("a"))
-        assert canonicalize(e) == e
-
-    def test_recurses_under_other_operators(self):
-        e = Conv(Join(Rel("b"), Rel("a")))
-        assert fa_text(canonicalize(e)) == "(a + b)~"
-
-    def test_facts_canonicalize_both_sides(self):
-        f = FactLe(Join(Rel("b"), Rel("a")), Meet(Rel("d"), Rel("c")))
-        assert fact_text(canonicalize(f)) == "(a + b) in (c & d)"
-
-
 class TestRendering:
     def test_leaves(self):
         assert fa_text(TOP) == "TOP" and fa_text(BOT) == "BOT"
@@ -176,10 +154,6 @@ class TestFactBookkeeping:
     def test_op_count_ignores_leaves(self):
         assert fa_op_count(Comp(Rel("r"), Conv(Rel("s")))) == 2
         assert fa_op_count(TOP) == 0
-
-    def test_rel_scan(self):
-        e = Meet(Comp(Rel("r"), Phi("A")), Star(Rel("r")))
-        assert fa_rels(e) == {Rel("r"), Phi("A")}
 
 
 class TestArities:
