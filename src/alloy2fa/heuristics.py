@@ -116,14 +116,25 @@ def _rebuild(kind, leaves: list):
 
 
 def _pair_rule(name: str, kind, fn) -> Rule:
-    """Try a binary identity on every leaf pair of a flattened spine."""
+    """Try a binary identity on the leaf pairs of a flattened spine.
+
+    The identity is tried on a pair (i, j), i < j, as fn(leaf i, leaf j)
+    and then fn(leaf j, leaf i), and the first success, in (i, j) order,
+    is merged into the spine's first place.  The rule relies on the
+    engine's leftmost-innermost order: by the time it sees a node, its
+    bank found no redex in either child, so no pair of leaves within one
+    side matches, and only the pairs that straddle `t.l` and `t.r` are
+    scanned.  Their first match is the first match of all pairs.
+    """
 
     def go(t, ctx):
         if not isinstance(t, kind):
             return None
-        leaves = _leaves(kind, t)
-        for i in range(len(leaves)):
-            for j in range(i + 1, len(leaves)):
+        leaves = _leaves(kind, t.l)
+        split = len(leaves)
+        leaves += _leaves(kind, t.r)
+        for i in range(split):
+            for j in range(split, len(leaves)):
                 for a, b in ((leaves[i], leaves[j]), (leaves[j], leaves[i])):
                     res = fn(a, b)
                     if res is None:

@@ -1,7 +1,9 @@
 """Translations shared by the golden-facts and shortcut-translator tests.
 
 Both translators run once per session over the same corpus: the assert
-of the running example, then `gen_formula` seeds 0-59.
+of the running example, `gen_formula` seeds 0-59, then two long-input
+families: the benchmark's k-conjunct scaling assert at k = 32 and 64,
+and n nested quantifiers `all x0 : A | ... | x0 in A` at n = 10 and 20.
 """
 
 import os
@@ -16,6 +18,29 @@ from alloy2fa.pipeline import translate_form
 HERE = os.path.dirname(__file__)
 SEEDS = range(60)
 TRANSLATORS = (("mech", translate_form), ("short", translate_form_h))
+SCALING_K = (32, 64)
+NESTED_N = (10, 20)
+
+
+def scaling_text(k: int) -> str:
+    """The benchmark's scaling model: k conjuncts `x.ri in B`."""
+    fields = ", ".join("r%d" % i for i in range(1, k + 1))
+    body = " and ".join("x.r%d in B" % i for i in range(1, k + 1))
+    return ("sig B {}\nsig A { %s : B }\nassert { all x : A | %s }\n"
+            % (fields, body))
+
+
+def nested_text(n: int) -> str:
+    """n nested quantifiers over A, of which only the outermost is used."""
+    binders = "".join("all x%d : A | " % i for i in range(n))
+    return "sig A {}\nassert { %sx0 in A }\n" % binders
+
+
+def model_assert(text: str):
+    """(the model's one assert formula, relation arities)."""
+    model = check_arities(desugar(parse(text)))
+    (form,) = [a.form for a in model.asserts]
+    return form, model.rel_arity()
 
 
 def golden_inputs():
@@ -26,6 +51,10 @@ def golden_inputs():
     out = [("university:%s" % a.name, a.form, arities) for a in model.asserts]
     gen = gen_vocab().arity()
     out += [("seed%d" % s, gen_formula(s), gen) for s in SEEDS]
+    out += [("scaling:k%d" % k,) + model_assert(scaling_text(k))
+            for k in SCALING_K]
+    out += [("nested:n%d" % n,) + model_assert(nested_text(n))
+            for n in NESTED_N]
     return out
 
 

@@ -131,7 +131,8 @@ class TestParseErrors:
         "(" * 500 + "some A" + ")" * 500,
         "(" * 500 + "x.r in (A)" + ")" * 500,
         " && ".join(["some A"] * 1000),
-    ], ids=["some A", "x.r in (A)", "1000 conjuncts"])
+        "".join("all y%d : A | " % i for i in range(199)) + "x in A",
+    ], ids=["some A", "x.r in (A)", "1000 conjuncts", "200 quantifiers"])
     def test_deep_parentheses_fail_with_a_position(self, deep):
         text = "sig A { r : A }\nassert a { all x : A | %s }" % deep
         with pytest.raises(ParseError,

@@ -1,9 +1,24 @@
-"""Shortcut translator: oracle certificates and the frame-free readings."""
+"""Shortcut translator: oracle certificates, the frame-free readings and
+the pair rules' scan."""
+
+import random
 
 import pytest
 
-from alloy2fa.heuristics import drop_vars, translate_h_with_trace
+from alloy2fa.heuristics import (
+    ALGEBRA_RULES,
+    LOGIC_RULES,
+    _and_pair,
+    _join_pair,
+    _leaves,
+    _meet_pair,
+    _or_pair,
+    _rebuild,
+    drop_vars,
+    translate_h_with_trace,
+)
 from alloy2fa.oracle import SigInfo, Vocab, check_equiv, gen_vocab
+from alloy2fa.strategy import Rule, RunState, rewrite
 from alloy2fa.terms import (
     BOT,
     ID,
@@ -11,6 +26,7 @@ from alloy2fa.terms import (
     Conv,
     FactEq,
     FactLe,
+    Join,
     Meet,
     Phi,
     RAll,
@@ -20,6 +36,7 @@ from alloy2fa.terms import (
     RFalse,
     RMark,
     RNot,
+    ROr,
     RTrue,
     Rel,
 )
@@ -93,3 +110,67 @@ class TestTranslate:
         assert any(s.rule == "discharge-innermost-exists" for s in trace)
         assert check_equiv(f, fact, two_rel_vocab(), bound=2).status \
             == "PASS"
+
+
+def all_pairs_rule(name, kind, fn):
+    """The pair rule as it was: every leaf pair of the spine, in (i, j)
+    order, each tried both ways round."""
+
+    def go(t, ctx):
+        if not isinstance(t, kind):
+            return None
+        leaves = _leaves(kind, t)
+        for i in range(len(leaves)):
+            for j in range(i + 1, len(leaves)):
+                for a, b in ((leaves[i], leaves[j]), (leaves[j], leaves[i])):
+                    res = fn(a, b)
+                    if res is not None:
+                        rest = [x for k, x in enumerate(leaves)
+                                if k not in (i, j)]
+                        return _rebuild(kind, [res] + rest)
+        return None
+
+    return Rule(name, go)
+
+
+def random_spine(rng, kind, pool, n):
+    """A randomly bracketed spine of n leaves drawn from a small pool, so
+    that duplicates and units are planted at random places."""
+    if n == 1:
+        return rng.choice(pool)
+    k = rng.randrange(1, n)
+    return kind(random_spine(rng, kind, pool, k),
+                random_spine(rng, kind, pool, n - k))
+
+
+FORMULA_POOL = [app(1, R, 1), app(1, S, 1), app(1, R, 2), RTrue(), RFalse()]
+TERM_POOL = [R, S, Conv(R), TOP, BOT, ID, Phi("A")]
+
+
+class TestPairScan:
+    """The pair rules scan only the pairs that straddle the root; under
+    the engine's order that finds what the all-pairs scan found."""
+
+    @pytest.mark.parametrize("name, kind, fn, bank, pool", [
+        ("conjunction-pair", RAnd, _and_pair, LOGIC_RULES, FORMULA_POOL),
+        ("disjunction-pair", ROr, _or_pair, LOGIC_RULES, FORMULA_POOL),
+        ("meet-pair", Meet, _meet_pair, ALGEBRA_RULES, TERM_POOL),
+        ("join-pair", Join, _join_pair, ALGEBRA_RULES, TERM_POOL),
+    ], ids=["conjunction", "disjunction", "meet", "join"])
+    def test_same_rewrites_as_the_all_pairs_scan(self, name, kind, fn, bank,
+                                                 pool):
+        ref = all_pairs_rule(name, kind, fn)
+        ref_bank = [ref if r.name == name else r for r in bank]
+        assert ref_bank != bank
+        rng = random.Random(name)
+        fired = 0
+        for n in range(3, 9):
+            for _ in range(40):
+                t = random_spine(rng, kind, rng.sample(pool, 4), n)
+                got, want = RunState(), RunState()
+                assert rewrite(t, (bank,), got) == rewrite(t, (ref_bank,),
+                                                           want)
+                assert [(s.rule, s.after) for s in got.trace] == [
+                    (s.rule, s.after) for s in want.trace]
+                fired += sum(s.rule == name for s in got.trace)
+        assert fired > 200

@@ -2,6 +2,8 @@
 
 import pytest
 
+from conftest import TRANSLATORS, model_assert
+
 from alloy2fa.oracle import (
     SigInfo,
     Vocab,
@@ -494,3 +496,18 @@ class TestPipelineStates:
         _, trace = translate_with_trace(f)
         assert trace and all(_wrapped(s.after) for s in trace[1:])
         assert nesting(trace[-1].after) == 0
+
+
+class TestLargeInputs:
+    """Long chains translate: neither translator may raise a
+    RecursionError (deep nests fail at parse, see test_frontend)."""
+
+    @pytest.mark.parametrize("name, translate", TRANSLATORS,
+                             ids=[n for n, _ in TRANSLATORS])
+    @pytest.mark.parametrize("op", ["and", "or", "=>"])
+    def test_300_long_chains_translate(self, op, name, translate):
+        text = "sig A {}\nassert a { %s }" % (" %s " % op).join(
+            ["some A"] * 300)
+        form, arities = model_assert(text)
+        fact = translate(form, arities)
+        assert isinstance(fact, (FactEq, FactLe))

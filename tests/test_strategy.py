@@ -7,6 +7,7 @@ from alloy2fa.strategy import (
 )
 from alloy2fa.terms import (
     Comp, Conv, Join, Meet, Phi, RAll, RApp, REx, RMark, RNot, Rel, fa_text,
+    subterms,
 )
 
 
@@ -161,3 +162,60 @@ class TestBudgets:
         assert len(trace) == 2
         assert trace[0].before == t
         assert trace[1].before == trace[0].after
+
+
+def balanced_join(leaves):
+    if len(leaves) == 1:
+        return leaves[0]
+    mid = len(leaves) // 2
+    return Join(balanced_join(leaves[:mid]), balanced_join(leaves[mid:]))
+
+
+class TestCleanSubtermMemo:
+    """A firing costs the path it rebuilt, not a rescan of the term."""
+
+    def test_rule_calls_grow_with_the_changed_paths(self):
+        calls = []
+
+        def counted(t, ctx):
+            calls.append(t)
+            return drop_conv(t, ctx)
+
+        leaves = [Conv(Conv(Rel("r%d" % i))) for i in range(64)]
+        t = balanced_join(leaves)
+        out, trace = run(t, ([Rule("counted", counted)],))
+        assert out == balanced_join([Rel("r%d" % i) for i in range(64)])
+        nodes = sum(1 for _ in subterms(t))
+        firings = len(trace)
+        depth = 6 + 2  # six Join levels above two converses
+        assert (nodes, firings) == (255, 64)
+        # a rescan from the root after every firing makes 4,159 calls;
+        # firings x nodes would be 16,320
+        assert len(calls) <= nodes + firings * depth
+
+    def test_clean_under_one_bank_is_not_clean_under_another(self):
+        state = RunState()
+        t = Meet(Conv(Conv(Rel("a"))), Rel("b"))
+        assert step(t, ([COLLAPSE],), state) is None
+        out = step(t, ([DROP_CONV],), state)
+        assert fa_text(out) == "(a & b)"
+        assert [s.rule for s in state.trace] == ["drop-double-converse"]
+
+    def test_clean_at_one_depth_is_not_clean_at_another(self):
+        seen = []
+
+        def deep_only(t, ctx):
+            if isinstance(t, RApp) and ctx.binder_depth >= 2:
+                seen.append(ctx.binder_depth)
+                return RApp(t.lhs, Conv(t.rel), t.rhs)
+            return None
+
+        app = RApp((1,), Rel("r"), (1,))
+        state = RunState()
+        bank = [Rule("deep-only", deep_only)]
+        assert step(RAll(1, None, app), (bank,), state) is None
+        # the same node object, one binder deeper, is a redex there
+        out = step(RAll(1, None, RAll(1, None, app)), (bank,), state)
+        assert out == RAll(1, None, RAll(1, None,
+                                         RApp((1,), Conv(Rel("r")), (1,))))
+        assert seen == [2]
