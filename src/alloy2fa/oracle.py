@@ -67,7 +67,7 @@ class Space:
 
     Pair elements are pre-scanned into index arrays so fork, product and
     the projections are single fancy-indexing operations. The cache holds
-    matrices of constant terms (no relation or signature symbols), which
+    the results of constant terms (no relation or signature symbols), which
     are shared by every model over this carrier.
     """
 
@@ -300,25 +300,15 @@ def eval_fa(e: FAExpr, space: Space, interp: dict):
     Subterms free of relation symbols are cached on the space itself and
     shared across models.
     """
-    return _eval(e, space, interp, {})
-
-
-def _eval(e, space, interp, cache):
-    return _eval2(e, space, interp, cache)[0]
+    return _eval2(e, space, interp, {})[0]
 
 
 def _eval2(e, space, interp, cache):
-    """(matrix, constant?) of a term; cache maps node ids to results
-    for one model.  Each entry holds its node and a hit must be that
-    node, so the id of a freed temporary (an unfolded rotation or n-ary
-    composition) cannot alias while the cache lives."""
-    hit = cache.get(id(e))
-    if hit is not None and hit[0] is e:
-        return hit[1], hit[2]
-    shared = space.cache.get(e)
-    if shared is not None:
-        cache[id(e)] = (e, shared, True)
-        return shared, True
+    """(matrix, constant?) of a term; cache maps a node to it for one model,
+    and space.cache a constant node for every model over the space."""
+    hit = cache.get(e) or space.cache.get(e)
+    if hit is not None:
+        return hit
     n = space.n
     const = True
     if isinstance(e, Rel):
@@ -387,9 +377,9 @@ def _eval2(e, space, interp, cache):
             m = nxt
     else:
         raise TypeError("cannot evaluate %r" % (e,))
+    cache[e] = (m, const)
     if const:
-        space.cache[e] = m
-    cache[id(e)] = (e, m, const)
+        space.cache[e] = cache[e]
     return m, const
 
 
@@ -529,7 +519,7 @@ def _rl(f, space, interp, env, nl, cache):
         rv = _side_index(f.rhs, env, space)
         if lv is None or rv is None:
             return False
-        m = _eval(f.rel, space, interp, cache)
+        m = _eval2(f.rel, space, interp, cache)[0]
         return bool(m[lv, rv])
     raise TypeError("not an RL formula: %r" % (f,))
 
@@ -601,8 +591,8 @@ def fact_holds(fact: FAFact, model: FiniteModel, width=None,
 
 
 def _fact_truth(fact, space, interp, cache, frame):
-    a = _eval(fact.lhs, space, interp, cache)
-    b = _eval(fact.rhs, space, interp, cache)
+    a = _eval2(fact.lhs, space, interp, cache)[0]
+    b = _eval2(fact.rhs, space, interp, cache)[0]
     if frame == "atoms":
         k = space.atom_count
         a, b = a[:k, :k], b[:k, :k]
@@ -658,7 +648,8 @@ def check_equiv(source, fact: FAFact, vocab: Vocab, bound=3,
     """
     names = mentioned_rels(source) | mentioned_rels(fact)
     rel_names = sorted(n for n in names if n in vocab.rels)
-    w = max(fact.width, infer_width(fact))
+    w = max(max(x.width, infer_width(x)) for x in (source, fact)
+            if isinstance(x, FAFact))
     for r in rel_names:
         w = max(w, len(vocab.rels[r]) - 1)
     sizes = list(range(0 if include_empty else 1, bound + 1))

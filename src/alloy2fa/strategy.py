@@ -14,9 +14,9 @@ depths of its context and on nothing else, and terms are immutable.
 The engine relies on that to remember, per bank, every subterm a
 traversal found free of redexes at given depths (the clean-subterm
 memo on `RunState`, in the manner of Stratego's and Maude's memoized
-traversals).  A later `step` skips such a subterm, so a firing costs
-the path it rebuilt and the new subterm, not the whole term, and the
-position, rule and bank it picks are the ones a full rescan picks.
+traversals), keyed by the hash-consed node.  A later `step` skips such
+a subterm, so a firing costs the path it rebuilt and the new subterm,
+not the whole term; it picks the position, rule and bank a rescan picks.
 
 Rules see a context carrying the quantifier depth at their position:
 `binder_depth` counts all bound levels on the path and `ex_depth` only
@@ -28,7 +28,6 @@ are opaque to it.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, List
 
@@ -71,28 +70,19 @@ class RunState:
     budget: int = 10000
     steps: int = 0
     trace: List[TraceStep] = field(default_factory=list)
-    # id(bank) -> (bank, clean table); a clean table maps
-    # (id(node), binder_depth, ex_depth) -> node for every subterm found
-    # free of the bank's redexes.  The stored objects keep their ids
-    # from being reused while the state lives.
+    # the bank's rules -> {(node, binder_depth, ex_depth) free of its redexes}
     clean: dict = field(default_factory=dict, repr=False)
 
-    def clean_table(self, bank) -> dict:
-        entry = self.clean.get(id(bank))
-        if entry is None or entry[0] is not bank:
-            entry = self.clean[id(bank)] = (bank, {})
-        return entry[1]
 
-
-def _once(t, bank, ctx: Ctx, clean: dict):
+def _once(t, bank, ctx: Ctx, clean: set):
     """(rewritten t, rule) at the bank's leftmost-innermost redex, or None.
 
     Both slots of a quantifier (range and body) lie inside its scope.
     A subterm found free of redexes is entered in `clean` and skipped
     the next time.
     """
-    key = (id(t), ctx.binder_depth, ctx.ex_depth)
-    if clean.get(key) is t:
+    key = (t, ctx.binder_depth, ctx.ex_depth)
+    if key in clean:
         return None
     inner = ctx
     if isinstance(t, REx):
@@ -102,7 +92,8 @@ def _once(t, bank, ctx: Ctx, clean: dict):
     for name, v in children(t):
         hit = _once(v, bank, inner, clean)
         if hit is not None:
-            return dataclasses.replace(t, **{name: hit[0]}), hit[1]
+            return type(t)(*[hit[0] if f == name else getattr(t, f)
+                             for f in t.__dataclass_fields__]), hit[1]
     for rule in bank:
         res = rule.fn(t, ctx)
         if res is not None:
@@ -110,14 +101,14 @@ def _once(t, bank, ctx: Ctx, clean: dict):
                 raise StrategyError(
                     "rule %s returned its input unchanged" % rule.name)
             return res, rule
-    clean[key] = t
+    clean.add(key)
     return None
 
 
 def step(t, banks, state: RunState):
     """Fire the first bank with a redex once; None when no bank has one."""
     for bank in banks:
-        hit = _once(t, bank, Ctx(), state.clean_table(bank))
+        hit = _once(t, bank, Ctx(), state.clean.setdefault(tuple(bank), set()))
         if hit is not None:
             break
     else:

@@ -3,7 +3,7 @@
 Core Alloy expressions and formulas come out of the frontend, relational
 logic (RL) is the intermediate quantified form, and FA terms are the
 variable-free fork-algebra output.  Everything is an immutable dataclass;
-rewriting always builds fresh terms.
+FA terms and RL formulas are hash-consed (`Interned`), the rest are not.
 
 Conventions that the whole pipeline relies on:
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 
 class ArityError(Exception):
@@ -101,74 +101,100 @@ def map_children(t, fn):
 # ---------------------------------------------------------------------------
 # fork-algebra terms
 
+# (class, *field values) -> the one term with those fields, for the life of
+# the process (Filliatre & Conchon, "Type-Safe Modular Hash-Consing", 2006)
+_INTERNED: dict = {}
 
-class FAExpr:
+
+class Interned:
+    """Base of the hash-consed term classes, each a frozen dataclass with
+    eq=False and init=False; `__post_init__` checks a new term first."""
+
+    def __new__(cls, *args, **kw):
+        fields = cls.__dataclass_fields__
+        if kw or len(args) != len(fields):
+            rest = list(fields.values())[len(args):]
+            args += tuple(kw.pop(f.name, f.default) for f in rest)
+            if kw or len(args) != len(fields) or dataclasses.MISSING in args:
+                raise TypeError("bad fields for %s" % cls.__name__)
+        t = _INTERNED.get((cls, *args))
+        if t is None:
+            t = object.__new__(cls)
+            for name, v in zip(fields, args):
+                object.__setattr__(t, name, v)
+            if hasattr(t, "__post_init__"):
+                t.__post_init__()
+            _INTERNED[(cls, *args)] = t
+        return t
+
+
+class FAExpr(Interned):
     """Base class for variable-free relation terms."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Rel(FAExpr):
-    """Named relation constant; declared arity is bookkeeping, not identity."""
+    """Named relation constant of a declared arity; both are its identity."""
 
     name: str
-    arity: int = field(default=2, compare=False)
+    arity: int = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Phi(FAExpr):
     """Coreflexive constant of a signature (sub-identity on its atoms)."""
 
     sig: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Top(FAExpr):
     """Universal relation over the carrier."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Bot(FAExpr):
     """Empty relation."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Id(FAExpr):
     """Identity relation."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Pi1(FAExpr):
     """First projection: relates a to the pair (a, b)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Pi2(FAExpr):
     """Second projection: relates b to the pair (a, b)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Join(FAExpr):
     l: FAExpr
     r: FAExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Meet(FAExpr):
     l: FAExpr
     r: FAExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Compl(FAExpr):
     e: FAExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Conv(FAExpr):
     e: FAExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Comp(FAExpr):
     """u (L . R) v  iff  exists m: u L m and m R v."""
 
@@ -176,7 +202,7 @@ class Comp(FAExpr):
     r: FAExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Fork(FAExpr):
     """(a,b) (L nabla R) z  iff  a L z and b R z."""
 
@@ -184,7 +210,7 @@ class Fork(FAExpr):
     r: FAExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Prod(FAExpr):
     """(a,b) (L x R) (c,d)  iff  a L c and b R d."""
 
@@ -192,7 +218,7 @@ class Prod(FAExpr):
     r: FAExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Ldiv(FAExpr):
     """u (L \\ R) v  iff  for all w: w L u implies w R v."""
 
@@ -200,14 +226,14 @@ class Ldiv(FAExpr):
     r: FAExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Star(FAExpr):
     """Reflexive-transitive closure."""
 
     e: FAExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class NComp(FAExpr):
     """Composition through the last column of an n-ary relation."""
 
@@ -216,7 +242,7 @@ class NComp(FAExpr):
     n: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Rot(FAExpr):
     """Right rotation of an n-ary relation (last column to the front)."""
 
@@ -630,44 +656,44 @@ MARK_CY = "cy"
 Item = Union[int, str]
 
 
-class RLFormula:
+class RLFormula(Interned):
     """Base class for relational-logic formulas."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class RTrue(RLFormula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class RFalse(RLFormula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class RNot(RLFormula):
     f: RLFormula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class RAnd(RLFormula):
     l: RLFormula
     r: RLFormula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class ROr(RLFormula):
     l: RLFormula
     r: RLFormula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class RImp(RLFormula):
     l: RLFormula
     r: RLFormula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class RAll(RLFormula):
     """Universal quantifier binding `width` consecutive levels; the body
     must hold wherever the optional range does."""
@@ -677,7 +703,7 @@ class RAll(RLFormula):
     body: RLFormula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class REx(RLFormula):
     """Existential quantifier binding `width` consecutive levels."""
 
@@ -685,7 +711,7 @@ class REx(RLFormula):
     body: RLFormula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class RMark(RLFormula):
     """Universal wrapper binding the marker pair x/y and no levels.
 
@@ -695,7 +721,7 @@ class RMark(RLFormula):
     body: RLFormula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class RApp(RLFormula):
     """Tuple application: lhs R rhs, sides are non-empty item tuples."""
 
@@ -710,15 +736,6 @@ class RApp(RLFormula):
 
 RTRUE = RTrue()
 RFALSE = RFalse()
-
-
-def rl_map_apps(fn: Callable[[RApp], RLFormula], f: RLFormula) -> RLFormula:
-    """Rebuild a formula with every application replaced by fn(app)."""
-    if isinstance(f, RApp):
-        return fn(f)
-    if not isinstance(f, RLFormula):
-        raise TypeError("not an RL formula: %r" % (f,))
-    return map_children(f, lambda c: rl_map_apps(fn, c))
 
 
 def _unbind_item(it: Item, lvl: int, repl: Item) -> Item:
@@ -736,10 +753,10 @@ def unbind(f: RLFormula, lvl: int, repl: Item) -> RLFormula:
     Used by the rules that discharge one bound variable; repl must itself
     be an item in scope above lvl.
     """
-    def on_app(a: RApp) -> RLFormula:
-        return RApp(tuple(_unbind_item(i, lvl, repl) for i in a.lhs), a.rel,
-                    tuple(_unbind_item(i, lvl, repl) for i in a.rhs))
-    return rl_map_apps(on_app, f)
+    if isinstance(f, RApp):
+        return RApp(tuple(_unbind_item(i, lvl, repl) for i in f.lhs), f.rel,
+                    tuple(_unbind_item(i, lvl, repl) for i in f.rhs))
+    return map_children(f, lambda c: unbind(c, lvl, repl))
 
 
 def rl_text(f: RLFormula) -> str:

@@ -62,6 +62,19 @@ def test_generated_formulas_certify(golden_translations):
             assert v.status == "PASS", "%s: %s" % (key, v.detail)
 
 
+@pytest.mark.parametrize("source, target", [("mech", "short"),
+                                            ("short", "mech")])
+def test_mechanical_and_shortcut_facts_are_equivalent(golden_translations,
+                                                      source, target):
+    # the source fact is evaluated on the carrier of the wider of the two
+    vocab = gen_vocab()
+    pairs = zip(golden_translations[source], golden_translations[target])
+    for (key, _, a), (_, _, b) in pairs:
+        if key.startswith("seed"):
+            v = check_equiv(a, b, vocab, bound=2)
+            assert v.status == "PASS", "%s: %s" % (key, v.detail)
+
+
 class TestDropVars:
     @pytest.mark.parametrize("formula, fact", [
         (RTrue(), FactEq(TOP, TOP)),

@@ -1,16 +1,19 @@
-"""No source or test module imports a name it never reads.
+"""No source or test module imports a name it never reads, and no
+source module calls `id()`.
 
-No linter ships with the toolchain, so this is an `ast` scan: a name
+No linter ships with the toolchain, so these are `ast` scans: a name
 bound by an import (other than ``from __future__``) must occur as a
-loaded name somewhere in the same module.
+loaded name somewhere in the same module.  Terms are hash-consed, so a
+cache keys by the term itself; an `id()` key would alias once its
+object is freed.
 """
 
 import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-FILES = (sorted(ROOT.glob("src/alloy2fa/*.py"))
-         + sorted(ROOT.glob("tests/*.py")))
+SRC = sorted(ROOT.glob("src/alloy2fa/*.py"))
+FILES = SRC + sorted(ROOT.glob("tests/*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -33,4 +36,20 @@ def test_no_module_imports_a_name_it_never_reads():
     assert FILES
     found = {p.relative_to(ROOT).as_posix(): unused_imports(p.read_text())
              for p in FILES}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def id_calls(source: str) -> list:
+    """Line numbers of the calls of the builtin `id`."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                  and n.func.id == "id")
+
+
+def test_no_source_module_calls_id():
+    assert id_calls("k = id(t)\nt.id(1)\nf(id)\n"
+                    "cache[id(e)] = 1\n") == [1, 4]
+    assert SRC
+    found = {p.relative_to(ROOT).as_posix(): id_calls(p.read_text())
+             for p in SRC}
     assert {k: v for k, v in found.items() if v} == {}

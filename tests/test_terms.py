@@ -15,7 +15,7 @@ from alloy2fa.terms import (
     RAll, RAnd, RApp, REx, RImp, RMark, RNot, RTrue, RFalse,
     arity_of, children, cut, fa_op_count,
     fa_text, fact_text, is_core, map_children, ncomp,
-    projX, rl_text, rl_map_apps, rotate, unbind, unfold,
+    projX, rl_text, rotate, unbind, unfold,
 )
 
 
@@ -150,10 +150,77 @@ class TestFactBookkeeping:
     def test_labels_and_widths_do_not_affect_equality(self):
         assert FactLe(ID, TOP, label="typing", width=3) == FactLe(ID, TOP)
         assert FactEq(ID, TOP) != FactLe(ID, TOP)
+        assert (FactLe(Rel("r"), TOP, label="a")
+                is not FactLe(Rel("r"), TOP, label="b"))
 
     def test_op_count_ignores_leaves(self):
         assert fa_op_count(Comp(Rel("r"), Conv(Rel("s")))) == 2
         assert fa_op_count(TOP) == 0
+
+    def test_positions_do_not_affect_alloy_equality(self):
+        a, b = AJoin(AVar("x"), ARel("r"), pos=(1, 2)), AJoin(
+            AVar("x", pos=(3, 4)), ARel("r"))
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert FIn(a, ASig("A")) == FIn(b, ASig("A"))
+
+
+class TestInterning:
+    """FA terms and RL formulas are hash-consed: equal means identical."""
+
+    def test_every_construction_route_gives_one_object(self):
+        e = Meet(Comp(Rel("r"), Conv(Rel("s"))), Rel("t", 3))
+        assert Meet(l=Comp(Rel("r"), Conv(Rel("s"))), r=Rel("t", 3)) is e
+        assert Meet(Comp(r=Conv(Rel("s")), l=Rel("r")), Rel("t", arity=3)) \
+            is e
+        assert Rel("r") is Rel("r", 2) is Rel(name="r", arity=2)
+        assert dataclasses.replace(e, r=Rel("t", 3)) is e
+        assert dataclasses.replace(e.l, r=Rel("s")) is Comp(Rel("r"),
+                                                            Rel("s"))
+        assert map_children(e, lambda c: unfold(Rot(c, 3))) is Meet(
+            unfold(Rot(e.l, 3)), unfold(Rot(Rel("t", 3), 3)))
+        assert unfold(NComp(Rel("t", 3), Rel("r"), 3)) is Comp(
+            Rel("t", 3), Prod(ID, Rel("r")))
+        f = RAll(1, RApp((1,), Phi("A"), (1,)), RNot(RApp((1,), e, (2,))))
+        assert RAll(1, rng=RApp((1,), Phi("A"), (1,)),
+                    body=RNot(RApp((1,), e, (2,)))) is f
+        assert map_children(f, lambda c: c) is f
+        assert unbind(f, 3, 1) is f
+
+    def test_identity_is_equality_and_hash(self):
+        assert Comp(Rel("r"), Rel("s")) == Comp(Rel("r"), Rel("s"))
+        assert Comp(Rel("r"), Rel("s")) != Comp(Rel("s"), Rel("r"))
+        assert {Conv(Rel("r")): 1}[Conv(Rel("r"))] == 1
+        assert RApp((1,), Rel("r"), (2,)) is not RApp((1,), Rel("r"), ("x",))
+        assert RTrue() is RTrue() and terms.Top() is TOP
+
+    def test_arity_is_part_of_a_relation(self):
+        assert Rel("t", 3) is not Rel("t")
+        assert Rel("t", 3) != Rel("t")
+        assert Rel("t", 3).arity == 3 and Rel("t").arity == 2
+
+    def test_terms_stay_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Rel("r").name = "s"
+
+    def test_bad_arguments_raise(self):
+        with pytest.raises(TypeError):
+            Comp(Rel("r"))
+        with pytest.raises(TypeError):
+            Comp(Rel("r"), Rel("s"), Rel("t"))
+        with pytest.raises(TypeError):
+            Conv(Rel("r"), x=ID)
+
+    def test_invalid_application_enters_no_table_entry(self):
+        for lhs, rhs in (((), (1,)), ((1,), ())):
+            with pytest.raises(ValueError, match="non-empty"):
+                RApp(lhs, Rel("r"), rhs)
+            with pytest.raises(ValueError, match="non-empty"):
+                RApp(lhs=lhs, rel=Rel("r"), rhs=rhs)
+        assert not any(k[0] is RApp and not (k[1] and k[3])
+                       for k in terms._INTERNED)
+        app = RApp((1,), Rel("r"), (2,))
+        assert (app.lhs, app.rel, app.rhs) == ((1,), Rel("r"), (2,))
+        assert RApp((1,), Rel("r"), (2,)) is app
 
 
 class TestArities:
@@ -260,16 +327,6 @@ class TestTraversal:
 
 
 class TestRLHelpers:
-    def test_map_apps_rebuilds(self):
-        f = RAll(1, RApp((1,), Phi("A"), (1,)),
-                 RNot(RApp((1,), Rel("r"), (2,))))
-
-        def swap(a):
-            return RApp(a.rhs, a.rel, a.lhs)
-
-        g = rl_map_apps(swap, f)
-        assert rl_text(g) == "<A1 : 1 Phi_A 1: !2 r 1>"
-
     def test_unbind_substitutes_and_renumbers(self):
         f = RAnd(RApp((2,), Rel("r"), (3,)), RApp((1,), Rel("s"), (2,)))
         g = unbind(f, 2, "cx")
