@@ -82,7 +82,7 @@ def typing_fact(name: str, cols) -> FAFact:
     for c in reversed(cols[1:-1]):
         rest = Prod(Phi(c), rest)
     return FactLe(
-        Rel(name),
+        Rel(name, len(cols)),
         Comp(Phi(cols[0]), Comp(TOP, rest)),
         label="typing",
         width=len(cols) - 1,
@@ -118,7 +118,7 @@ def col_mult_facts(name: str, arity: int, col: int, mult) -> list:
     """
     if mult not in ("some", "lone", "one"):
         return []
-    m = Rel(name)
+    m = Rel(name, arity)
     for _ in range(arity - col):
         m = rotate(m, arity)
     facts = []

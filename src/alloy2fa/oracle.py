@@ -289,7 +289,34 @@ def interp_from_model(model: FiniteModel, space: Space) -> dict:
 # matrix semantics of variable-free terms
 
 
+# Inner dimension above which _mm drops the unused inner indices. On
+# unstructured random operands the dense/restricted time ratio is 0.63
+# at 64, 0.78 at 96, 1.12 at 128 and 1.57 at 256: below this the mask
+# and the two slices cost more than the float32 product they shrink.
+_RESTRICT_INNER = 128
+
+
 def _mm(a, b):
+    """Boolean product a;b of two bool matrices, as a float32 matmul.
+
+    Above an inner dimension of _RESTRICT_INNER only the inner indices w
+    where column w of a and row w of b are both non-empty are kept. The
+    restriction is exact: an index with an empty column of a or an empty
+    row of b adds no path u a w b v, so dropping it changes no entry of
+    a;b. Oracle operands are mostly very sparse (most products on the
+    running example's 510-element carrier share no inner index at all),
+    so the kept product is usually tiny, and with no index kept a;b is
+    empty without a product; skipping that float32 result also keeps the
+    peak RSS from rising. The gate sits where the restriction pays on
+    unstructured operands, from the kernel's own cost, not from any
+    carrier size of a workload. The float32 sums count at most n paths
+    per entry, exact well past any carrier here.
+    """
+    if a.shape[1] > _RESTRICT_INNER:
+        keep = a.any(0) & b.any(1)
+        if not keep.any():
+            return np.zeros((a.shape[0], b.shape[1]), dtype=bool)
+        a, b = a[:, keep], b[keep]
     return (a.astype(np.float32) @ b.astype(np.float32)) > 0.0
 
 

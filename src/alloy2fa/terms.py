@@ -127,6 +127,12 @@ class Interned:
             _INTERNED[(cls, *args)] = t
         return t
 
+    def __reduce__(self):
+        # rebuild through the constructor, so a copy or an unpickled term
+        # is interned again and is the one object with its fields
+        return type(self), tuple(getattr(self, f)
+                                 for f in self.__dataclass_fields__)
+
 
 class FAExpr(Interned):
     """Base class for variable-free relation terms."""

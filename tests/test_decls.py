@@ -103,7 +103,7 @@ class TestUniversityFacts:
             Rel("enrolled"), Comp(Phi("University"), Comp(TOP, Phi("Student")))
         )
         assert typ["courses"] == FactLe(
-            Rel("courses"),
+            Rel("courses", 3),
             Comp(Phi("University"), Comp(TOP, Prod(Phi("Student"), Phi("Course")))),
         )
 
@@ -209,6 +209,14 @@ class TestFactShapes:
             Phi("A"), Comp(TOP, Prod(Phi("B"), Prod(Phi("C"), Phi("D"))))
         )
         assert f.width == 3
+
+    def test_field_facts_carry_the_field_arity(self):
+        # one term per field: the one expand builds for an n-ary field
+        assert typing_fact("t", ("A", "B", "C")).lhs is Rel("t", 3)
+        assert typing_fact("r", ("A", "B")).lhs is Rel("r")
+        (f,) = col_mult_facts("t", 3, 1, "lone")
+        assert Rel("t", 3) in set(subterms(f.lhs))
+        assert Rel("t") not in set(subterms(f.lhs))
 
     def test_typing_rejects_unary(self):
         with pytest.raises(ValueError):

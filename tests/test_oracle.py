@@ -9,7 +9,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from alloy2fa import oracle
 from alloy2fa.terms import (
     AConv, ADiff, AInter, AJoin, AProd, ARel, ASig, AStar, AUnion, AVar,
     Comp, Compl, Conv, FAll, FIn, FSome,
@@ -237,6 +240,92 @@ class TestMatrixSemantics:
         sp = tuple_space(model.atoms, 1)
         with pytest.raises(SizingError):
             interp_from_model(model, sp)
+
+
+GATE = oracle._RESTRICT_INNER
+
+
+def _dense_mm(a, b):
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0.0
+
+
+def _planted(rng, n, density, empty_rows, empty_cols):
+    """A random n x n bool matrix with some whole rows and columns empty."""
+    m = rng.random((n, n)) < density
+    m[rng.random(n) < empty_rows] = False
+    m[:, rng.random(n) < empty_cols] = False
+    return m
+
+
+class TestCompositionKernel:
+    """_mm keeps only the shared inner indices above an inner dimension of
+    GATE; the operands here sit on both sides of it."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.integers(1, 2 * GATE) | st.sampled_from(
+               [GATE - 1, GATE, GATE + 1]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           density=st.sampled_from([0.005, 0.05, 0.3, 1.0]),
+           empty=st.tuples(*[st.sampled_from([0.0, 0.5, 0.95])] * 4))
+    def test_matches_the_dense_product(self, n, seed, density, empty):
+        rng = np.random.default_rng(seed)
+        a = _planted(rng, n, density, empty[0], empty[1])
+        b = _planted(rng, n, density, empty[2], empty[3])
+        assert np.array_equal(oracle._mm(a, b), _dense_mm(a, b))
+
+    @pytest.mark.parametrize("n", [GATE, GATE + 1, 3 * GATE])
+    def test_no_shared_inner_index(self, n):
+        # a uses only even columns and b only odd rows: nothing composes
+        a = np.zeros((n, n), dtype=bool)
+        b = np.zeros((n, n), dtype=bool)
+        a[:, 0::2] = True
+        b[1::2, :] = True
+        m = oracle._mm(a, b)
+        assert m.shape == (n, n) and not m.any()
+        assert not oracle._mm(np.zeros((n, n), dtype=bool), b).any()
+
+    def _space(self):
+        # 5 + 25 + 125 elements: above the gate, so Ldiv and Star reach
+        # the restricted kernel
+        sp = get_tuple_space(("a", "b", "c", "d", "e"), 3)
+        assert sp.n > GATE
+        return sp
+
+    def test_ldiv_matches_its_pointwise_definition(self):
+        sp = self._space()
+        rng = np.random.default_rng(5)
+        for density, empty in ((0.02, 0.9), (0.3, 0.5), (0.9, 0.0)):
+            L = _planted(rng, sp.n, density, empty, empty)
+            R = _planted(rng, sp.n, 1 - density, empty, 0.0)
+            ld = eval_fa(Ldiv(Rel("L"), Rel("R")), sp,
+                         {("rel", "L"): L, ("rel", "R"): R})
+            # u (L\R) v  iff  every w with w L u has w R v
+            want = np.all(~L[:, :, None] | R[:, None, :], axis=0)
+            assert np.array_equal(ld, want)
+
+    def test_star_matches_reachability(self):
+        sp = self._space()
+        rng = np.random.default_rng(6)
+        # one long path through every element in a random order: every
+        # inner index carries a path that no other index does
+        order = rng.permutation(sp.n)
+        chain = np.zeros((sp.n, sp.n), dtype=bool)
+        chain[order[:-1], order[1:]] = True
+        graphs = [chain] + [_planted(rng, sp.n, density, empty, empty)
+                            for density, empty in ((0.005, 0.8), (0.02, 0.5),
+                                                   (0.1, 0.0))]
+        for E in graphs:
+            m = eval_fa(Star(Rel("E")), sp, {("rel", "E"): E})
+            succ = [np.flatnonzero(row) for row in E]
+            for u in range(sp.n):
+                seen = {u}
+                todo = [u]
+                while todo:
+                    for v in succ[todo.pop()]:
+                        if v not in seen:
+                            seen.add(v)
+                            todo.append(v)
+                assert set(np.flatnonzero(m[u])) == seen
 
 
 def _random_interp(space, rng, names, density=0.35):

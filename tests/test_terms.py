@@ -1,6 +1,8 @@
 """Frozen shapes and renderings for the term layer."""
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
@@ -221,6 +223,14 @@ class TestInterning:
         app = RApp((1,), Rel("r"), (2,))
         assert (app.lhs, app.rel, app.rhs) == ((1,), Rel("r"), (2,))
         assert RApp((1,), Rel("r"), (2,)) is app
+
+    def test_copies_and_pickles_are_the_interned_term(self):
+        e = Comp(Rel("r"), Rel("s"))
+        f = RAll(1, RApp((1,), Phi("A"), (1,)), RApp((1,), e, ("x",)))
+        for t in (e, Rel("t", 3), TOP, f):
+            assert copy.copy(t) is t
+            assert copy.deepcopy(t) is t
+            assert pickle.loads(pickle.dumps(t)) is t
 
 
 class TestArities:
