@@ -7,6 +7,16 @@ the boolean connectives, quantifiers and the counting forms `some` and
 `lone`. Transitive closure `^e` is rejected up front; only the
 reflexive-transitive `*e` is in the fragment.
 
+Binary operators by level, loosest first (the tables FORM_OPS and
+EXPR_OPS); each groups to the left except `=>`, which nests right:
+
+    formulas      ||  or  |  =>  |  &&  and
+    expressions   +  -  |  &  |  ->  |  <:  :>  |  .
+
+`in` and `=` join two expressions into a formula; `!`/`not` binds
+tighter than every formula operator, a quantifier body extends as far
+right as it can, and `~`/`*` bind tighter than `.`.
+
 `parse` produces a resolved AlloyModel whose formulas use the node
 types from terms. `desugar` inlines predicate calls, closes parametric
 asserts and rewrites every convenience form down to the core
@@ -23,7 +33,7 @@ from .terms import (
     AConv, ADiff, ADomRes, AIden, AInter, AJoin, ANone, AProd, ARanRes,
     ARel, ASig, AStar, AUnion, AUniv, AVar, AlloyExpr, AlloyForm,
     ArityError, FAll, FAnd, FEq, FImp, FIn, FLone, FNot, FOr, FPredCall,
-    FSome, FSomeQ, arity_of, children, map_children, subterms,
+    FSome, FSomeQ, arity_of, at_pos, children, map_children, subterms,
 )
 
 
@@ -179,6 +189,17 @@ class AlloyModel:
 
 # ---------------------------------------------------------------------------
 # parser
+
+# operator -> (level, node class); a higher level binds tighter, and the
+# pretty printer spells each class as its first operator here
+FORM_OPS = {"||": (0, FOr), "or": (0, FOr), "=>": (1, FImp),
+            "&&": (2, FAnd), "and": (2, FAnd)}
+EXPR_OPS = {"+": (0, AUnion), "-": (0, ADiff), "&": (1, AInter),
+            "->": (2, AProd), "<:": (3, ADomRes), ":>": (3, ARanRes),
+            ".": (4, AJoin)}
+_SPELLING = {node: op for op, (_, node)
+             in reversed([*FORM_OPS.items(), *EXPR_OPS.items()])}
+
 
 class _Parser:
     def __init__(self, toks):
@@ -344,67 +365,61 @@ class _Parser:
         self.expect("{")
         forms = []
         while not self.at("}"):
-            forms.append(self.form())
+            forms.append((self.peek(), self.form()))
         self.expect("}")
         if not forms:
             self.fail("empty block")
-        out = forms[-1]
-        for f in reversed(forms[:-1]):
-            out = FAnd(f, out)
+        out = forms[-1][1]
+        for t, f in reversed(forms[:-1]):
+            out = FAnd(f, out, pos=self._pos(t))
         return out
 
-    # -- formulas, loosest binding first: ||, =>, &&, !
+    # -- binary operators, by precedence climbing over FORM_OPS / EXPR_OPS
+
+    def binary(self, ops: dict, operand, floor: int = 0):
+        """The longest operand-operator chain whose operators bind at level
+        floor or tighter, grouped by the table; every node is positioned at
+        its operator."""
+        e = operand()
+        while True:
+            t = self.peek()
+            level, node = ops.get(t.text, (-1, None))
+            if level < floor:
+                return e
+            self.i += 1
+            # `=>` nests to the right: its right operand may hold another
+            right = self.binary(ops, operand,
+                                level if node is FImp else level + 1)
+            e = node(e, right, pos=self._pos(t))
 
     def form(self) -> AlloyForm:
-        f = self.imp_form()
-        while self.at("||") or self.at("or"):
-            self.i += 1
-            f = FOr(f, self.imp_form())
-        return f
+        return self.binary(FORM_OPS, self.unary_form)
 
-    def imp_form(self) -> AlloyForm:
-        f = self.and_form()
-        if self.eat("=>"):
-            return FImp(f, self.imp_form())
-        return f
+    def expr(self) -> AlloyExpr:
+        return self.binary(EXPR_OPS, self.unary_expr)
 
-    def and_form(self) -> AlloyForm:
-        f = self.unary_form()
-        while self.at("&&") or self.at("and"):
-            self.i += 1
-            f = FAnd(f, self.unary_form())
-        return f
+    # -- formula operands
 
     def unary_form(self) -> AlloyForm:
-        if self.at("!") or self.at("not"):
-            self.i += 1
-            return FNot(self.unary_form())
-        if self.at("all"):
-            return self.quantified("all")
-        if self.at("some") and self._quantifier_ahead():
-            return self.quantified("some")
-        if self.at("some") or self.at("lone"):
-            kw = self.peek().text
-            self.i += 1
-            e = self.expr()
-            return FSome(e) if kw == "some" else FLone(e)
-        if (self.peek().kind == "id" and self.peek(1).kind == "op"
-                and self.peek(1).text == "["):
+        t = self.peek()
+        if self.eat("!") or self.eat("not"):
+            return FNot(self.unary_form(), pos=self._pos(t))
+        if self.at("all") or self.at("some") and self._quantifier_ahead():
+            return self.quantified(t.text)
+        if self.eat("some") or self.eat("lone"):
+            node = FSome if t.text == "some" else FLone
+            return node(self.expr(), pos=self._pos(t))
+        if t.kind == "id" and self.peek(1).text == "[":
             return self.pred_call()
         return self.comparison()
 
     def _quantifier_ahead(self) -> bool:
         # distinguish `some x : T | F` from the counting form `some Exp`
+        # (only an operator token can read "," or ":")
         j = self.i + 1
-        if self.toks[j].kind != "id":
-            return False
-        while (self.toks[j].kind == "id"
-               and self.toks[j + 1].kind == "op"
-               and self.toks[j + 1].text == ","):
+        while self.toks[j].kind == "id" and self.toks[j + 1].text == ",":
             j += 2
-        return (self.toks[j].kind == "id"
-                and self.toks[j + 1].kind == "op"
-                and self.toks[j + 1].text == ":")
+        return self.toks[j].kind == "id" and self.toks[j + 1].text == ":"
 
     def quantified(self, kw: str) -> AlloyForm:
         self.expect(kw)
@@ -426,7 +441,7 @@ class _Parser:
         ctor = FAll if kw == "all" else FSomeQ
         for names, rng in reversed(groups):
             for n in reversed(names):
-                body = ctor(n.text, rng, body)
+                body = ctor(n.text, rng, body, pos=self._pos(n))
         return body
 
     def pred_call(self) -> AlloyForm:
@@ -441,67 +456,24 @@ class _Parser:
         return FPredCall(name.text, tuple(args), pos=self._pos(name))
 
     def comparison(self) -> AlloyForm:
-        if self.at("("):
-            mark = self.i
-            try:
-                l = self.expr()
-            except ParseError:
-                self.i = mark
-                self.expect("(")
-                f = self.form()
-                self.expect(")")
-                return f
-            if not (self.at("in") or self.at("=")):
-                self.i = mark
-                self.expect("(")
-                f = self.form()
-                self.expect(")")
-                return f
-        else:
+        """`e in e` or `e = e`; a `(` that opens neither opens a formula."""
+        mark = self.i
+        try:
             l = self.expr()
-        if self.eat("in"):
-            return FIn(l, self.expr())
-        if self.eat("="):
-            return FEq(l, self.expr())
-        self.fail("expected 'in' or '=' after an expression")
+            t = self.peek()
+            if not (self.eat("in") or self.eat("=")):
+                self.fail("expected 'in' or '=' after an expression")
+        except ParseError:
+            if self.toks[mark].text != "(":
+                raise
+            self.i = mark + 1
+            f = self.form()
+            self.expect(")")
+            return f
+        node = FIn if t.text == "in" else FEq
+        return node(l, self.expr(), pos=self._pos(t))
 
-    # -- expressions, loosest binding first: + -, &, ->, <: :>, .
-
-    def expr(self) -> AlloyExpr:
-        e = self.inter_expr()
-        while self.at("+") or self.at("-"):
-            op = self.peek().text
-            self.i += 1
-            r = self.inter_expr()
-            e = AUnion(e, r) if op == "+" else ADiff(e, r)
-        return e
-
-    def inter_expr(self) -> AlloyExpr:
-        e = self.prod_expr()
-        while self.eat("&"):
-            e = AInter(e, self.prod_expr())
-        return e
-
-    def prod_expr(self) -> AlloyExpr:
-        e = self.res_expr()
-        while self.eat("->"):
-            e = AProd(e, self.res_expr())
-        return e
-
-    def res_expr(self) -> AlloyExpr:
-        e = self.dot_expr()
-        while self.at("<:") or self.at(":>"):
-            op = self.peek().text
-            self.i += 1
-            r = self.dot_expr()
-            e = ADomRes(e, r) if op == "<:" else ARanRes(e, r)
-        return e
-
-    def dot_expr(self) -> AlloyExpr:
-        e = self.unary_expr()
-        while self.eat("."):
-            e = AJoin(e, self.unary_expr())
-        return e
+    # -- expression operands
 
     def unary_expr(self) -> AlloyExpr:
         t = self.peek()
@@ -555,17 +527,17 @@ def _resolve(model: AlloyModel) -> AlloyModel:
         dup = [s for s in model.sigs
                if model.sig_names().count(s.name) > 1][0]
         raise ParseError("duplicate signature %r%s"
-                         % (dup.name, _at_pos(dup.pos)))
+                         % (dup.name, at_pos(dup)))
     fieldnames = {f.name for f in model.fields}
     for s in model.sigs:
         if s.parent is not None and s.parent not in signames:
             raise ParseError("unknown parent signature %r%s"
-                             % (s.parent, _at_pos(s.pos)))
+                             % (s.parent, at_pos(s)))
     for f in model.fields:
         for c in f.cols:
             if c not in signames:
                 raise ParseError("unknown column signature %r in field "
-                                 "%r%s" % (c, f.name, _at_pos(f.pos)))
+                                 "%r%s" % (c, f.name, at_pos(f)))
     _check_forest(model)
 
     def fix_expr(e):
@@ -574,7 +546,7 @@ def _resolve(model: AlloyModel) -> AlloyModel:
                 return ASig(e.name, pos=e.pos)
             if e.name not in fieldnames:
                 raise ParseError("unknown identifier %r%s"
-                                 % (e.name, _at_pos(e.pos)))
+                                 % (e.name, at_pos(e)))
             return e
         return map_children(e, fix_expr)
 
@@ -588,10 +560,10 @@ def _resolve(model: AlloyModel) -> AlloyModel:
         try:
             return fn(x)
         except RecursionError:
-            pos = min((t.pos for t in subterms(x)
-                       if getattr(t, "pos", None)), default=None)
+            first = min((t for t in subterms(x) if t.pos),
+                        key=lambda t: t.pos, default=None)
             raise ParseError("input nested too deeply%s"
-                             % _at_pos(pos)) from None
+                             % at_pos(first)) from None
 
     return dataclasses.replace(
         model,
@@ -617,10 +589,6 @@ def _check_forest(model: AlloyModel):
                     % start)
             seen.add(cur)
             cur = parent[cur]
-
-
-def _at_pos(pos) -> str:
-    return "" if pos is None else " at line %d, column %d" % pos
 
 
 # ---------------------------------------------------------------------------
@@ -681,12 +649,9 @@ def pp_form(f: AlloyForm) -> str:
         return "lone %s" % pp_expr(f.e)
     if isinstance(f, FNot):
         return "!(%s)" % pp_form(f.f)
-    if isinstance(f, FAnd):
-        return "(%s) && (%s)" % (pp_form(f.l), pp_form(f.r))
-    if isinstance(f, FOr):
-        return "(%s) || (%s)" % (pp_form(f.l), pp_form(f.r))
-    if isinstance(f, FImp):
-        return "(%s) => (%s)" % (pp_form(f.l), pp_form(f.r))
+    if type(f) in _SPELLING:
+        return "(%s) %s (%s)" % (pp_form(f.l), _SPELLING[type(f)],
+                                 pp_form(f.r))
     if isinstance(f, (FAll, FSomeQ)):
         kw = "all" if isinstance(f, FAll) else "some"
         return "%s %s : %s | %s" % (kw, f.var, pp_expr(f.bound),
@@ -694,10 +659,6 @@ def pp_form(f: AlloyForm) -> str:
     if isinstance(f, FPredCall):
         return "%s[%s]" % (f.name, ", ".join(pp_expr(a) for a in f.args))
     raise TypeError("not a formula: %r" % (f,))
-
-
-_EXPR_OPS = {AJoin: ".", AUnion: "+", AInter: "&", ADiff: "-",
-             AProd: "->", ADomRes: "<:", ARanRes: ":>"}
 
 
 def pp_expr(e: AlloyExpr) -> str:
@@ -713,8 +674,7 @@ def pp_expr(e: AlloyExpr) -> str:
         return "~%s" % _pp_tight(e.e)
     if isinstance(e, AStar):
         return "*%s" % _pp_tight(e.e)
-    op = _EXPR_OPS[type(e)]
-    return "(%s %s %s)" % (pp_expr(e.l), op, pp_expr(e.r))
+    return "(%s %s %s)" % (pp_expr(e.l), _SPELLING[type(e)], pp_expr(e.r))
 
 
 def _pp_tight(e: AlloyExpr) -> str:
@@ -786,14 +746,14 @@ def _inline_calls(f: AlloyForm, model: AlloyModel, stack: tuple) -> AlloyForm:
         p = model.pred(f.name)
         if p is None:
             raise DesugarError("call to undeclared predicate %r%s"
-                               % (f.name, _at_pos(f.pos)))
+                               % (f.name, at_pos(f)))
         if f.name in stack:
             raise DesugarError("recursive predicate %r is not supported"
                                % f.name)
         if len(f.args) != len(p.params):
             raise DesugarError(
                 "predicate %r takes %d parameters, got %d%s"
-                % (f.name, len(p.params), len(f.args), _at_pos(f.pos)))
+                % (f.name, len(p.params), len(f.args), at_pos(f)))
         body = _inline_calls(p.body, model, stack + (f.name,))
         return subst(body, {n: a for (n, _), a in zip(p.params, f.args)})
     return map_children(f, lambda c: _inline_calls(c, model, stack)
@@ -871,17 +831,17 @@ def check_arities(model: AlloyModel) -> AlloyModel:
             if la != ra:
                 raise ArityError(
                     "arity mismatch %d vs %d%s"
-                    % (la, ra, _at_pos(getattr(f.l, "pos", None))))
+                    % (la, ra, at_pos(f.l)))
         elif isinstance(f, (FSome, FLone)):
             arity_of(f.e, arities)
         elif isinstance(f, (FAll, FSomeQ)):
             if arity_of(f.bound, arities) != 1:
                 raise ArityError(
                     "quantifier range must be a set%s"
-                    % _at_pos(getattr(f.bound, "pos", None)))
+                    % at_pos(f.bound))
         elif isinstance(f, FPredCall):
             raise ArityError("cannot type an uninlined predicate call %r%s"
-                             % (f.name, _at_pos(f.pos)))
+                             % (f.name, at_pos(f)))
         for _, c in children(f):
             if isinstance(c, AlloyForm):
                 walk(c)

@@ -7,7 +7,7 @@ first bank with a redex anywhere in the term wins, at that bank's
 leftmost-innermost redex, where the bank's first matching rule fires.
 `rewrite` repeats `step` to a fixpoint.  Every firing is recorded as a
 whole-term snapshot in the `RunState`, which also caps the number of
-firings of one run.
+firings of one run; a term too deep to walk is a `BudgetError` too.
 
 Rules must be pure: a rule's result depends on its term and the two
 depths of its context and on nothing else, and terms are immutable.
@@ -39,7 +39,7 @@ class StrategyError(Exception):
 
 
 class BudgetError(Exception):
-    """Step budget exhausted; carries the partial trace."""
+    """Step budget or stack depth exhausted; carries the partial trace."""
 
     def __init__(self, msg: str, trace: list):
         super().__init__(msg)
@@ -107,12 +107,19 @@ def _once(t, bank, ctx: Ctx, clean: set):
 
 def step(t, banks, state: RunState):
     """Fire the first bank with a redex once; None when no bank has one."""
-    for bank in banks:
-        hit = _once(t, bank, Ctx(), state.clean.setdefault(tuple(bank), set()))
-        if hit is not None:
-            break
-    else:
-        return None
+    try:
+        for bank in banks:
+            clean = state.clean.setdefault(tuple(bank), set())
+            hit = _once(t, bank, Ctx(), clean)
+            if hit is not None:
+                break
+        else:
+            return None
+    except RecursionError:
+        # the term is not rendered: rendering recurses as deep as the walk
+        raise BudgetError("term nested too deeply for the rewrite engine "
+                          "after %d steps" % state.steps,
+                          state.trace) from None
     out, rule = hit
     state.steps += 1
     if state.steps > state.budget:

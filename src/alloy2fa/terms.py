@@ -407,91 +407,89 @@ def fact_text(f: FAFact) -> str:
 # core Alloy expressions
 
 
-class AlloyExpr:
-    """Base class for core Alloy expressions."""
-
-
 Pos = Optional[tuple]
+
+
+@dataclass(frozen=True)
+class AlloyNode:
+    """Base of core Alloy expressions and formulas: every node carries its
+    source position (line, column), which equality and repr ignore."""
+
+    pos: Pos = field(default=None, compare=False, repr=False, kw_only=True)
+
+
+class AlloyExpr(AlloyNode):
+    """Base class for core Alloy expressions."""
 
 
 @dataclass(frozen=True)
 class ASig(AlloyExpr):
     name: str
-    pos: Pos = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class ARel(AlloyExpr):
     name: str
-    pos: Pos = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class AVar(AlloyExpr):
     name: str
-    pos: Pos = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class AIden(AlloyExpr):
-    pos: Pos = field(default=None, compare=False, repr=False)
+    """The identity relation iden."""
 
 
 @dataclass(frozen=True)
 class AUniv(AlloyExpr):
-    pos: Pos = field(default=None, compare=False, repr=False)
+    """The universal set univ."""
 
 
 @dataclass(frozen=True)
 class ANone(AlloyExpr):
-    pos: Pos = field(default=None, compare=False, repr=False)
+    """The empty set none."""
 
 
 @dataclass(frozen=True)
 class AConv(AlloyExpr):
     e: AlloyExpr
-    pos: Pos = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class AStar(AlloyExpr):
     e: AlloyExpr
-    pos: Pos = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class AJoin(AlloyExpr):
     l: AlloyExpr
     r: AlloyExpr
-    pos: Pos = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class AProd(AlloyExpr):
     l: AlloyExpr
     r: AlloyExpr
-    pos: Pos = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class AUnion(AlloyExpr):
     l: AlloyExpr
     r: AlloyExpr
-    pos: Pos = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class AInter(AlloyExpr):
     l: AlloyExpr
     r: AlloyExpr
-    pos: Pos = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class ADiff(AlloyExpr):
     l: AlloyExpr
     r: AlloyExpr
-    pos: Pos = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -500,7 +498,6 @@ class ADomRes(AlloyExpr):
 
     l: AlloyExpr
     r: AlloyExpr
-    pos: Pos = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -509,7 +506,6 @@ class ARanRes(AlloyExpr):
 
     l: AlloyExpr
     r: AlloyExpr
-    pos: Pos = field(default=None, compare=False, repr=False)
 
 
 def arity_of(e: AlloyExpr, rel_arity) -> int:
@@ -526,51 +522,53 @@ def arity_of(e: AlloyExpr, rel_arity) -> int:
         try:
             a = rel_arity[e.name]
         except KeyError:
-            raise ArityError("unknown relation %r%s" % (e.name, _at(e)))
+            raise ArityError("unknown relation %r%s" % (e.name, at_pos(e)))
     elif isinstance(e, (AConv, AStar)):
         sub = arity_of(e.e, rel_arity)
         if sub != 2:
             op = "~" if isinstance(e, AConv) else "*"
             raise ArityError("%s needs a binary operand, got arity %d%s"
-                             % (op, sub, _at(e)))
+                             % (op, sub, at_pos(e)))
         a = 2
     elif isinstance(e, AJoin):
         la, ra = arity_of(e.l, rel_arity), arity_of(e.r, rel_arity)
         if la + ra < 3:
-            raise ArityError("join of two unary expressions%s" % _at(e))
+            raise ArityError("join of two unary expressions%s" % at_pos(e))
         a = la + ra - 2
     elif isinstance(e, AProd):
         a = arity_of(e.l, rel_arity) + arity_of(e.r, rel_arity)
     elif isinstance(e, (AUnion, AInter, ADiff)):
         la, ra = arity_of(e.l, rel_arity), arity_of(e.r, rel_arity)
         if la != ra:
-            raise ArityError("arity mismatch %d vs %d%s" % (la, ra, _at(e)))
+            raise ArityError("arity mismatch %d vs %d%s" % (la, ra, at_pos(e)))
         a = la
     elif isinstance(e, ADomRes):
         la = arity_of(e.l, rel_arity)
         if la != 1:
-            raise ArityError("<: needs a unary left operand%s" % _at(e))
+            raise ArityError("<: needs a unary left operand%s" % at_pos(e))
         a = arity_of(e.r, rel_arity)
     elif isinstance(e, ARanRes):
         ra = arity_of(e.r, rel_arity)
         if ra != 1:
-            raise ArityError(":> needs a unary right operand%s" % _at(e))
+            raise ArityError(":> needs a unary right operand%s" % at_pos(e))
         a = arity_of(e.l, rel_arity)
     else:
         raise ArityError("cannot compute arity of %r" % (e,))
     return a
 
 
-def _at(e) -> str:
-    p = getattr(e, "pos", None)
-    return " at line %d, column %d" % (p[0], p[1]) if p else ""
+def at_pos(x) -> str:
+    """Error-message suffix naming the source position of x, a parsed node
+    or declaration, or "" when x has none."""
+    p = getattr(x, "pos", None)
+    return " at line %d, column %d" % p if p else ""
 
 
 # ---------------------------------------------------------------------------
 # core Alloy formulas
 
 
-class AlloyForm:
+class AlloyForm(AlloyNode):
     """Base class for core Alloy formulas."""
 
 
@@ -637,7 +635,6 @@ class FSomeQ(AlloyForm):
 class FPredCall(AlloyForm):
     name: str
     args: Tuple[AlloyExpr, ...]
-    pos: Pos = field(default=None, compare=False, repr=False)
 
 
 CORE_FORMS = (FIn, FSome, FNot, FAnd, FAll)

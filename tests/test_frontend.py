@@ -10,8 +10,9 @@ from alloy2fa.frontend import (
     pp_expr, pp_form, pretty, subst, symbol_table,
 )
 from alloy2fa.terms import (
-    AJoin, ARel, ASig, AStar, AVar, ArityError,
-    FAll, FAnd, FIn, FNot, FSome, arity_of, is_core,
+    ADiff, ADomRes, AInter, AJoin, AProd, ARanRes, ARel, ASig, AStar,
+    AUnion, AVar, ArityError, FAll, FAnd, FImp, FIn, FNot, FOr, FSome,
+    arity_of, is_core,
 )
 
 HERE = os.path.dirname(__file__)
@@ -104,6 +105,111 @@ class TestParsing:
         assert len(m.sigs) == 1 and len(m.facts) == 1
 
 
+class TestPrecedence:
+    """`a op1 b op2 c` for every ordered pair of binary operators. The
+    expected trees are written out, with `or`/`and` drawn as `||`/`&&`."""
+
+    EXPR_PAIRS = [
+        ("+", "+", "((a + b) + c)"),
+        ("+", "-", "((a + b) - c)"),
+        ("+", "&", "(a + (b & c))"),
+        ("+", "->", "(a + (b -> c))"),
+        ("+", "<:", "(a + (b <: c))"),
+        ("+", ":>", "(a + (b :> c))"),
+        ("+", ".", "(a + (b . c))"),
+        ("-", "+", "((a - b) + c)"),
+        ("-", "-", "((a - b) - c)"),
+        ("-", "&", "(a - (b & c))"),
+        ("-", "->", "(a - (b -> c))"),
+        ("-", "<:", "(a - (b <: c))"),
+        ("-", ":>", "(a - (b :> c))"),
+        ("-", ".", "(a - (b . c))"),
+        ("&", "+", "((a & b) + c)"),
+        ("&", "-", "((a & b) - c)"),
+        ("&", "&", "((a & b) & c)"),
+        ("&", "->", "(a & (b -> c))"),
+        ("&", "<:", "(a & (b <: c))"),
+        ("&", ":>", "(a & (b :> c))"),
+        ("&", ".", "(a & (b . c))"),
+        ("->", "+", "((a -> b) + c)"),
+        ("->", "-", "((a -> b) - c)"),
+        ("->", "&", "((a -> b) & c)"),
+        ("->", "->", "((a -> b) -> c)"),
+        ("->", "<:", "(a -> (b <: c))"),
+        ("->", ":>", "(a -> (b :> c))"),
+        ("->", ".", "(a -> (b . c))"),
+        ("<:", "+", "((a <: b) + c)"),
+        ("<:", "-", "((a <: b) - c)"),
+        ("<:", "&", "((a <: b) & c)"),
+        ("<:", "->", "((a <: b) -> c)"),
+        ("<:", "<:", "((a <: b) <: c)"),
+        ("<:", ":>", "((a <: b) :> c)"),
+        ("<:", ".", "(a <: (b . c))"),
+        (":>", "+", "((a :> b) + c)"),
+        (":>", "-", "((a :> b) - c)"),
+        (":>", "&", "((a :> b) & c)"),
+        (":>", "->", "((a :> b) -> c)"),
+        (":>", "<:", "((a :> b) <: c)"),
+        (":>", ":>", "((a :> b) :> c)"),
+        (":>", ".", "(a :> (b . c))"),
+        (".", "+", "((a . b) + c)"),
+        (".", "-", "((a . b) - c)"),
+        (".", "&", "((a . b) & c)"),
+        (".", "->", "((a . b) -> c)"),
+        (".", "<:", "((a . b) <: c)"),
+        (".", ":>", "((a . b) :> c)"),
+        (".", ".", "((a . b) . c)"),
+    ]
+    FORM_PAIRS = [
+        ("||", "||", "((a || b) || c)"),
+        ("||", "or", "((a || b) || c)"),
+        ("||", "=>", "(a || (b => c))"),
+        ("||", "&&", "(a || (b && c))"),
+        ("||", "and", "(a || (b && c))"),
+        ("or", "||", "((a || b) || c)"),
+        ("or", "or", "((a || b) || c)"),
+        ("or", "=>", "(a || (b => c))"),
+        ("or", "&&", "(a || (b && c))"),
+        ("or", "and", "(a || (b && c))"),
+        ("=>", "||", "((a => b) || c)"),
+        ("=>", "or", "((a => b) || c)"),
+        ("=>", "=>", "(a => (b => c))"),
+        ("=>", "&&", "(a => (b && c))"),
+        ("=>", "and", "(a => (b && c))"),
+        ("&&", "||", "((a && b) || c)"),
+        ("&&", "or", "((a && b) || c)"),
+        ("&&", "=>", "((a && b) => c)"),
+        ("&&", "&&", "((a && b) && c)"),
+        ("&&", "and", "((a && b) && c)"),
+        ("and", "||", "((a && b) || c)"),
+        ("and", "or", "((a && b) || c)"),
+        ("and", "=>", "((a && b) => c)"),
+        ("and", "&&", "((a && b) && c)"),
+        ("and", "and", "((a && b) && c)"),
+    ]
+    SHAPES = {AUnion: "+", ADiff: "-", AInter: "&", AProd: "->",
+              ADomRes: "<:", ARanRes: ":>", AJoin: ".",
+              FOr: "||", FImp: "=>", FAnd: "&&"}
+
+    def shape(self, x):
+        if isinstance(x, (ASig, FSome)):
+            return x.name if isinstance(x, ASig) else self.shape(x.e)
+        return "(%s %s %s)" % (self.shape(x.l), self.SHAPES[type(x)],
+                                 self.shape(x.r))
+
+    @pytest.mark.parametrize("op1,op2,tree", EXPR_PAIRS)
+    def test_expression_pairs(self, op1, op2, tree):
+        m = parse("sig a {} sig b {} sig c {} fact { a %s b %s c in a }"
+                  % (op1, op2))
+        assert self.shape(m.facts[0].l) == tree
+
+    @pytest.mark.parametrize("op1,op2,tree", FORM_PAIRS)
+    def test_formula_pairs(self, op1, op2, tree):
+        m = parse("sig a {} sig b {} sig c {} "
+                  "fact { some a %s some b %s some c }" % (op1, op2))
+        assert self.shape(m.facts[0]) == tree
+
+
 class TestParseErrors:
     CASES = [
         ("sig A { r : some }", "expected column signature"),
@@ -131,13 +237,22 @@ class TestParseErrors:
         "(" * 500 + "some A" + ")" * 500,
         "(" * 500 + "x.r in (A)" + ")" * 500,
         " && ".join(["some A"] * 1000),
-        "".join("all y%d : A | " % i for i in range(199)) + "x in A",
-    ], ids=["some A", "x.r in (A)", "1000 conjuncts", "200 quantifiers"])
+        "".join("all y%d : A | " % i for i in range(499)) + "x in A",
+    ], ids=["some A", "x.r in (A)", "1000 conjuncts", "500 quantifiers"])
     def test_deep_parentheses_fail_with_a_position(self, deep):
         text = "sig A { r : A }\nassert a { all x : A | %s }" % deep
         with pytest.raises(ParseError,
                            match=r"nested too deeply.* line 2, column \d+"):
             parse(text)
+
+    @pytest.mark.parametrize("deep", [
+        "(" * 139 + "some A" + ")" * 139,
+        "".join("all y%d : A | " % i for i in range(199)) + "x in A",
+    ], ids=["139 parentheses", "200 quantifiers"])
+    def test_deep_inputs_pass_every_stage(self, deep):
+        text = "sig A { r : A }\nassert a { all x : A | %s }" % deep
+        model = check_arities(desugar(parse(text)))
+        expand_form(model.asserts[0].form, model.rel_arity())
 
     @pytest.mark.parametrize("op", ["or", "=>", "and"])
     def test_long_chains_pass_every_stage_or_fail_with_a_position(self, op):
@@ -272,6 +387,15 @@ class TestCheckArities:
         with pytest.raises(ArityError, match="arity mismatch 3 vs 1"):
             check_arities(m)
 
+    @pytest.mark.parametrize("text,where", [
+        ("sig A {} fact { A.A in A }", "line 1, column 18"),
+        ("sig A { r : A } fact { A + r in A }", "line 1, column 26"),
+        ("sig A { r : A }\nfact {\nsome (r & A) }", "line 3, column 9"),
+    ], ids=["join", "union", "intersection"])
+    def test_binary_operator_errors_name_the_operator(self, text, where):
+        with pytest.raises(ArityError, match=" at " + where):
+            check_arities(desugar(parse(text)))
+
     def test_quantifier_ranges_must_be_sets(self):
         m = parse("sig A { r : A } fact { all x : r | some x }")
         with pytest.raises(ArityError, match="must be a set"):
@@ -281,6 +405,10 @@ class TestCheckArities:
 class TestPretty:
     def test_round_trip_on_the_running_example(self, university):
         assert parse(pretty(university)) == university
+
+    def test_running_example_prints_as_recorded(self, university):
+        with open(os.path.join(HERE, "data", "university.pretty.als")) as fh:
+            assert pretty(university) == fh.read()
 
     def test_round_trip_survives_desugaring(self, university):
         d = desugar(university)

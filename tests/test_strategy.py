@@ -1,13 +1,15 @@
 """Engine discipline: positions, bank priority, traces, budgets."""
 
+import time
+
 import pytest
 
 from alloy2fa.strategy import (
     BudgetError, Rule, RunState, StrategyError, rewrite, step,
 )
 from alloy2fa.terms import (
-    Comp, Conv, Join, Meet, Phi, RAll, RApp, REx, RMark, RNot, Rel, fa_text,
-    subterms,
+    RTRUE, Comp, Conv, Join, Meet, Phi, RAll, RApp, REx, RMark, RNot, RTrue,
+    Rel, fa_text, subterms,
 )
 
 
@@ -162,6 +164,27 @@ class TestBudgets:
         assert len(trace) == 2
         assert trace[0].before == t
         assert trace[1].before == trace[0].after
+
+    def test_too_deep_a_term_is_a_budget_error_not_a_recursion_error(self):
+        t = RTRUE
+        for _ in range(3000):
+            t = RNot(t)
+        drop = Rule("drop-double-negation", lambda t, ctx: t.f.f if (
+            isinstance(t, RNot) and isinstance(t.f, RNot)) else None)
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="nested too deeply") as exc:
+            run(t, ([drop],))
+        assert time.perf_counter() - start < 1
+        assert exc.value.trace == [] and "!" not in str(exc.value)
+
+    def test_a_term_that_grows_too_deep_keeps_its_partial_trace(self):
+        grow = Rule("grow", lambda t, ctx: RNot(RNot(t)) if isinstance(
+            t, RTrue) else None)
+        with pytest.raises(BudgetError, match="nested too deeply") as exc:
+            run(RTRUE, ([grow],))
+        trace = exc.value.trace
+        assert len(trace) > 100 and trace[0].before == RTRUE
+        assert all(a.after is b.before for a, b in zip(trace, trace[1:]))
 
 
 def balanced_join(leaves):
