@@ -128,8 +128,6 @@ def _pair_rule(name: str, kind, fn) -> Rule:
     """
 
     def go(t, ctx):
-        if not isinstance(t, kind):
-            return None
         leaves = _leaves(kind, t.l)
         split = len(leaves)
         leaves += _leaves(kind, t.r)
@@ -143,7 +141,7 @@ def _pair_rule(name: str, kind, fn) -> Rule:
                     return _rebuild(kind, [res] + rest)
         return None
 
-    return Rule(name, go)
+    return Rule(name, kind, go)
 
 
 # ---------------------------------------------------------------------------
@@ -177,41 +175,41 @@ def _or_to_imp(a, b):
 
 
 def _r_not_not(t, ctx):
-    if isinstance(t, RNot) and isinstance(t.f, RNot):
+    if isinstance(t.f, RNot):
         return t.f.f
     return None
 
 
 def _r_not_literal(t, ctx):
-    if isinstance(t, RNot) and isinstance(t.f, RTrue):
+    if isinstance(t.f, RTrue):
         return RFalse()
-    if isinstance(t, RNot) and isinstance(t.f, RFalse):
+    if isinstance(t.f, RFalse):
         return RTrue()
     return None
 
 
 def _r_push_not_and(t, ctx):
-    if isinstance(t, RNot) and isinstance(t.f, RAnd):
+    if isinstance(t.f, RAnd):
         return ROr(RNot(t.f.l), RNot(t.f.r))
     return None
 
 
 def _r_push_not_or(t, ctx):
-    if isinstance(t, RNot) and isinstance(t.f, ROr):
+    if isinstance(t.f, ROr):
         return RAnd(RNot(t.f.l), RNot(t.f.r))
     return None
 
 
 def _r_imp_literal(t, ctx):
-    if isinstance(t, RImp) and isinstance(t.l, RFalse):
+    if isinstance(t.l, RFalse):
         return RTrue()
-    if isinstance(t, RImp) and isinstance(t.l, RTrue):
+    if isinstance(t.l, RTrue):
         return t.r
     return None
 
 
 def _r_imp_curry(t, ctx):
-    if isinstance(t, RImp) and isinstance(t.r, RImp):
+    if isinstance(t.r, RImp):
         return RImp(RAnd(t.l, t.r.l), t.r.r)
     return None
 
@@ -226,20 +224,20 @@ def _conj(a: Optional[RLFormula], b: Optional[RLFormula]):
 
 def _r_all_absorb_imp(t, ctx):
     # forall u : rng : (a => b)  keeps a as part of the range
-    if isinstance(t, RAll) and isinstance(t.body, RImp):
+    if isinstance(t.body, RImp):
         return RAll(t.width, _conj(t.rng, t.body.l), t.body.r)
     return None
 
 
 def _r_all_fuse(t, ctx):
-    if isinstance(t, RAll) and isinstance(t.body, RAll):
+    if isinstance(t.body, RAll):
         return RAll(t.width + t.body.width, _conj(t.rng, t.body.rng),
                     t.body.body)
     return None
 
 
 def _r_ex_fuse(t, ctx):
-    if isinstance(t, REx) and isinstance(t.body, REx):
+    if isinstance(t.body, REx):
         return REx(t.width + t.body.width, t.body.body)
     return None
 
@@ -252,8 +250,6 @@ def _occurs(f, lvl: int) -> bool:
 
 def _r_binder_trim(t, ctx):
     """Drop or narrow a binder whose trailing levels are never used."""
-    if not isinstance(t, (RAll, REx)):
-        return None
     lo = ctx.binder_depth
     used = [l for l in range(lo + 1, lo + t.width + 1) if _occurs(t, l)]
     if not used:
@@ -269,17 +265,17 @@ def _r_binder_trim(t, ctx):
 LOGIC_RULES = [
     _pair_rule("conjunction-pair", RAnd, _and_pair),
     _pair_rule("disjunction-pair", ROr, _or_pair),
-    Rule("double-negation", _r_not_not),
-    Rule("negated-literal", _r_not_literal),
-    Rule("negation-over-and", _r_push_not_and),
-    Rule("negation-over-or", _r_push_not_or),
-    Rule("implication-literal", _r_imp_literal),
-    Rule("implication-curry", _r_imp_curry),
+    Rule("double-negation", RNot, _r_not_not),
+    Rule("negated-literal", RNot, _r_not_literal),
+    Rule("negation-over-and", RNot, _r_push_not_and),
+    Rule("negation-over-or", RNot, _r_push_not_or),
+    Rule("implication-literal", RImp, _r_imp_literal),
+    Rule("implication-curry", RImp, _r_imp_curry),
     _pair_rule("negation-to-implication", ROr, _or_to_imp),
-    Rule("forall-absorb-implication", _r_all_absorb_imp),
-    Rule("forall-fuse", _r_all_fuse),
-    Rule("exists-fuse", _r_ex_fuse),
-    Rule("binder-trim", _r_binder_trim),
+    Rule("forall-absorb-implication", RAll, _r_all_absorb_imp),
+    Rule("forall-fuse", RAll, _r_all_fuse),
+    Rule("exists-fuse", REx, _r_ex_fuse),
+    Rule("binder-trim", (RAll, REx), _r_binder_trim),
 ]
 
 # Reintroducing implications inside the mechanical loop would fight the
@@ -322,8 +318,6 @@ def _first(app: RApp, lvl: int):
 
 def _r_substitute(t, ctx):
     """An identity conjunct pins a bound level to another item."""
-    if not isinstance(t, (RAll, REx)):
-        return None
     host = t.rng if isinstance(t, RAll) else t.body
     if host is None:
         return None
@@ -351,8 +345,6 @@ def _r_substitute(t, ctx):
 
 def _r_absorb_diag(t, ctx):
     """a (X) a beside a (R) ys pins the composition through a."""
-    if not isinstance(t, RAnd):
-        return None
     leaves = _leaves(RAnd, t)
     for i, d in enumerate(leaves):
         if not (isinstance(d, RApp) and len(d.lhs) == 1 and d.lhs == d.rhs
@@ -370,8 +362,6 @@ def _r_absorb_diag(t, ctx):
 
 def _r_compose(t, ctx):
     """Two applications sharing the innermost level compose it away."""
-    if not isinstance(t, REx):
-        return None
     lvl = _last_level(t, ctx)
     leaves = _leaves(RAnd, t.body)
     if _count(t.body, lvl) != 2:
@@ -391,8 +381,6 @@ def _r_compose(t, ctx):
 
 def _r_project(t, ctx):
     """A level used once in a wide application is cut from its column."""
-    if not isinstance(t, REx):
-        return None
     lvl = _last_level(t, ctx)
     if _count(t.body, lvl) != 1:
         return None
@@ -410,8 +398,6 @@ def _r_project(t, ctx):
 
 def _r_close_membership(t, ctx):
     """A level seen once in a binary application marks a domain element."""
-    if not isinstance(t, REx):
-        return None
     lvl = _last_level(t, ctx)
     if _count(t.body, lvl) != 1:
         return None
@@ -432,8 +418,7 @@ def _r_close_membership(t, ctx):
 
 def _r_residual(t, ctx):
     """A universal level linking two applications becomes a residual."""
-    if not (isinstance(t, RAll) and t.rng is not None
-            and isinstance(t.body, RApp)):
+    if t.rng is None or not isinstance(t.body, RApp):
         return None
     lvl = _last_level(t, ctx)
     if _count(t.body, lvl) != 1 or _count(t.rng, lvl) != 1:
@@ -458,12 +443,12 @@ def _r_residual(t, ctx):
 
 
 DEFINITION_RULES = [
-    Rule("substitute-identity", _r_substitute),
-    Rule("absorb-diagonal", _r_absorb_diag),
-    Rule("compose-innermost", _r_compose),
-    Rule("project-innermost", _r_project),
-    Rule("close-membership", _r_close_membership),
-    Rule("residual-innermost", _r_residual),
+    Rule("substitute-identity", (RAll, REx), _r_substitute),
+    Rule("absorb-diagonal", RAnd, _r_absorb_diag),
+    Rule("compose-innermost", REx, _r_compose),
+    Rule("project-innermost", REx, _r_project),
+    Rule("close-membership", REx, _r_close_membership),
+    Rule("residual-innermost", RAll, _r_residual),
 ]
 
 
@@ -498,16 +483,14 @@ def _join_pair(a, b):
 
 
 def _r_conv_collapse(t, ctx):
-    if isinstance(t, Conv) and isinstance(t.e, Conv):
+    if isinstance(t.e, Conv):
         return t.e.e
-    if isinstance(t, Conv) and isinstance(t.e, (Id, Top, Bot)):
+    if isinstance(t.e, (Id, Top, Bot)):
         return t.e
     return None
 
 
 def _r_conv_distribute(t, ctx):
-    if not isinstance(t, Conv):
-        return None
     e = t.e
     if isinstance(e, Comp):
         return Comp(Conv(e.r), Conv(e.l))
@@ -519,8 +502,6 @@ def _r_conv_distribute(t, ctx):
 
 
 def _r_compl_collapse(t, ctx):
-    if not isinstance(t, Compl):
-        return None
     e = t.e
     if isinstance(e, Compl):
         return e.e
@@ -534,8 +515,6 @@ def _r_compl_collapse(t, ctx):
 
 
 def _r_compl_distribute(t, ctx):
-    if not isinstance(t, Compl):
-        return None
     e = t.e
     if isinstance(e, Meet):
         return Join(Compl(e.l), Compl(e.r))
@@ -549,8 +528,6 @@ def _r_compl_distribute(t, ctx):
 
 
 def _r_comp_unit(t, ctx):
-    if not isinstance(t, Comp):
-        return None
     if isinstance(t.r, Id):
         return t.l
     if isinstance(t.l, Id):
@@ -561,14 +538,12 @@ def _r_comp_unit(t, ctx):
 
 
 def _r_ncomp_unit(t, ctx):
-    if isinstance(t, NComp) and isinstance(t.r, Id):
+    if isinstance(t.r, Id):
         return t.l
     return None
 
 
 def _r_rot_cycle(t, ctx):
-    if not isinstance(t, Rot):
-        return None
     cur, k = t, 0
     while isinstance(cur, Rot) and cur.n == t.n and k < t.n:
         cur, k = cur.e, k + 1
@@ -576,8 +551,6 @@ def _r_rot_cycle(t, ctx):
 
 
 def _r_residual_units(t, ctx):
-    if not isinstance(t, Ldiv):
-        return None
     if isinstance(t.l, Bot) or isinstance(t.r, Top):
         return TOP
     if isinstance(t.l, Id):
@@ -587,8 +560,8 @@ def _r_residual_units(t, ctx):
 
 def _r_fork_meet(t, ctx):
     # (R nabla S)~ . (A nabla B)  =  R~.A & S~.B
-    if (isinstance(t, Comp) and isinstance(t.l, Conv)
-            and isinstance(t.l.e, Fork) and isinstance(t.r, Fork)):
+    if (isinstance(t.l, Conv) and isinstance(t.l.e, Fork)
+            and isinstance(t.r, Fork)):
         f, g = t.l.e, t.r
         return Meet(Comp(Conv(f.l), g.l), Comp(Conv(f.r), g.r))
     return None
@@ -596,16 +569,15 @@ def _r_fork_meet(t, ctx):
 
 def _r_fork_comp(t, ctx):
     # (id nabla T) . R  duplicates R over both components
-    if (isinstance(t, Comp) and isinstance(t.l, Fork)
-            and isinstance(t.l.l, Id) and isinstance(t.l.r, Top)):
+    if (isinstance(t.l, Fork) and isinstance(t.l.l, Id)
+            and isinstance(t.l.r, Top)):
         return Fork(t.r, Comp(TOP, t.r))
     return None
 
 
 def _r_prod_intro(t, ctx):
-    if (isinstance(t, Fork) and isinstance(t.l, Comp)
-            and isinstance(t.l.r, Pi1) and isinstance(t.r, Comp)
-            and isinstance(t.r.r, Pi2)):
+    if (isinstance(t.l, Comp) and isinstance(t.l.r, Pi1)
+            and isinstance(t.r, Comp) and isinstance(t.r.r, Pi2)):
         return Prod(t.l.l, t.r.l)
     return None
 
@@ -613,23 +585,21 @@ def _r_prod_intro(t, ctx):
 ALGEBRA_RULES = [
     _pair_rule("meet-pair", Meet, _meet_pair),
     _pair_rule("join-pair", Join, _join_pair),
-    Rule("converse-collapse", _r_conv_collapse),
-    Rule("converse-distribute", _r_conv_distribute),
-    Rule("complement-collapse", _r_compl_collapse),
-    Rule("complement-distribute", _r_compl_distribute),
-    Rule("composition-unit", _r_comp_unit),
-    Rule("wide-composition-unit", _r_ncomp_unit),
-    Rule("rotation-cycle", _r_rot_cycle),
-    Rule("residual-units", _r_residual_units),
-    Rule("fork-converse-meet", _r_fork_meet),
-    Rule("fork-absorbs-composition", _r_fork_comp),
-    Rule("product-intro", _r_prod_intro),
+    Rule("converse-collapse", Conv, _r_conv_collapse),
+    Rule("converse-distribute", Conv, _r_conv_distribute),
+    Rule("complement-collapse", Compl, _r_compl_collapse),
+    Rule("complement-distribute", Compl, _r_compl_distribute),
+    Rule("composition-unit", Comp, _r_comp_unit),
+    Rule("wide-composition-unit", NComp, _r_ncomp_unit),
+    Rule("rotation-cycle", Rot, _r_rot_cycle),
+    Rule("residual-units", Ldiv, _r_residual_units),
+    Rule("fork-converse-meet", Comp, _r_fork_meet),
+    Rule("fork-absorbs-composition", Comp, _r_fork_comp),
+    Rule("product-intro", Fork, _r_prod_intro),
 ]
 
 
 def _r_fact_norm(t, ctx):
-    if not isinstance(t, FactLe):
-        return None
     if isinstance(t.lhs, Compl) and isinstance(t.rhs, Compl):
         return FactLe(t.rhs.e, t.lhs.e)
     if isinstance(t.lhs, Top) and isinstance(t.rhs, Conv):
@@ -641,13 +611,14 @@ def _r_fact_norm(t, ctx):
     return None
 
 
-FACT_RULES = [Rule("inequation-normalize", _r_fact_norm)]
+FACT_RULES = [Rule("inequation-normalize", FactLe, _r_fact_norm)]
 
 
 # ---------------------------------------------------------------------------
 # the drivers
 
-_SIMPLIFY = (LOGIC_RULES, DEFINITION_RULES, ALGEBRA_RULES, FACT_RULES)
+# An RL formula holds no fact, so the pre-pass runs without FACT_RULES.
+_SIMPLIFY = (LOGIC_RULES, DEFINITION_RULES, ALGEBRA_RULES)
 
 # The elimination banks: the simplification rules first, then the
 # mechanical ones, and normalization last, for the implications and

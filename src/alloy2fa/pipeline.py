@@ -87,27 +87,25 @@ def nesting(f: RLFormula) -> int:
 
 
 def _r_imp(t, ctx):
-    if isinstance(t, RImp):
-        return ROr(RNot(t.l), t.r)
-    return None
+    return ROr(RNot(t.l), t.r)
 
 
 def _r_all_ranged(t, ctx):
-    if isinstance(t, RAll) and t.rng is not None:
+    if t.rng is not None:
         return RAll(t.width, None, RImp(t.rng, t.body))
     return None
 
 
 def _r_all_plain(t, ctx):
-    if isinstance(t, RAll) and t.rng is None:
+    if t.rng is None:
         return RNot(REx(t.width, RNot(t.body)))
     return None
 
 
 _NORMALIZE_RULES = [
-    Rule("implication-to-or", _r_imp),
-    Rule("forall-range-to-implication", _r_all_ranged),
-    Rule("forall-to-not-exists", _r_all_plain),
+    Rule("implication-to-or", RImp, _r_imp),
+    Rule("forall-range-to-implication", RAll, _r_all_ranged),
+    Rule("forall-to-not-exists", RAll, _r_all_plain),
 ]
 
 
@@ -129,8 +127,6 @@ def _frame_app(rel, n: int) -> RApp:
 
 
 def _r_uniform(t, ctx):
-    if not isinstance(t, RApp):
-        return None
     items = t.lhs + t.rhs
     if not all(isinstance(i, int) for i in items):
         return None
@@ -142,21 +138,17 @@ def _r_uniform(t, ctx):
 
 
 def _r_true(t, ctx):
-    if isinstance(t, RTrue):
-        return _frame_app(TOP, ctx.ex_depth)
-    return None
+    return _frame_app(TOP, ctx.ex_depth)
 
 
 def _r_false(t, ctx):
-    if isinstance(t, RFalse):
-        return _frame_app(BOT, ctx.ex_depth)
-    return None
+    return _frame_app(BOT, ctx.ex_depth)
 
 
 _FRAME_RULES = [
-    Rule("frame-application", _r_uniform),
-    Rule("frame-true", _r_true),
-    Rule("frame-false", _r_false),
+    Rule("frame-application", RApp, _r_uniform),
+    Rule("frame-true", RTrue, _r_true),
+    Rule("frame-false", RFalse, _r_false),
 ]
 
 
@@ -165,32 +157,30 @@ _FRAME_RULES = [
 
 
 def _r_and(t, ctx):
-    if (isinstance(t, RAnd) and isinstance(t.l, RApp)
-            and isinstance(t.r, RApp) and t.l.lhs == t.r.lhs
-            and t.l.rhs == t.r.rhs):
+    if (isinstance(t.l, RApp) and isinstance(t.r, RApp)
+            and t.l.lhs == t.r.lhs and t.l.rhs == t.r.rhs):
         return RApp(t.l.lhs, Meet(t.l.rel, t.r.rel), t.l.rhs)
     return None
 
 
 def _r_or(t, ctx):
-    if (isinstance(t, ROr) and isinstance(t.l, RApp)
-            and isinstance(t.r, RApp) and t.l.lhs == t.r.lhs
-            and t.l.rhs == t.r.rhs):
+    if (isinstance(t.l, RApp) and isinstance(t.r, RApp)
+            and t.l.lhs == t.r.lhs and t.l.rhs == t.r.rhs):
         return RApp(t.l.lhs, Join(t.l.rel, t.r.rel), t.l.rhs)
     return None
 
 
 def _r_not(t, ctx):
-    if isinstance(t, RNot) and isinstance(t.f, RApp):
+    if isinstance(t.f, RApp):
         a = t.f
         return RApp(a.lhs, Compl(a.rel), a.rhs)
     return None
 
 
 _COMBINE_RULES = [
-    Rule("combine-and", _r_and),
-    Rule("combine-or", _r_or),
-    Rule("complement-not", _r_not),
+    Rule("combine-and", RAnd, _r_and),
+    Rule("combine-or", ROr, _r_or),
+    Rule("complement-not", RNot, _r_not),
 ]
 
 
@@ -199,7 +189,7 @@ _COMBINE_RULES = [
 
 
 def _r_discharge(t, ctx):
-    if not (isinstance(t, REx) and isinstance(t.body, RApp)):
+    if not isinstance(t.body, RApp):
         return None
     app = t.body
     n = ctx.ex_depth + t.width
@@ -211,7 +201,7 @@ def _r_discharge(t, ctx):
     return inner if t.width == 1 else REx(t.width - 1, inner)
 
 
-_DISCHARGE_RULES = [Rule("discharge-innermost-exists", _r_discharge)]
+_DISCHARGE_RULES = [Rule("discharge-innermost-exists", REx, _r_discharge)]
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +335,8 @@ def _witness_rules(watermark: int):
 
     def compose(t, ctx):
         # xs (P) w  &&  w (Q) ys  under the binder of w turns into P.Q
-        if not (isinstance(t, REx) and t.width == 1
-                and isinstance(t.body, RAnd) and isinstance(t.body.l, RApp)
+        if not (t.width == 1 and isinstance(t.body, RAnd)
+                and isinstance(t.body.l, RApp)
                 and isinstance(t.body.r, RApp)):
             return None
         p, q = t.body.l, t.body.r
@@ -358,8 +348,6 @@ def _witness_rules(watermark: int):
         return compose_apps(to_end(p, lvl), to_front(q, lvl))
 
     def absorb(t, ctx):
-        if not isinstance(t, RAnd):
-            return None
         for d, q in ((t.l, t.r), (t.r, t.l)):
             if (isinstance(d, RApp) and isinstance(q, RApp)
                     and len(d.lhs) == 1 and d.lhs == d.rhs
@@ -369,8 +357,7 @@ def _witness_rules(watermark: int):
 
     def project(t, ctx):
         # a witness used by a single application is dropped with its column
-        if not (isinstance(t, REx) and t.width == 1
-                and isinstance(t.body, RApp)):
+        if not (t.width == 1 and isinstance(t.body, RApp)):
             return None
         p = t.body
         lvl = bound_level(p)
@@ -381,9 +368,9 @@ def _witness_rules(watermark: int):
             return None
         return project_out(p, lvl)
 
-    return [Rule("compose-shared-level", compose),
-            Rule("absorb-diagonal-membership", absorb),
-            Rule("project-away-witness", project)]
+    return [Rule("compose-shared-level", REx, compose),
+            Rule("absorb-diagonal-membership", RAnd, absorb),
+            Rule("project-away-witness", REx, project)]
 
 
 def _lift_rules(a_levels: tuple):
@@ -412,8 +399,6 @@ def _lift_rules(a_levels: tuple):
         return e
 
     def lift(t, ctx):
-        if not isinstance(t, RApp):
-            return None
         if t.lhs == lframe and t.rhs == rframe:
             return None
         items = _flat(t)
@@ -438,7 +423,7 @@ def _lift_rules(a_levels: tuple):
                         sel(t.rhs, MARK_CY))
         return RApp(lframe, Comp(TOP, Meet(core, ID)), rframe)
 
-    return [Rule("lift-application-to-frames", lift)]
+    return [Rule("lift-application-to-frames", RApp, lift)]
 
 
 def translate_closure(e: AlloyExpr, env, rel_arity, nl: int = 0):

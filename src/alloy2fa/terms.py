@@ -371,7 +371,8 @@ def fa_text(e: FAExpr) -> str:
 
 def _atom_text(e: FAExpr) -> str:
     t = fa_text(e)
-    return t if isinstance(e, _FA_LEAVES) or t.startswith("(") else "(" + t + ")"
+    return (t if isinstance(e, _FA_LEAVES) or t.startswith("(")
+            else "(" + t + ")")
 
 
 # ---------------------------------------------------------------------------

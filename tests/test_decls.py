@@ -1,6 +1,7 @@
-"""Declaration facts: golden shapes for the university model, degenerate
-hierarchies, and oracle soundness of typing and multiplicity facts
-against direct counting on the flat extents."""
+"""Declaration facts: golden shapes for the university model, its
+hierarchy and typing facts against their declarations at 3 atoms,
+degenerate hierarchies, and oracle soundness of typing and multiplicity
+facts against direct counting on the flat extents."""
 
 import itertools
 import os
@@ -46,9 +47,13 @@ from alloy2fa.terms import (
 HERE = os.path.dirname(__file__)
 
 
-def university_table():
+def university_text():
     with open(os.path.join(HERE, "data", "university.als")) as fh:
-        return symbol_table(parse(fh.read()))
+        return fh.read()
+
+
+def university_table():
+    return symbol_table(parse(university_text()))
 
 
 def table_of(src):
@@ -125,6 +130,36 @@ class TestUniversityFacts:
                         FSome(AJoin(AVar("c"), ARel("lecturer"))))
         fact = declaration_facts(table)[-1]
         v = check_equiv(declared, fact, vocab, bound=1)
+        assert v.status == "PASS", v.detail
+
+    # each fact of the running example ahead of the multiplicity, by
+    # position, beside the Alloy formula of the declaration it encodes
+    DECLARED = [
+        ("top-cover", "univ = Person + Course + University"),
+        ("hierarchy", "Student + Professor in Person"),
+        ("disjointness", "not some Student & Professor"),
+        ("abstract-cover", "Person = Student + Professor"),
+        ("typing", "lecturer in Course -> Professor"),
+        ("typing", "depends in Course -> Course"),
+        ("typing", "enrolled in University -> Student"),
+        ("typing", "courses in University -> Student -> Course"),
+    ]
+
+    @pytest.mark.parametrize("index, label, declared",
+                             [(i, *d) for i, d in enumerate(DECLARED)],
+                             ids=["%s-%d" % (d[0], i)
+                                  for i, d in enumerate(DECLARED)])
+    def test_fact_matches_its_declaration_at_3_atoms(self, index, label,
+                                                      declared):
+        model = parse(university_text() + "\nfact { %s }\n" % declared)
+        table = symbol_table(model)
+        vocab = Vocab(
+            sigs={name: SigInfo(name, parent, table.sig_abstract[name])
+                  for name, parent in table.sig_parent.items()},
+            rels=dict(table.rel_cols))
+        fact = declaration_facts(table)[index]
+        assert fact.label == label
+        v = check_equiv(model.facts[0], fact, vocab, bound=3)
         assert v.status == "PASS", v.detail
 
     def test_widths(self):

@@ -130,8 +130,6 @@ def all_pairs_rule(name, kind, fn):
     order, each tried both ways round."""
 
     def go(t, ctx):
-        if not isinstance(t, kind):
-            return None
         leaves = _leaves(kind, t)
         for i in range(len(leaves)):
             for j in range(i + 1, len(leaves)):
@@ -143,7 +141,7 @@ def all_pairs_rule(name, kind, fn):
                         return _rebuild(kind, [res] + rest)
         return None
 
-    return Rule(name, go)
+    return Rule(name, kind, go)
 
 
 def random_spine(rng, kind, pool, n):

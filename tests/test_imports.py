@@ -1,10 +1,10 @@
-"""No source or test module imports a name it never reads, and no
-source module calls `id()`.
+"""No source or test module imports a name it never reads, no source
+module calls `id()`, and no source line is longer than 79 characters.
 
-No linter ships with the toolchain, so these are `ast` scans: a name
-bound by an import (other than ``from __future__``) must occur as a
-loaded name somewhere in the same module.  Terms are hash-consed, so a
-cache keys by the term itself; an `id()` key would alias once its
+No linter ships with the toolchain, so these are `ast` and text scans:
+a name bound by an import (other than ``from __future__``) must occur
+as a loaded name somewhere in the same module.  Terms are hash-consed,
+so a cache keys by the term itself; an `id()` key would alias once its
 object is freed.
 """
 
@@ -51,5 +51,19 @@ def test_no_source_module_calls_id():
                     "cache[id(e)] = 1\n") == [1, 4]
     assert SRC
     found = {p.relative_to(ROOT).as_posix(): id_calls(p.read_text())
+             for p in SRC}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def long_lines(source: str, limit: int = 79) -> list:
+    """Line numbers of the lines longer than the limit."""
+    return [i for i, line in enumerate(source.splitlines(), start=1)
+            if len(line) > limit]
+
+
+def test_no_source_line_is_longer_than_79_characters():
+    assert long_lines("x = 1\n" + "#" * 79 + "\n" + "#" * 80 + "\n") == [3]
+    assert SRC
+    found = {p.relative_to(ROOT).as_posix(): long_lines(p.read_text())
              for p in SRC}
     assert {k: v for k, v in found.items() if v} == {}

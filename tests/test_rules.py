@@ -6,7 +6,8 @@ thing on every model `iter_models` yields at 2 atoms, over the tuple
 carrier of width 2. The vocabulary types every relation column, so
 ternary extents relate atoms to atom pairs. The guard test fails when a
 rule of any bank is neither fired by the corpus translations nor listed
-in CASES.
+in CASES, or declares a kind that is not a term class or a tuple of
+them.
 """
 
 import numpy as np
@@ -57,11 +58,13 @@ from alloy2fa.terms import (
     AVar,
     Comp,
     Conv,
+    FAFact,
     FAll,
     FIn,
     FNot,
     Fork,
     FSome,
+    Interned,
     Join,
     Ldiv,
     NComp,
@@ -139,11 +142,15 @@ CLOSURE_INPUTS = [
 ]
 
 
-def bank_rule_names():
+def bank_rules():
     banks = (LOGIC_RULES, DEFINITION_RULES, ALGEBRA_RULES, FACT_RULES,
              _NORMALIZE_RULES, _FRAME_RULES, _COMBINE_RULES, _DISCHARGE_RULES,
              _witness_rules(0), _lift_rules(()))
-    return {rule.name for bank in banks for rule in bank}
+    return [rule for bank in banks for rule in bank]
+
+
+def is_term_class(k) -> bool:
+    return isinstance(k, type) and issubclass(k, (Interned, FAFact))
 
 
 def test_every_bank_rule_is_fired_or_tested(monkeypatch):
@@ -163,7 +170,11 @@ def test_every_bank_rule_is_fired_or_tested(monkeypatch):
     for form, arities in inputs:
         for _, translate in TRANSLATORS:
             translate(form, arities)
-    names = bank_rule_names()
+    rules = bank_rules()
+    for rule in rules:
+        kinds = rule.kind if isinstance(rule.kind, tuple) else (rule.kind,)
+        assert kinds and all(is_term_class(k) for k in kinds), rule.name
+    names = {rule.name for rule in rules}
     tested = {name for name, _, _ in CASES}
     assert tested <= names
     assert names - fired - tested == set()

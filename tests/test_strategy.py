@@ -8,18 +8,16 @@ from alloy2fa.strategy import (
     BudgetError, Rule, RunState, StrategyError, rewrite, step,
 )
 from alloy2fa.terms import (
-    RTRUE, Comp, Conv, Join, Meet, Phi, RAll, RApp, REx, RMark, RNot, RTrue,
-    Rel, fa_text, subterms,
+    RTRUE, Comp, Conv, Join, Meet, Phi, RAll, RAnd, RApp, REx, RMark, RNot,
+    RTrue, Rel, fa_text, subterms,
 )
 
 
 def collapse_twin(t, ctx):
-    if isinstance(t, Join) and t.l == t.r:
-        return t.l
-    return None
+    return t.l if t.l == t.r else None
 
 
-COLLAPSE = Rule("collapse-twin", collapse_twin)
+COLLAPSE = Rule("collapse-twin", Join, collapse_twin)
 
 
 def drop_conv(t, ctx):
@@ -28,7 +26,7 @@ def drop_conv(t, ctx):
     return None
 
 
-DROP_CONV = Rule("drop-double-converse", drop_conv)
+DROP_CONV = Rule("drop-double-converse", Conv, drop_conv)
 
 
 def run(t, banks, budget=10000):
@@ -61,9 +59,7 @@ class TestOnce:
         assert out is t and trace == [] and state.trace == []
 
     def test_rule_order_decides_at_one_position(self):
-        to_meet = Rule("join-to-meet",
-                       lambda t, ctx: Meet(t.l, t.r)
-                       if isinstance(t, Join) else None)
+        to_meet = Rule("join-to-meet", Join, lambda t, ctx: Meet(t.l, t.r))
         t = Join(Rel("a"), Rel("a"))
         assert step(t, ([COLLAPSE, to_meet],), RunState()) == Rel("a")
         assert step(t, ([to_meet, COLLAPSE],), RunState()) == Meet(
@@ -74,8 +70,31 @@ class TestOnce:
         out = step(t, ([COLLAPSE, DROP_CONV],), RunState())
         assert fa_text(out) == "(a & (b + b))"
 
+    def test_a_rule_is_offered_only_the_nodes_of_its_kind(self):
+        seen = []
+
+        def probe(t, ctx):
+            seen.append(t)
+
+        inner = RNot(RApp((1,), Conv(Rel("r")), (2,)))
+        outer = RNot(REx(1, RAnd(inner, RApp((2,), Rel("s"), (1,)))))
+        f = RAll(1, None, outer)
+        assert step(f, ([Rule("probe", RNot, probe)],), RunState()) is None
+        assert seen == [inner, outer]
+
+    def test_a_tuple_kind_admits_each_of_its_classes(self):
+        seen = []
+
+        def probe(t, ctx):
+            seen.append((type(t).__name__, ctx.binder_depth))
+
+        f = RAll(1, None, RNot(REx(2, RApp((1,), Rel("r"), (3,)))))
+        assert step(f, ([Rule("probe", (RAll, REx), probe)],),
+                    RunState()) is None
+        assert seen == [("REx", 1), ("RAll", 0)]
+
     def test_identity_rule_is_rejected(self):
-        bad = Rule("noop", lambda t, ctx: t if isinstance(t, Join) else None)
+        bad = Rule("noop", Join, lambda t, ctx: t)
         with pytest.raises(StrategyError, match="noop"):
             step(Join(Rel("a"), Rel("b")), ([bad],), RunState())
 
@@ -120,13 +139,11 @@ class TestContext:
         seen = {}
 
         def probe(t, ctx):
-            if isinstance(t, RApp):
-                seen[fa_text(t.rel)] = (ctx.binder_depth, ctx.ex_depth)
-            return None
+            seen[fa_text(t.rel)] = (ctx.binder_depth, ctx.ex_depth)
 
         f = RAll(2, RApp((1,), Phi("A"), (1,)),
                  REx(1, RNot(RApp((1,), Rel("r"), (3,)))))
-        step(f, ([Rule("probe", probe)],), RunState())
+        step(f, ([Rule("probe", RApp, probe)],), RunState())
         # the range lives inside the binder's scope, like the body
         assert seen["Phi_A"] == (2, 0)
         assert seen["r"] == (3, 1)
@@ -135,12 +152,10 @@ class TestContext:
         seen = {}
 
         def probe(t, ctx):
-            if isinstance(t, RApp):
-                seen[fa_text(t.rel)] = (ctx.binder_depth, ctx.ex_depth)
-            return None
+            seen[fa_text(t.rel)] = (ctx.binder_depth, ctx.ex_depth)
 
         f = RMark(REx(1, RMark(RApp(("x",), Rel("r"), ("y",)))))
-        step(f, ([Rule("probe", probe)],), RunState())
+        step(f, ([Rule("probe", RApp, probe)],), RunState())
         assert seen["r"] == (1, 1)
 
     def test_never_firing_rule_visits_innermost_first(self):
@@ -151,7 +166,7 @@ class TestContext:
             return None
 
         t = Meet(Comp(Rel("a"), Rel("b")), Rel("c"))
-        assert step(t, ([Rule("probe", probe)],), RunState()) is None
+        assert step(t, ([Rule("probe", object, probe)],), RunState()) is None
         assert seen == ["a", "b", "(a . b)", "c", "((a . b) & c)"]
 
 
@@ -169,8 +184,8 @@ class TestBudgets:
         t = RTRUE
         for _ in range(3000):
             t = RNot(t)
-        drop = Rule("drop-double-negation", lambda t, ctx: t.f.f if (
-            isinstance(t, RNot) and isinstance(t.f, RNot)) else None)
+        drop = Rule("drop-double-negation", RNot, lambda t, ctx: t.f.f
+                    if isinstance(t.f, RNot) else None)
         start = time.perf_counter()
         with pytest.raises(BudgetError, match="nested too deeply") as exc:
             run(t, ([drop],))
@@ -178,8 +193,7 @@ class TestBudgets:
         assert exc.value.trace == [] and "!" not in str(exc.value)
 
     def test_a_term_that_grows_too_deep_keeps_its_partial_trace(self):
-        grow = Rule("grow", lambda t, ctx: RNot(RNot(t)) if isinstance(
-            t, RTrue) else None)
+        grow = Rule("grow", RTrue, lambda t, ctx: RNot(RNot(t)))
         with pytest.raises(BudgetError, match="nested too deeply") as exc:
             run(RTRUE, ([grow],))
         trace = exc.value.trace
@@ -206,7 +220,7 @@ class TestCleanSubtermMemo:
 
         leaves = [Conv(Conv(Rel("r%d" % i))) for i in range(64)]
         t = balanced_join(leaves)
-        out, trace = run(t, ([Rule("counted", counted)],))
+        out, trace = run(t, ([Rule("counted", object, counted)],))
         assert out == balanced_join([Rel("r%d" % i) for i in range(64)])
         nodes = sum(1 for _ in subterms(t))
         firings = len(trace)
@@ -228,14 +242,14 @@ class TestCleanSubtermMemo:
         seen = []
 
         def deep_only(t, ctx):
-            if isinstance(t, RApp) and ctx.binder_depth >= 2:
+            if ctx.binder_depth >= 2:
                 seen.append(ctx.binder_depth)
                 return RApp(t.lhs, Conv(t.rel), t.rhs)
             return None
 
         app = RApp((1,), Rel("r"), (1,))
         state = RunState()
-        bank = [Rule("deep-only", deep_only)]
+        bank = [Rule("deep-only", RApp, deep_only)]
         assert step(RAll(1, None, app), (bank,), state) is None
         # the same node object, one binder deeper, is a redex there
         out = step(RAll(1, None, RAll(1, None, app)), (bank,), state)
