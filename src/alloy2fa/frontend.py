@@ -7,15 +7,19 @@ the boolean connectives, quantifiers and the counting forms `some` and
 `lone`. Transitive closure `^e` is rejected up front; only the
 reflexive-transitive `*e` is in the fragment.
 
-Binary operators by level, loosest first (the tables FORM_OPS and
-EXPR_OPS); each groups to the left except `=>`, which nests right:
+Binary operators by level, loosest first, on one ladder (the table
+OPS); each groups to the left except `=>`, which nests right:
 
     formulas      ||  or  |  =>  |  &&  and
+    comparisons   in  =
     expressions   +  -  |  &  |  ->  |  <:  :>  |  .
 
-`in` and `=` join two expressions into a formula; `!`/`not` binds
-tighter than every formula operator, a quantifier body extends as far
-right as it can, and `~`/`*` bind tighter than `.`.
+The connectives join formulas; every other operator joins expressions,
+and a comparison turns two into a formula. One pass climbs the ladder,
+so a parenthesis holds either kind, and each node checks the kind of
+its operands as it is built. `!`/`not` takes a comparison or anything
+tighter, a quantifier body extends as far right as it can, and `~`/`*`
+bind tighter than `.`.
 
 `parse` produces a resolved AlloyModel whose formulas use the node
 types from terms. `desugar` inlines predicate calls, closes parametric
@@ -192,13 +196,12 @@ class AlloyModel:
 
 # operator -> (level, node class); a higher level binds tighter, and the
 # pretty printer spells each class as its first operator here
-FORM_OPS = {"||": (0, FOr), "or": (0, FOr), "=>": (1, FImp),
-            "&&": (2, FAnd), "and": (2, FAnd)}
-EXPR_OPS = {"+": (0, AUnion), "-": (0, ADiff), "&": (1, AInter),
-            "->": (2, AProd), "<:": (3, ADomRes), ":>": (3, ARanRes),
-            ".": (4, AJoin)}
-_SPELLING = {node: op for op, (_, node)
-             in reversed([*FORM_OPS.items(), *EXPR_OPS.items()])}
+OPS = {"||": (0, FOr), "or": (0, FOr), "=>": (1, FImp),
+       "&&": (2, FAnd), "and": (2, FAnd), "in": (3, FIn), "=": (3, FEq),
+       "+": (4, AUnion), "-": (4, ADiff), "&": (5, AInter), "->": (6, AProd),
+       "<:": (7, ADomRes), ":>": (7, ARanRes), ".": (8, AJoin)}
+_COMPARISON = OPS["in"][0]  # looser levels join formulas, tighter join sets
+_SPELLING = {node: op for op, (_, node) in reversed(OPS.items())}
 
 
 class _Parser:
@@ -244,6 +247,17 @@ class _Parser:
 
     def _pos(self, t: Tok) -> tuple:
         return (t.line, t.col)
+
+    def want(self, kind, x):
+        """x, if it is of kind (AlloyForm or AlloyExpr); otherwise a
+        ParseError at the token after a stray expression, or at the
+        position of a stray formula."""
+        if isinstance(x, kind):
+            return x
+        if kind is AlloyForm:
+            self.fail("expected 'in' or '=' after an expression")
+        raise ParseError("syntax error: expected an expression, got a "
+                         "formula%s" % at_pos(x))
 
     # -- paragraphs
 
@@ -374,44 +388,52 @@ class _Parser:
             out = FAnd(f, out, pos=self._pos(t))
         return out
 
-    # -- binary operators, by precedence climbing over FORM_OPS / EXPR_OPS
+    # -- operators, by precedence climbing over OPS
 
-    def binary(self, ops: dict, operand, floor: int = 0):
+    def binary(self, floor: int = 0):
         """The longest operand-operator chain whose operators bind at level
-        floor or tighter, grouped by the table; every node is positioned at
-        its operator."""
-        e = operand()
+        floor or tighter, grouped by the table: a formula or an expression.
+        Every node is positioned at its operator, and its operands are
+        checked for kind as it is built."""
+        e = self.unary()
         while True:
             t = self.peek()
-            level, node = ops.get(t.text, (-1, None))
+            level, node = OPS.get(t.text, (-1, None))
             if level < floor:
                 return e
+            kind = AlloyForm if level < _COMPARISON else AlloyExpr
+            self.want(kind, e)
             self.i += 1
             # `=>` nests to the right: its right operand may hold another
-            right = self.binary(ops, operand,
-                                level if node is FImp else level + 1)
-            e = node(e, right, pos=self._pos(t))
+            right = self.binary(level if node is FImp else level + 1)
+            e = node(e, self.want(kind, right), pos=self._pos(t))
 
-    def form(self) -> AlloyForm:
-        return self.binary(FORM_OPS, self.unary_form)
+    def form(self, floor: int = 0) -> AlloyForm:
+        return self.want(AlloyForm, self.binary(floor))
 
     def expr(self) -> AlloyExpr:
-        return self.binary(EXPR_OPS, self.unary_expr)
+        return self.want(AlloyExpr, self.binary(_COMPARISON + 1))
 
-    # -- formula operands
+    # -- operands
 
-    def unary_form(self) -> AlloyForm:
+    def unary(self):
+        """A prefix operator and its operand, or a primary."""
         t = self.peek()
         if self.eat("!") or self.eat("not"):
-            return FNot(self.unary_form(), pos=self._pos(t))
+            return FNot(self.form(_COMPARISON), pos=self._pos(t))
         if self.at("all") or self.at("some") and self._quantifier_ahead():
             return self.quantified(t.text)
         if self.eat("some") or self.eat("lone"):
             node = FSome if t.text == "some" else FLone
             return node(self.expr(), pos=self._pos(t))
-        if t.kind == "id" and self.peek(1).text == "[":
-            return self.pred_call()
-        return self.comparison()
+        if self.eat("~") or self.eat("*"):
+            node = AConv if t.text == "~" else AStar
+            return node(self.want(AlloyExpr, self.unary()),
+                        pos=self._pos(t))
+        if self.at("^"):
+            self.fail("transitive closure '^' is outside the fragment; "
+                      "use reflexive-transitive '*'")
+        return self.prim_expr()
 
     def _quantifier_ahead(self) -> bool:
         # distinguish `some x : T | F` from the counting form `some Exp`
@@ -455,43 +477,16 @@ class _Parser:
         self.expect("]")
         return FPredCall(name.text, tuple(args), pos=self._pos(name))
 
-    def comparison(self) -> AlloyForm:
-        """`e in e` or `e = e`; a `(` that opens neither opens a formula."""
-        mark = self.i
-        try:
-            l = self.expr()
-            t = self.peek()
-            if not (self.eat("in") or self.eat("=")):
-                self.fail("expected 'in' or '=' after an expression")
-        except ParseError:
-            if self.toks[mark].text != "(":
-                raise
-            self.i = mark + 1
-            f = self.form()
-            self.expect(")")
-            return f
-        node = FIn if t.text == "in" else FEq
-        return node(l, self.expr(), pos=self._pos(t))
-
-    # -- expression operands
-
-    def unary_expr(self) -> AlloyExpr:
-        t = self.peek()
-        if self.eat("~"):
-            return AConv(self.unary_expr(), pos=self._pos(t))
-        if self.eat("*"):
-            return AStar(self.unary_expr(), pos=self._pos(t))
-        if self.at("^"):
-            self.fail("transitive closure '^' is outside the fragment; "
-                      "use reflexive-transitive '*'")
-        return self.prim_expr()
-
-    def prim_expr(self) -> AlloyExpr:
+    def prim_expr(self):
+        """A name, a constant, a predicate call, or what a parenthesis
+        holds: a formula or an expression."""
         t = self.peek()
         if self.eat("("):
-            e = self.expr()
+            x = self.binary()
             self.expect(")")
-            return e
+            return x
+        if t.kind == "id" and self.peek(1).text == "[":
+            return self.pred_call()
         if self.eat("iden"):
             return AIden(pos=self._pos(t))
         if self.eat("none"):
@@ -579,16 +574,16 @@ def _resolve(model: AlloyModel) -> AlloyModel:
 
 
 def _check_forest(model: AlloyModel):
-    parent = {s.name: s.parent for s in model.sigs}
-    for start in parent:
-        seen, cur = {start}, parent[start]
-        while cur is not None:
-            if cur in seen:
+    decl = {s.name: s for s in model.sigs}
+    for start in decl:
+        seen, cur = {start}, decl[start]
+        while cur.parent is not None:
+            if cur.parent in seen:  # cur's declaration closes the cycle
                 raise ParseError(
-                    "signature hierarchy contains a cycle through %r"
-                    % start)
-            seen.add(cur)
-            cur = parent[cur]
+                    "signature hierarchy contains a cycle through %r%s"
+                    % (start, at_pos(cur)))
+            seen.add(cur.parent)
+            cur = decl[cur.parent]
 
 
 # ---------------------------------------------------------------------------
@@ -639,10 +634,8 @@ def _pp_params(params) -> str:
 
 
 def pp_form(f: AlloyForm) -> str:
-    if isinstance(f, FIn):
-        return "%s in %s" % (pp_expr(f.l), pp_expr(f.r))
-    if isinstance(f, FEq):
-        return "%s = %s" % (pp_expr(f.l), pp_expr(f.r))
+    if isinstance(f, (FIn, FEq)):
+        return "%s %s %s" % (pp_expr(f.l), _SPELLING[type(f)], pp_expr(f.r))
     if isinstance(f, FSome):
         return "some %s" % pp_expr(f.e)
     if isinstance(f, FLone):
@@ -748,8 +741,8 @@ def _inline_calls(f: AlloyForm, model: AlloyModel, stack: tuple) -> AlloyForm:
             raise DesugarError("call to undeclared predicate %r%s"
                                % (f.name, at_pos(f)))
         if f.name in stack:
-            raise DesugarError("recursive predicate %r is not supported"
-                               % f.name)
+            raise DesugarError("recursive predicate %r is not supported%s"
+                               % (f.name, at_pos(f)))
         if len(f.args) != len(p.params):
             raise DesugarError(
                 "predicate %r takes %d parameters, got %d%s"

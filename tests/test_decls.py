@@ -85,7 +85,8 @@ class TestUniversityFacts:
 
     def test_hierarchy_is_union_inclusion(self):
         f = declaration_facts(university_table())[1]
-        assert f == FactLe(Join(Phi("Student"), Phi("Professor")), Phi("Person"))
+        assert f == FactLe(Join(Phi("Student"), Phi("Professor")),
+                           Phi("Person"))
 
     def test_sibling_disjointness(self):
         f = declaration_facts(university_table())[2]
@@ -93,7 +94,8 @@ class TestUniversityFacts:
 
     def test_abstract_cover(self):
         f = declaration_facts(university_table())[3]
-        assert f == FactEq(Phi("Person"), Join(Phi("Student"), Phi("Professor")))
+        assert f == FactEq(Phi("Person"),
+                           Join(Phi("Student"), Phi("Professor")))
 
     def test_typing_facts(self):
         facts = declaration_facts(university_table())
@@ -109,7 +111,8 @@ class TestUniversityFacts:
         )
         assert typ["courses"] == FactLe(
             Rel("courses", 3),
-            Comp(Phi("University"), Comp(TOP, Prod(Phi("Student"), Phi("Course")))),
+            Comp(Phi("University"),
+                 Comp(TOP, Prod(Phi("Student"), Phi("Course")))),
         )
 
     def test_lecturer_multiplicity(self):
@@ -171,7 +174,8 @@ class TestUniversityFacts:
         assert by_label["multiplicity"] == [1]
         # ternary courses needs the pair carrier, the binaries do not
         typ = {f.lhs.name: f.width for f in facts if f.label == "typing"}
-        assert typ == {"lecturer": 1, "depends": 1, "enrolled": 1, "courses": 2}
+        assert typ == {"lecturer": 1, "depends": 1, "enrolled": 1,
+                       "courses": 2}
 
     def test_every_sig_constant_appears(self):
         table = university_table()
@@ -190,7 +194,8 @@ class TestUniversityFacts:
 
     def test_round_trip_text(self):
         facts = declaration_facts(university_table())
-        assert fact_text(facts[0]) == "id = (Phi_Person + (Phi_Course + Phi_University))"
+        assert fact_text(facts[0]) == (
+            "id = (Phi_Person + (Phi_Course + Phi_University))")
         assert fact_text(facts[-1]) == "id in (lecturer . lecturer~)"
 
 
@@ -386,9 +391,9 @@ class TestRelMultSoundness:
             for col in range(1, arity + 1):
                 (lo,) = col_mult_facts("r", arity, col, "lone")
                 (so,) = col_mult_facts("r", arity, col, "some")
-                assert mult_fact_holds(lo, m) == lone_by_count(ext, arity, col), (
-                    describe(m, col, "lone")
-                )
+                assert mult_fact_holds(lo, m) == lone_by_count(
+                    ext, arity, col
+                ), describe(m, col, "lone")
                 assert mult_fact_holds(so, m) == some_by_count(
                     ext, m.atoms, arity, col
                 ), describe(m, col, "some")

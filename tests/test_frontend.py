@@ -6,8 +6,8 @@ import pytest
 
 from alloy2fa.expand import expand_form
 from alloy2fa.frontend import (
-    DesugarError, ParseError, SigDecl, check_arities, desugar, parse,
-    pp_expr, pp_form, pretty, subst, symbol_table,
+    DesugarError, ParseError, SigDecl, _Parser, check_arities, desugar,
+    parse, pp_expr, pp_form, pretty, subst, symbol_table,
 )
 from alloy2fa.terms import (
     ADiff, ADomRes, AInter, AJoin, AProd, ARanRes, ARel, ASig, AStar,
@@ -216,18 +216,42 @@ class TestParseErrors:
         ("sig A {} fact { some A.q }", "unknown identifier 'q'"),
         ("sig A { f : B }", "unknown column signature 'B'"),
         ("sig A extends A {}", "cycle"),
+        ("sig A extends B {}\nsig B extends A {}",
+         "cycle through 'A' at line 2, column 5"),
         ("sig A {} fact { some ^A }", "outside the fragment"),
         ("sig @ {}", "unexpected character"),
         ("sig A {} /* oops", "unterminated comment"),
         ("sig A {} sig A {}", "duplicate signature"),
         ("sig A {} fact { }", "empty block"),
         ("sig A {} fact { A }", "expected 'in' or '='"),
+        # an operand of the wrong kind, named where it stands
+        ("sig A { r : A } fact { ~(some A) in A }",
+         "expected an expression, got a formula at line 1, column 26"),
+        ("sig A { r : A } fact { (some A).r in A }",
+         "expected an expression, got a formula at line 1, column 25"),
+        ("sig A { r : A } fact { A in A in A }",
+         "expected an expression, got a formula at line 1, column 26"),
+        ("sig A { r : A } fact { some A and A }",
+         "expected 'in' or '=' after an expression, got '}' at line 1, "
+         "column 37"),
+        ("sig A { r : A } fact { some (some A) }",
+         "expected an expression, got a formula at line 1, column 30"),
     ]
 
     @pytest.mark.parametrize("text,needle", CASES)
     def test_positioned_failures(self, text, needle):
         with pytest.raises(ParseError, match=needle):
             parse(text)
+
+    @pytest.mark.parametrize("n", [30, 120])
+    def test_nested_parentheses_parse_in_one_pass(self, n, monkeypatch):
+        # each parenthesis is read once, whatever it turns out to hold
+        calls = []
+        prim_expr = _Parser.prim_expr
+        monkeypatch.setattr(_Parser, "prim_expr",
+                            lambda p: calls.append(p.i) or prim_expr(p))
+        parse("sig A {} fact { %ssome A%s }" % ("(" * n, ")" * n))
+        assert len(calls) <= n + 4
 
     def test_errors_carry_line_and_column(self):
         with pytest.raises(ParseError, match=r"line 3, column 13"):
@@ -348,7 +372,8 @@ class TestDesugar:
 
     def test_recursive_predicates_are_rejected(self):
         src = "sig A {} pred p[x : A] { p[x] } assert { all x : A | p[x] }"
-        with pytest.raises(DesugarError, match="recursive"):
+        with pytest.raises(DesugarError,
+                           match="recursive.* at line 1, column 26"):
             desugar(parse(src))
 
     def test_invocation_arity_is_checked(self):

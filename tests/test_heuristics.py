@@ -62,6 +62,19 @@ def test_generated_formulas_certify(golden_translations):
             assert v.status == "PASS", "%s: %s" % (key, v.detail)
 
 
+@pytest.mark.parametrize("config", ["mech", "short"])
+def test_generated_formulas_sampled_at_three_atoms(golden_translations,
+                                                   config):
+    """Seeds 0-59 at 3 atoms, on 40 sampled models each: a SAMPLED
+    verdict finds no counterexample, it proves nothing."""
+    vocab = gen_vocab()
+    for key, form, fact in golden_translations[config]:
+        if key.startswith("seed"):
+            v = check_equiv(form, fact, vocab, bound=3, max_exhaustive=0,
+                            samples=40, seed=int(key[len("seed"):]))
+            assert v.status != "FAIL", "%s: %s" % (key, v.detail)
+
+
 @pytest.mark.parametrize("source, target", [("mech", "short"),
                                             ("short", "mech")])
 def test_mechanical_and_shortcut_facts_are_equivalent(golden_translations,

@@ -114,8 +114,9 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("name, bank, redex", CASES,
-                         ids=["%s-%d" % (c[0], i) for i, c in enumerate(CASES)])
+@pytest.mark.parametrize(
+    "name, bank, redex", CASES,
+    ids=["%s-%d" % (c[0], i) for i, c in enumerate(CASES)])
 def test_rule_fires_and_keeps_the_denotation(name, bank, redex):
     state = RunState()
     out = step(redex, (bank,), state)
