@@ -15,6 +15,10 @@ every rewrite step preserves truth on every finite model, not just on
 the full pair closure.  Whole translations are certified against the
 finite-model oracle; single steps are checked on their own only for the
 rules that no corpus translation fires.
+
+The definition rules are defined in `pipeline`, beside the rotations
+they build on, because closure lifting runs them too: there they
+eliminate the join witnesses, a closure operand's only levels.
 """
 
 from __future__ import annotations
@@ -24,16 +28,14 @@ from typing import Optional
 
 from .expand import expand_form
 from .pipeline import (
+    DEFINITION_RULES,
     MECHANICAL_BANKS,
     _NORMALIZE_RULES,
     _flat,
-    absorb_diagonal,
-    compose_apps,
+    _leaves,
+    _rebuild,
     eliminate,
-    project_out,
     star_lifter,
-    to_end,
-    to_front,
 )
 from .strategy import Rule, RunState, rewrite
 from .terms import (
@@ -72,47 +74,11 @@ from .terms import (
     RTrue,
     Top,
     children,
-    unbind,
 )
-
-
-def _is_level(it) -> bool:
-    """Items are levels or markers; only levels name a bound element."""
-    return isinstance(it, int)
-
-
-def _plain(*apps) -> bool:
-    """True when every item of the applications is a level.
-
-    The definition rules work the pre-frame phase; once an application
-    carries a marker it belongs to the mechanical combine and discharge
-    rules, and merging it here would only feed the framer junk it
-    frames again.
-    """
-    return all(_is_level(i) for a in apps for i in _flat(a))
 
 
 # ---------------------------------------------------------------------------
 # flattened spines: pair rules modulo associativity and commutativity
-
-
-def _leaves(kind, t) -> list:
-    out, todo = [], [t]
-    while todo:
-        cur = todo.pop()
-        if isinstance(cur, kind):
-            todo.append(cur.r)
-            todo.append(cur.l)
-        else:
-            out.append(cur)
-    return out
-
-
-def _rebuild(kind, leaves: list):
-    cur = leaves[0]
-    for nxt in leaves[1:]:
-        cur = kind(cur, nxt)
-    return cur
 
 
 def _pair_rule(name: str, kind, fn) -> Rule:
@@ -284,172 +250,6 @@ LOGIC_RULES = [
 _LOOP_LOGIC = [r for r in LOGIC_RULES
                if r.name not in ("negation-to-implication",
                                  "forall-absorb-implication")]
-
-
-# ---------------------------------------------------------------------------
-# definition rules: quantified patterns become relational operators
-
-
-def _last_level(t, ctx) -> int:
-    return ctx.binder_depth + t.width
-
-
-def _count(f, lvl: int) -> int:
-    if isinstance(f, RApp):
-        return _flat(f).count(lvl)
-    return sum(_count(c, lvl) for _, c in children(f))
-
-
-def _shrink(t: REx, leaves: list):
-    body = _rebuild(RAnd, leaves) if leaves else RTrue()
-    return body if t.width == 1 else REx(t.width - 1, body)
-
-
-def _first(app: RApp, lvl: int):
-    """Binary application oriented so lvl reads first; (rel, other item)."""
-    if len(app.lhs) != 1 or len(app.rhs) != 1:
-        return None
-    if app.lhs == (lvl,):
-        return app.rel, app.rhs[0]
-    if app.rhs == (lvl,):
-        return Conv(app.rel), app.lhs[0]
-    return None
-
-
-def _r_substitute(t, ctx):
-    """An identity conjunct pins a bound level to another item."""
-    host = t.rng if isinstance(t, RAll) else t.body
-    if host is None:
-        return None
-    lo = ctx.binder_depth
-    leaves = _leaves(RAnd, host)
-    for i, leaf in enumerate(leaves):
-        if not (isinstance(leaf, RApp) and isinstance(leaf.rel, Id)
-                and len(leaf.lhs) == 1 and len(leaf.rhs) == 1):
-            continue
-        for lvl, repl in ((leaf.lhs[0], leaf.rhs[0]),
-                          (leaf.rhs[0], leaf.lhs[0])):
-            if not (_is_level(lvl) and lo < lvl <= lo + t.width):
-                continue
-            if not _is_level(repl) or repl == lvl:
-                continue
-            rest = [unbind(x, lvl, repl)
-                    for k, x in enumerate(leaves) if k != i]
-            if isinstance(t, REx):
-                return _shrink(t, rest) if lvl == lo + t.width else \
-                    REx(t.width, _rebuild(RAnd, rest or [RTrue()]))
-            rng = _rebuild(RAnd, rest) if rest else None
-            return RAll(t.width, rng, unbind(t.body, lvl, repl))
-    return None
-
-
-def _r_absorb_diag(t, ctx):
-    """a (X) a beside a (R) ys pins the composition through a."""
-    leaves = _leaves(RAnd, t)
-    for i, d in enumerate(leaves):
-        if not (isinstance(d, RApp) and len(d.lhs) == 1 and d.lhs == d.rhs
-                and _plain(d)):
-            continue
-        for j, q in enumerate(leaves):
-            if j == i or not isinstance(q, RApp) or not _plain(q):
-                continue
-            if d.lhs[0] not in _flat(q):
-                continue
-            rest = [x for k, x in enumerate(leaves) if k not in (i, j)]
-            return _rebuild(RAnd, [absorb_diagonal(d, q)] + rest)
-    return None
-
-
-def _r_compose(t, ctx):
-    """Two applications sharing the innermost level compose it away."""
-    lvl = _last_level(t, ctx)
-    leaves = _leaves(RAnd, t.body)
-    if _count(t.body, lvl) != 2:
-        return None
-    apps = [(i, x) for i, x in enumerate(leaves)
-            if isinstance(x, RApp) and _flat(x).count(lvl) == 1
-            and _plain(x)]
-    if len(apps) != 2:
-        return None
-    (i, p), (j, q) = apps
-    p, q = to_end(p, lvl), to_front(q, lvl)
-    if len(p.rhs) > 1 and len(q.rhs) > 1:  # both wide: no shortcut
-        return None
-    rest = [x for k, x in enumerate(leaves) if k not in (i, j)]
-    return _shrink(t, [compose_apps(p, q)] + rest)
-
-
-def _r_project(t, ctx):
-    """A level used once in a wide application is cut from its column."""
-    lvl = _last_level(t, ctx)
-    if _count(t.body, lvl) != 1:
-        return None
-    leaves = _leaves(RAnd, t.body)
-    for i, p in enumerate(leaves):
-        if not isinstance(p, RApp) or not _plain(p):
-            continue
-        items = _flat(p)
-        if lvl not in items or len(items) < 3:
-            continue
-        rest = [x for k, x in enumerate(leaves) if k != i]
-        return _shrink(t, [project_out(p, lvl)] + rest)
-    return None
-
-
-def _r_close_membership(t, ctx):
-    """A level seen once in a binary application marks a domain element."""
-    lvl = _last_level(t, ctx)
-    if _count(t.body, lvl) != 1:
-        return None
-    leaves = _leaves(RAnd, t.body)
-    for i, p in enumerate(leaves):
-        if not isinstance(p, RApp):
-            continue
-        got = _first(p, lvl)
-        if got is None or not _is_level(got[1]):
-            continue
-        rel, u = got
-        # lvl (rel) u, so u has lvl in rel's converse image: u (T.rel) u
-        merged = RApp((u,), Comp(TOP, rel), (u,))
-        rest = [x for k, x in enumerate(leaves) if k != i]
-        return _shrink(t, [merged] + rest)
-    return None
-
-
-def _r_residual(t, ctx):
-    """A universal level linking two applications becomes a residual."""
-    if t.rng is None or not isinstance(t.body, RApp):
-        return None
-    lvl = _last_level(t, ctx)
-    if _count(t.body, lvl) != 1 or _count(t.rng, lvl) != 1:
-        return None
-    got_b = _first(t.body, lvl)
-    if got_b is None:
-        return None
-    leaves = _leaves(RAnd, t.rng)
-    for i, p in enumerate(leaves):
-        if not isinstance(p, RApp):
-            continue
-        got_p = _first(p, lvl)
-        if got_p is None:
-            continue
-        merged = RApp((got_p[1],), Ldiv(got_p[0], got_b[0]), (got_b[1],))
-        rest = [x for k, x in enumerate(leaves) if k != i]
-        if t.width > 1:
-            return RAll(t.width - 1,
-                        _rebuild(RAnd, rest) if rest else None, merged)
-        return merged if not rest else RImp(_rebuild(RAnd, rest), merged)
-    return None
-
-
-DEFINITION_RULES = [
-    Rule("substitute-identity", (RAll, REx), _r_substitute),
-    Rule("absorb-diagonal", RAnd, _r_absorb_diag),
-    Rule("compose-innermost", REx, _r_compose),
-    Rule("project-innermost", REx, _r_project),
-    Rule("close-membership", REx, _r_close_membership),
-    Rule("residual-innermost", RAll, _r_residual),
-]
 
 
 # ---------------------------------------------------------------------------
@@ -670,9 +470,9 @@ def translate_h_with_trace(f: RLFormula):
     g = rewrite(f, _SIMPLIFY, state)
     fact = drop_vars(g)
     if fact is None:
-        fact = eliminate(g, SHORTCUT_BANKS, state)
-    done = rewrite(fact, (ALGEBRA_RULES, FACT_RULES), state)
-    return dataclasses.replace(done, width=fact.width), state.trace
+        # an equation at an ALGEBRA_RULES fixpoint: no post-pass rule fits
+        return eliminate(g, SHORTCUT_BANKS, state), state.trace
+    return rewrite(fact, (ALGEBRA_RULES, FACT_RULES), state), state.trace
 
 
 def translate_form_h(f: AlloyForm, rel_arity) -> FAFact:

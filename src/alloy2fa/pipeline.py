@@ -9,10 +9,10 @@ renaming along the way: every rule either discharges the innermost level
 of the enclosing block or leaves binders untouched.
 
 Closure operands take a separate route.  Their membership formula is
-expanded with a private marker pair, bound join witnesses are discharged
-by composition instead of framing, and the free variables are lifted into
-leading tuple components so the whole operand becomes an endorelation
-that can be starred.
+expanded with a private marker pair cx/cy and their free variables as
+markers a1..ak, so their only levels are the join witnesses, which the
+definition rules (defined here for that reason) compose away.  The
+markers a1..ak then lead the tuples of an endorelation that is starred.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .terms import (
     Fork,
     Id,
     Join,
+    Ldiv,
     Meet,
     RAll,
     RAnd,
@@ -61,6 +62,7 @@ from .terms import (
     rl_text,
     rotate,
     subterms,
+    unbind,
 )
 
 
@@ -257,13 +259,7 @@ def translate_form(f: AlloyForm, rel_arity) -> FAFact:
 
 
 # ---------------------------------------------------------------------------
-# closure operands: lift free variables, discharge witnesses by composition
-
-
-def free_var_levels(e: AlloyExpr, env) -> tuple:
-    """Levels of the quantified variables an expression mentions, ascending."""
-    names = {x.name for x in subterms(e) if isinstance(x, AVar)}
-    return tuple(sorted(env[n] for n in names))
+# applications as flat item lists: rotations and the joins built on them
 
 
 def _flat(app: RApp) -> tuple:
@@ -318,74 +314,232 @@ def project_out(p: RApp, item) -> RApp:
     return RApp(p.lhs, Comp(p.rel, cut(len(p.rhs))), p.rhs[:-1])
 
 
-def _witness_rules(watermark: int):
-    """Rules eliminating expansion witnesses inside a closure operand.
+# ---------------------------------------------------------------------------
+# definition rules: quantified patterns become relational operators
 
-    Witness levels are numbered above every level that was in scope when
-    the operand was expanded, so any level beyond the watermark belongs
-    to the innermost live binder and the largest one is its. Levels at
-    or below the watermark are the operand's free parameters and must
-    survive.
+
+def _is_level(it) -> bool:
+    """Items are levels or markers; only levels name a bound element."""
+    return isinstance(it, int)
+
+
+def _plain(app: RApp) -> bool:
+    """One-item left side, and neither frame marker x nor y.
+
+    An application with x or y is framed and belongs to the mechanical
+    combine and discharge rules.  A lifted closure application relates
+    a tuple to a tuple, so no rotation puts one item alone in front; the
+    frame and lift rules take it whole.  Levels pass, and so do a
+    closure operand's markers cx, cy and a1..ak.
     """
+    items = _flat(app)
+    return len(app.lhs) == 1 and MARK_X not in items and MARK_Y not in items
 
-    def bound_level(*apps):
-        ints = [i for a in apps for i in _flat(a) if isinstance(i, int)]
-        lvl = max(ints, default=0)
-        return lvl if lvl > watermark else None
 
-    def compose(t, ctx):
-        # xs (P) w  &&  w (Q) ys  under the binder of w turns into P.Q
-        if not (t.width == 1 and isinstance(t.body, RAnd)
-                and isinstance(t.body.l, RApp)
-                and isinstance(t.body.r, RApp)):
-            return None
-        p, q = t.body.l, t.body.r
-        lvl = bound_level(p, q)
-        if lvl is None:
-            return None
-        if _flat(p).count(lvl) != 1 or _flat(q).count(lvl) != 1:
-            return None
-        return compose_apps(to_end(p, lvl), to_front(q, lvl))
+def _leaves(kind, t) -> list:
+    out, todo = [], [t]
+    while todo:
+        cur = todo.pop()
+        if isinstance(cur, kind):
+            todo.append(cur.r)
+            todo.append(cur.l)
+        else:
+            out.append(cur)
+    return out
 
-    def absorb(t, ctx):
-        for d, q in ((t.l, t.r), (t.r, t.l)):
-            if (isinstance(d, RApp) and isinstance(q, RApp)
-                    and len(d.lhs) == 1 and d.lhs == d.rhs
-                    and d.lhs[0] in _flat(q)):
-                return absorb_diagonal(d, q)
+
+def _rebuild(kind, leaves: list):
+    cur = leaves[0]
+    for nxt in leaves[1:]:
+        cur = kind(cur, nxt)
+    return cur
+
+
+def _last_level(t, ctx) -> int:
+    return ctx.binder_depth + t.width
+
+
+def _count(f, lvl: int) -> int:
+    if isinstance(f, RApp):
+        return _flat(f).count(lvl)
+    return sum(_count(c, lvl) for _, c in children(f))
+
+
+def _shrink(t: REx, leaves: list):
+    body = _rebuild(RAnd, leaves) if leaves else RTrue()
+    return body if t.width == 1 else REx(t.width - 1, body)
+
+
+def _first(app: RApp, lvl: int):
+    """Binary application oriented so lvl reads first; (rel, other item)."""
+    if len(app.lhs) != 1 or len(app.rhs) != 1:
         return None
+    if app.lhs == (lvl,):
+        return app.rel, app.rhs[0]
+    if app.rhs == (lvl,):
+        return Conv(app.rel), app.lhs[0]
+    return None
 
-    def project(t, ctx):
-        # a witness used by a single application is dropped with its column
-        if not (t.width == 1 and isinstance(t.body, RApp)):
-            return None
-        p = t.body
-        lvl = bound_level(p)
-        if lvl is None:
-            return None
+
+def _r_substitute(t, ctx):
+    """An identity conjunct pins a bound level to another item."""
+    host = t.rng if isinstance(t, RAll) else t.body
+    if host is None:
+        return None
+    lo = ctx.binder_depth
+    leaves = _leaves(RAnd, host)
+    for i, leaf in enumerate(leaves):
+        if not (isinstance(leaf, RApp) and isinstance(leaf.rel, Id)
+                and len(leaf.lhs) == 1 and len(leaf.rhs) == 1):
+            continue
+        for lvl, repl in ((leaf.lhs[0], leaf.rhs[0]),
+                          (leaf.rhs[0], leaf.lhs[0])):
+            if not (_is_level(lvl) and lo < lvl <= lo + t.width):
+                continue
+            if not _is_level(repl) or repl == lvl:
+                continue
+            rest = [unbind(x, lvl, repl)
+                    for k, x in enumerate(leaves) if k != i]
+            if isinstance(t, REx):
+                return _shrink(t, rest) if lvl == lo + t.width else \
+                    REx(t.width, _rebuild(RAnd, rest or [RTrue()]))
+            rng = _rebuild(RAnd, rest) if rest else None
+            return RAll(t.width, rng, unbind(t.body, lvl, repl))
+    return None
+
+
+def _r_absorb_diag(t, ctx):
+    """a (X) a beside a (R) ys pins the composition through a."""
+    leaves = _leaves(RAnd, t)
+    for i, d in enumerate(leaves):
+        if not (isinstance(d, RApp) and len(d.lhs) == 1 and d.lhs == d.rhs
+                and _plain(d)):
+            continue
+        for j, q in enumerate(leaves):
+            if j == i or not isinstance(q, RApp) or not _plain(q):
+                continue
+            if d.lhs[0] not in _flat(q):
+                continue
+            rest = [x for k, x in enumerate(leaves) if k not in (i, j)]
+            return _rebuild(RAnd, [absorb_diagonal(d, q)] + rest)
+    return None
+
+
+def _r_compose(t, ctx):
+    """Two applications sharing the innermost level compose it away."""
+    lvl = _last_level(t, ctx)
+    leaves = _leaves(RAnd, t.body)
+    if _count(t.body, lvl) != 2:
+        return None
+    apps = [(i, x) for i, x in enumerate(leaves)
+            if isinstance(x, RApp) and _flat(x).count(lvl) == 1
+            and _plain(x)]
+    if len(apps) != 2:
+        return None
+    (i, p), (j, q) = apps
+    p, q = to_end(p, lvl), to_front(q, lvl)
+    if len(p.rhs) > 1 and len(q.rhs) > 1:  # both wide: no shortcut
+        return None
+    rest = [x for k, x in enumerate(leaves) if k not in (i, j)]
+    return _shrink(t, [compose_apps(p, q)] + rest)
+
+
+def _r_project(t, ctx):
+    """A level used once in a wide application is cut from its column."""
+    lvl = _last_level(t, ctx)
+    if _count(t.body, lvl) != 1:
+        return None
+    leaves = _leaves(RAnd, t.body)
+    for i, p in enumerate(leaves):
+        if not isinstance(p, RApp) or not _plain(p):
+            continue
         items = _flat(p)
-        if items.count(lvl) != 1 or len(items) < 3:
-            return None
-        return project_out(p, lvl)
-
-    return [Rule("compose-shared-level", REx, compose),
-            Rule("absorb-diagonal-membership", RAnd, absorb),
-            Rule("project-away-witness", REx, project)]
+        if lvl not in items or len(items) < 3:
+            continue
+        rest = [x for k, x in enumerate(leaves) if k != i]
+        return _shrink(t, [project_out(p, lvl)] + rest)
+    return None
 
 
-def _lift_rules(a_levels: tuple):
-    """Frame rules for a closure operand with the given free levels.
+def _r_close_membership(t, ctx):
+    """A level seen once in a binary application marks a domain element."""
+    lvl = _last_level(t, ctx)
+    if _count(t.body, lvl) != 1:
+        return None
+    leaves = _leaves(RAnd, t.body)
+    for i, p in enumerate(leaves):
+        if not isinstance(p, RApp):
+            continue
+        got = _first(p, lvl)
+        if got is None or not _is_level(got[1]):
+            continue
+        rel, u = got
+        # lvl (rel) u, so u has lvl in rel's converse image: u (T.rel) u
+        merged = RApp((u,), Comp(TOP, rel), (u,))
+        rest = [x for k, x in enumerate(leaves) if k != i]
+        return _shrink(t, [merged] + rest)
+    return None
 
-    Applications are rewritten between the extended tuples (a_1..a_k,cx)
-    and (a_1..a_k,cy).  An application whose items all live on one frame
+
+def _r_residual(t, ctx):
+    """A universal level linking two applications becomes a residual."""
+    if t.rng is None or not isinstance(t.body, RApp):
+        return None
+    lvl = _last_level(t, ctx)
+    if _count(t.body, lvl) != 1 or _count(t.rng, lvl) != 1:
+        return None
+    got_b = _first(t.body, lvl)
+    if got_b is None:
+        return None
+    leaves = _leaves(RAnd, t.rng)
+    for i, p in enumerate(leaves):
+        if not isinstance(p, RApp):
+            continue
+        got_p = _first(p, lvl)
+        if got_p is None:
+            continue
+        merged = RApp((got_p[1],), Ldiv(got_p[0], got_b[0]), (got_b[1],))
+        rest = [x for k, x in enumerate(leaves) if k != i]
+        if t.width > 1:
+            return RAll(t.width - 1,
+                        _rebuild(RAnd, rest) if rest else None, merged)
+        return merged if not rest else RImp(_rebuild(RAnd, rest), merged)
+    return None
+
+
+DEFINITION_RULES = [
+    Rule("substitute-identity", (RAll, REx), _r_substitute),
+    Rule("absorb-diagonal", RAnd, _r_absorb_diag),
+    Rule("compose-innermost", REx, _r_compose),
+    Rule("project-innermost", REx, _r_project),
+    Rule("close-membership", REx, _r_close_membership),
+    Rule("residual-innermost", RAll, _r_residual),
+]
+
+
+# ---------------------------------------------------------------------------
+# closure operands: free variables become markers, witnesses compose away
+
+
+def free_var_levels(e: AlloyExpr, env) -> tuple:
+    """Items of the quantified variables an expression mentions, sorted:
+    levels, or a closure operand's parameter markers."""
+    names = {x.name for x in subterms(e) if isinstance(x, AVar)}
+    return tuple(sorted(env[n] for n in names))
+
+
+def _lift_rules(params: tuple):
+    """Frame rules for a closure operand with the given parameter markers.
+
+    Applications are rewritten between the extended tuples (a1..ak,cx)
+    and (a1..ak,cy).  An application whose items all live on one frame
     is embedded as a coreflexive test composed with the full relation, so
     it constrains that frame only.
     """
-    k = len(a_levels)
-    w = k + 1
-    lframe = a_levels + (MARK_CX,)
-    rframe = a_levels + (MARK_CY,)
-    pos = {lvl: i + 1 for i, lvl in enumerate(a_levels)}
+    w = len(params) + 1
+    lframe = params + (MARK_CX,)
+    rframe = params + (MARK_CY,)
+    pos = {a: i + 1 for i, a in enumerate(params)}
 
     def sel(side, mark):
         return _selector(w, tuple(w if i == mark else pos[i] for i in side))
@@ -402,9 +556,7 @@ def _lift_rules(a_levels: tuple):
         if t.lhs == lframe and t.rhs == rframe:
             return None
         items = _flat(t)
-        ok = all((i in pos) if isinstance(i, int)
-                 else i in (MARK_CX, MARK_CY) for i in items)
-        if not ok:
+        if not all(i in pos or i in (MARK_CX, MARK_CY) for i in items):
             return None
         nx = items.count(MARK_CX)
         ny = items.count(MARK_CY)
@@ -426,43 +578,45 @@ def _lift_rules(a_levels: tuple):
     return [Rule("lift-application-to-frames", RApp, lift)]
 
 
-def translate_closure(e: AlloyExpr, env, rel_arity, nl: int = 0):
+def translate_closure(e: AlloyExpr, env, rel_arity):
     """Lift a closure operand into an endorelation and star it.
 
-    Free variables of the operand become leading tuple components of the
-    lifted relation; a chain step must preserve them, which the meet with
-    the component-equality terms enforces.  Returns the starred term and
-    the levels the frame tuples carry.
+    The operand's free variables become the parameter markers a1..ak, in
+    the order of free_var_levels, and lead the lifted relation's
+    tuples; a chain step must preserve them, which the meet with the
+    component-equality terms enforces.  The join witnesses are then the
+    operand's only levels, numbered from 1, and the definition rules
+    compose or project them away.  Returns the starred term and the
+    items of env the frame tuples carry.
     """
-    a_levels = free_var_levels(e, env)
-    watermark = max((nl,) + a_levels)
+    items = free_var_levels(e, env)
+    params = tuple("a%d" % i for i in range(1, len(items) + 1))
+    inner = {n: params[items.index(v)] for n, v in env.items() if v in items}
     body = expand_membership((MARK_CX, MARK_CY), e, rel_arity,
-                             closure=star_lifter(rel_arity),
-                             nl=watermark, env=env)
+                             closure=star_lifter(rel_arity), nl=0,
+                             env=inner)
     state = RunState()
-    out = rewrite(body, (_COMBINE_RULES, _witness_rules(watermark),
-                         _lift_rules(a_levels)), state)
-    lframe, rframe = a_levels + (MARK_CX,), a_levels + (MARK_CY,)
+    out = rewrite(body, (_COMBINE_RULES, DEFINITION_RULES,
+                         _lift_rules(params)), state)
+    lframe, rframe = params + (MARK_CX,), params + (MARK_CY,)
     if not (isinstance(out, RApp) and out.lhs == lframe
             and out.rhs == rframe):
         raise TranslateError(
             "closure lifting got stuck at: %s" % rl_text(out), state.trace)
-    k = len(a_levels)
     lifted = out.rel
-    if k:
-        keep = None
-        for i in range(k, 0, -1):
-            part = Comp(Conv(projX(k + 1, i)), projX(k + 1, i))
-            keep = part if keep is None else Meet(part, keep)
-        lifted = Meet(lifted, keep)
-    return Star(lifted), a_levels
+    if params:
+        w = len(params) + 1
+        keep = [Comp(Conv(projX(w, i)), projX(w, i)) for i in range(1, w)]
+        lifted = Meet(lifted, _rebuild(Meet, keep))
+    return Star(lifted), items
 
 
 def star_lifter(rel_arity):
-    """Closure callback for expand_form over the given arity table."""
+    """Closure callback for expand_form over the given arity table; the
+    lifted operand numbers its own levels, so the level count is unused."""
 
     def lift(xs, e, nl, env):
-        starred, a_levels = translate_closure(e, env, rel_arity, nl=nl)
-        return RApp(a_levels + (xs[0],), starred, a_levels + (xs[1],))
+        starred, items = translate_closure(e, env, rel_arity)
+        return RApp(items + (xs[0],), starred, items + (xs[1],))
 
     return lift

@@ -1,11 +1,13 @@
 """No source or test module imports a name it never reads or holds a
-line longer than 79 characters, and no source module calls `id()`.
+line longer than 79 characters, and no source module calls `id()` or
+imports below module level.
 
 No linter ships with the toolchain, so these are `ast` and text scans:
 a name bound by an import (other than ``from __future__``) must occur
 as a loaded name somewhere in the same module.  Terms are hash-consed,
 so a cache keys by the term itself; an `id()` key would alias once its
-object is freed.
+object is freed.  An import inside a function hides an import cycle
+between source modules instead of resolving it.
 """
 
 import ast
@@ -51,6 +53,24 @@ def test_no_source_module_calls_id():
                     "cache[id(e)] = 1\n") == [1, 4]
     assert SRC
     found = {p.relative_to(ROOT).as_posix(): id_calls(p.read_text())
+             for p in SRC}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def nested_imports(source: str) -> list:
+    """Line numbers of the imports that are not module-level statements."""
+    tree = ast.parse(source)
+    top = set(tree.body)
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, (ast.Import, ast.ImportFrom))
+                  and n not in top)
+
+
+def test_no_source_module_imports_below_module_level():
+    assert nested_imports("import a\ndef f():\n    import b\n"
+                          "if a:\n    from c import d\n") == [3, 5]
+    assert SRC
+    found = {p.relative_to(ROOT).as_posix(): nested_imports(p.read_text())
              for p in SRC}
     assert {k: v for k, v in found.items() if v} == {}
 

@@ -17,6 +17,7 @@ from alloy2fa.oracle import (
     tuple_space,
 )
 from alloy2fa.pipeline import (
+    DEFINITION_RULES,
     MECHANICAL_BANKS,
     TranslateError,
     _COMBINE_RULES,
@@ -65,6 +66,7 @@ from alloy2fa.terms import (
     Join,
     Meet,
     Phi,
+    Prod,
     RAll,
     RAnd,
     RApp,
@@ -391,6 +393,19 @@ class TestSemanticPreservation:
             assert v.checked >= 200 or v.status == "PASS"
 
 
+# Closures of operands with free variables, over gen_vocab().  In the
+# first three a coreflexive sits beside the lifted closure application;
+# the next three leave join witnesses beside a parameter; the last has
+# two parameters and a join through one of them.
+PARAMETRIC_CLOSURES = [
+    pytest.param("all v0 : B | s in *(%s)" % e, id=e.replace(" ", ""))
+    for e in ("v0 -> v0", "v0 <: (s . r)", "(s . r) :> v0",
+              "(v0 <: s) . (r :> v0)", "(v0 <: s) . r", "s . (r :> v0)")
+] + [pytest.param(
+    "all v0 : A | all v1 : B | (v1 -> v0) in *((v0 . r) <: (B -> A))",
+    id="(v0.r)<:(B->A)")]
+
+
 class TestClosureLifting:
     def test_constant_composition(self):
         W, frames = translate_closure(
@@ -467,6 +482,25 @@ class TestClosureLifting:
         fact = translate_form(f, voc.arity())
         v = check_equiv(f, fact, voc, bound=2)
         assert v.status == "PASS" and v.checked > 0
+
+    @pytest.mark.parametrize("name, translate", TRANSLATORS,
+                             ids=[n for n, _ in TRANSLATORS])
+    @pytest.mark.parametrize("body", PARAMETRIC_CLOSURES)
+    def test_parametric_closures_keep_their_meaning(self, body, name,
+                                                    translate):
+        form, arities = model_assert(
+            "sig A { r : B, t : B -> A } sig B { s : A }\n"
+            "assert { %s }\n" % body)
+        v = check_equiv(form, translate(form, arities), gen_vocab(), bound=2)
+        assert v.status == "PASS", v.detail
+
+    def test_definition_rules_leave_lifted_applications_whole(self):
+        # (1,2) (id x id) (1,3) relates the pair (1,2) to the pair (1,3):
+        # no rotation puts atom 1 alone in front, so a coreflexive on 1
+        # must not be composed onto it
+        lifted = RApp((1, 2), Prod(ID, ID), (1, 3))
+        t = REx(3, RAnd(RApp((1,), Phi("B"), (1,)), lifted))
+        assert step(t, (DEFINITION_RULES,), RunState()) is None
 
     def test_closure_membership_through_navigation(self):
         f = FAll("a", ASig("A"), FIn(

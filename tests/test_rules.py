@@ -39,7 +39,6 @@ from alloy2fa.pipeline import (
     _FRAME_RULES,
     _NORMALIZE_RULES,
     _lift_rules,
-    _witness_rules,
 )
 from alloy2fa.strategy import RunState, step
 from alloy2fa.terms import (
@@ -146,7 +145,7 @@ CLOSURE_INPUTS = [
 def bank_rules():
     banks = (LOGIC_RULES, DEFINITION_RULES, ALGEBRA_RULES, FACT_RULES,
              _NORMALIZE_RULES, _FRAME_RULES, _COMBINE_RULES, _DISCHARGE_RULES,
-             _witness_rules(0), _lift_rules(()))
+             _lift_rules(()))
     return [rule for bank in banks for rule in bank]
 
 
