@@ -91,9 +91,10 @@ def expand_membership(xs, e, rel_arity, closure=None, nl=None, env=None):
 
     nl is the number of levels bound so far (fresh inner quantifiers
     start above it); env maps Alloy variable names to their levels.
-    closure(xs, operand, nl, env) supplies the formula for membership
-    in the closure of a compound operand; bare relations do not need
-    it (the starred constant is its own exact semantics).
+    closure(xs, operand, env) supplies the formula for membership in
+    the closure of a compound operand, which numbers its own levels;
+    bare relations do not need it (the starred constant is its own
+    exact semantics).
     """
     if nl is None:
         nl = max((i for i in xs if isinstance(i, int)), default=0)
@@ -154,5 +155,5 @@ def _member(xs, e, rel_arity, closure, nl, env):
         if closure is None:
             raise ExpandError(
                 "closure of a compound expression needs a closure callback")
-        return closure(xs, e.e, nl, env)
+        return closure(xs, e.e, env)
     raise ExpandError("cannot expand membership in %r" % type(e).__name__)

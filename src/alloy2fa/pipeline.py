@@ -318,11 +318,6 @@ def project_out(p: RApp, item) -> RApp:
 # definition rules: quantified patterns become relational operators
 
 
-def _is_level(it) -> bool:
-    """Items are levels or markers; only levels name a bound element."""
-    return isinstance(it, int)
-
-
 def _plain(app: RApp) -> bool:
     """One-item left side, and neither frame marker x nor y.
 
@@ -394,9 +389,9 @@ def _r_substitute(t, ctx):
             continue
         for lvl, repl in ((leaf.lhs[0], leaf.rhs[0]),
                           (leaf.rhs[0], leaf.lhs[0])):
-            if not (_is_level(lvl) and lo < lvl <= lo + t.width):
+            if not (isinstance(lvl, int) and lo < lvl <= lo + t.width):
                 continue
-            if not _is_level(repl) or repl == lvl:
+            if repl in (MARK_X, MARK_Y) or repl == lvl:
                 continue
             rest = [unbind(x, lvl, repl)
                     for k, x in enumerate(leaves) if k != i]
@@ -471,7 +466,7 @@ def _r_close_membership(t, ctx):
         if not isinstance(p, RApp):
             continue
         got = _first(p, lvl)
-        if got is None or not _is_level(got[1]):
+        if got is None or got[1] in (MARK_X, MARK_Y):
             continue
         rel, u = got
         # lvl (rel) u, so u has lvl in rel's converse image: u (T.rel) u
@@ -612,10 +607,9 @@ def translate_closure(e: AlloyExpr, env, rel_arity):
 
 
 def star_lifter(rel_arity):
-    """Closure callback for expand_form over the given arity table; the
-    lifted operand numbers its own levels, so the level count is unused."""
+    """Closure callback for expand_form over the given arity table."""
 
-    def lift(xs, e, nl, env):
+    def lift(xs, e, env):
         starred, items = translate_closure(e, env, rel_arity)
         return RApp(items + (xs[0],), starred, items + (xs[1],))
 

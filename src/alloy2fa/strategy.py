@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List
 
-from .terms import RAll, REx, children
+from .terms import RAll, REx, children, with_child
 
 
 class StrategyError(Exception):
@@ -96,8 +96,7 @@ def _once(t, bank, ctx: Ctx, clean: set):
     for name, v in children(t):
         hit = _once(v, bank, inner, clean)
         if hit is not None:
-            return type(t)(*[hit[0] if f == name else getattr(t, f)
-                             for f in t.__dataclass_fields__]), hit[1]
+            return with_child(t, name, hit[0]), hit[1]
     for rule in bank:
         if not isinstance(t, rule.kind):
             continue

@@ -2,8 +2,10 @@
 
 Core Alloy expressions and formulas come out of the frontend, relational
 logic (RL) is the intermediate quantified form, and FA terms are the
-variable-free fork-algebra output.  Everything is an immutable dataclass;
-FA terms and RL formulas are hash-consed (`Interned`), the rest are not.
+variable-free fork-algebra output.  Every node class derives from
+`Node`, which makes it a frozen dataclass and records its child slots.
+FA terms and RL formulas derive from `Interned`, which adds identity
+equality: they are hash-consed, built once per field tuple.
 
 Conventions that the whole pipeline relies on:
 
@@ -41,17 +43,24 @@ class ArityError(Exception):
 _CHILD = frozenset({"FAExpr", "RLFormula", "Optional[RLFormula]",
                     "AlloyExpr", "AlloyForm"})
 _CHILDREN = frozenset({"Tuple[AlloyExpr, ...]"})
-_SLOTS: dict = {}
 
 
-def _slots(cls) -> tuple:
-    """(field name, holds a tuple) per child slot of a node class."""
-    slots = _SLOTS.get(cls)
-    if slots is None:
-        slots = _SLOTS[cls] = tuple(
+class Node:
+    """Base of every term class.
+
+    Each subclass becomes a frozen dataclass with the dataclass options
+    of its class statement and its bases (`class C(Node, eq=False)`),
+    and records `_slots`: (field name, holds a tuple) per child slot.
+    """
+
+    _options: dict = {}
+
+    def __init_subclass__(cls, **options):
+        cls._options = {**cls._options, **options}
+        dataclass(cls, frozen=True, **cls._options)
+        cls._slots = tuple(
             (f.name, f.type in _CHILDREN) for f in dataclasses.fields(cls)
             if f.type in _CHILD or f.type in _CHILDREN)
-    return slots
 
 
 def children(t):
@@ -60,7 +69,7 @@ def children(t):
     An absent optional subterm (a universal without range) is skipped,
     and a tuple slot yields each of its elements under the slot's name.
     """
-    for name, many in _slots(type(t)):
+    for name, many in type(t)._slots:
         v = getattr(t, name)
         if many:
             for x in v:
@@ -85,7 +94,7 @@ def map_children(t, fn):
     identity), so unchanged subtrees stay shared.
     """
     changes = {}
-    for name, many in _slots(type(t)):
+    for name, many in type(t)._slots:
         v = getattr(t, name)
         if many:
             w = tuple(fn(x) for x in v)
@@ -98,6 +107,14 @@ def map_children(t, fn):
     return dataclasses.replace(t, **changes) if changes else t
 
 
+def with_child(t, name, v):
+    """The node with its field `name` set to v, rebuilt positionally (the
+    rewrite engine's hot path): FA terms, RL formulas and facts only,
+    whose classes take every field in order."""
+    return type(t)(*[v if f == name else getattr(t, f)
+                     for f in t.__dataclass_fields__])
+
+
 # ---------------------------------------------------------------------------
 # fork-algebra terms
 
@@ -106,9 +123,10 @@ def map_children(t, fn):
 _INTERNED: dict = {}
 
 
-class Interned:
-    """Base of the hash-consed term classes, each a frozen dataclass with
-    eq=False and init=False; `__post_init__` checks a new term first."""
+class Interned(Node, eq=False, init=False):
+    """Base of the hash-consed term classes: equality and hash are
+    identity, and the constructor returns the one term with its fields;
+    `__post_init__` checks a new term first."""
 
     def __new__(cls, *args, **kw):
         fields = cls.__dataclass_fields__
@@ -138,7 +156,6 @@ class FAExpr(Interned):
     """Base class for variable-free relation terms."""
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Rel(FAExpr):
     """Named relation constant of a declared arity; both are its identity."""
 
@@ -146,61 +163,50 @@ class Rel(FAExpr):
     arity: int = 2
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Phi(FAExpr):
     """Coreflexive constant of a signature (sub-identity on its atoms)."""
 
     sig: str
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Top(FAExpr):
     """Universal relation over the carrier."""
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Bot(FAExpr):
     """Empty relation."""
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Id(FAExpr):
     """Identity relation."""
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Pi1(FAExpr):
     """First projection: relates a to the pair (a, b)."""
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Pi2(FAExpr):
     """Second projection: relates b to the pair (a, b)."""
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Join(FAExpr):
     l: FAExpr
     r: FAExpr
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Meet(FAExpr):
     l: FAExpr
     r: FAExpr
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Compl(FAExpr):
     e: FAExpr
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Conv(FAExpr):
     e: FAExpr
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Comp(FAExpr):
     """u (L . R) v  iff  exists m: u L m and m R v."""
 
@@ -208,7 +214,6 @@ class Comp(FAExpr):
     r: FAExpr
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Fork(FAExpr):
     """(a,b) (L nabla R) z  iff  a L z and b R z."""
 
@@ -216,7 +221,6 @@ class Fork(FAExpr):
     r: FAExpr
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Prod(FAExpr):
     """(a,b) (L x R) (c,d)  iff  a L c and b R d."""
 
@@ -224,7 +228,6 @@ class Prod(FAExpr):
     r: FAExpr
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Ldiv(FAExpr):
     """u (L \\ R) v  iff  for all w: w L u implies w R v."""
 
@@ -232,14 +235,12 @@ class Ldiv(FAExpr):
     r: FAExpr
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Star(FAExpr):
     """Reflexive-transitive closure."""
 
     e: FAExpr
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class NComp(FAExpr):
     """Composition through the last column of an n-ary relation."""
 
@@ -248,7 +249,6 @@ class NComp(FAExpr):
     n: int
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Rot(FAExpr):
     """Right rotation of an n-ary relation (last column to the front)."""
 
@@ -379,11 +379,10 @@ def _atom_text(e: FAExpr) -> str:
 # facts
 
 
-class FAFact:
+class FAFact(Node):
     """Base class for the two emitted fact shapes."""
 
 
-@dataclass(frozen=True)
 class FactEq(FAFact):
     lhs: FAExpr
     rhs: FAExpr
@@ -391,7 +390,6 @@ class FactEq(FAFact):
     width: int = field(default=0, compare=False)  # oracle tuple width hint
 
 
-@dataclass(frozen=True)
 class FactLe(FAFact):
     lhs: FAExpr
     rhs: FAExpr
@@ -411,8 +409,7 @@ def fact_text(f: FAFact) -> str:
 Pos = Optional[tuple]
 
 
-@dataclass(frozen=True)
-class AlloyNode:
+class AlloyNode(Node):
     """Base of core Alloy expressions and formulas: every node carries its
     source position (line, column), which equality and repr ignore."""
 
@@ -423,77 +420,63 @@ class AlloyExpr(AlloyNode):
     """Base class for core Alloy expressions."""
 
 
-@dataclass(frozen=True)
 class ASig(AlloyExpr):
     name: str
 
 
-@dataclass(frozen=True)
 class ARel(AlloyExpr):
     name: str
 
 
-@dataclass(frozen=True)
 class AVar(AlloyExpr):
     name: str
 
 
-@dataclass(frozen=True)
 class AIden(AlloyExpr):
     """The identity relation iden."""
 
 
-@dataclass(frozen=True)
 class AUniv(AlloyExpr):
     """The universal set univ."""
 
 
-@dataclass(frozen=True)
 class ANone(AlloyExpr):
     """The empty set none."""
 
 
-@dataclass(frozen=True)
 class AConv(AlloyExpr):
     e: AlloyExpr
 
 
-@dataclass(frozen=True)
 class AStar(AlloyExpr):
     e: AlloyExpr
 
 
-@dataclass(frozen=True)
 class AJoin(AlloyExpr):
     l: AlloyExpr
     r: AlloyExpr
 
 
-@dataclass(frozen=True)
 class AProd(AlloyExpr):
     l: AlloyExpr
     r: AlloyExpr
 
 
-@dataclass(frozen=True)
 class AUnion(AlloyExpr):
     l: AlloyExpr
     r: AlloyExpr
 
 
-@dataclass(frozen=True)
 class AInter(AlloyExpr):
     l: AlloyExpr
     r: AlloyExpr
 
 
-@dataclass(frozen=True)
 class ADiff(AlloyExpr):
     l: AlloyExpr
     r: AlloyExpr
 
 
-@dataclass(frozen=True)
 class ADomRes(AlloyExpr):
     """Domain restriction s <: e (s unary)."""
 
@@ -501,7 +484,6 @@ class ADomRes(AlloyExpr):
     r: AlloyExpr
 
 
-@dataclass(frozen=True)
 class ARanRes(AlloyExpr):
     """Range restriction e :> s (s unary)."""
 
@@ -573,66 +555,55 @@ class AlloyForm(AlloyNode):
     """Base class for core Alloy formulas."""
 
 
-@dataclass(frozen=True)
 class FIn(AlloyForm):
     l: AlloyExpr
     r: AlloyExpr
 
 
-@dataclass(frozen=True)
 class FEq(AlloyForm):
     l: AlloyExpr
     r: AlloyExpr
 
 
-@dataclass(frozen=True)
 class FSome(AlloyForm):
     e: AlloyExpr
 
 
-@dataclass(frozen=True)
 class FLone(AlloyForm):
     e: AlloyExpr
 
 
-@dataclass(frozen=True)
 class FNot(AlloyForm):
     f: AlloyForm
 
 
-@dataclass(frozen=True)
 class FAnd(AlloyForm):
     l: AlloyForm
     r: AlloyForm
 
 
-@dataclass(frozen=True)
 class FOr(AlloyForm):
     l: AlloyForm
     r: AlloyForm
 
 
-@dataclass(frozen=True)
 class FImp(AlloyForm):
     l: AlloyForm
     r: AlloyForm
 
 
-@dataclass(frozen=True)
 class FAll(AlloyForm):
     var: str
     bound: AlloyExpr
     body: AlloyForm
 
 
-@dataclass(frozen=True)
 class FSomeQ(AlloyForm):
     var: str
     bound: AlloyExpr
     body: AlloyForm
 
 
-@dataclass(frozen=True)
 class FPredCall(AlloyForm):
     name: str
     args: Tuple[AlloyExpr, ...]
@@ -664,40 +635,33 @@ class RLFormula(Interned):
     """Base class for relational-logic formulas."""
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class RTrue(RLFormula):
     pass
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class RFalse(RLFormula):
     pass
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class RNot(RLFormula):
     f: RLFormula
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class RAnd(RLFormula):
     l: RLFormula
     r: RLFormula
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class ROr(RLFormula):
     l: RLFormula
     r: RLFormula
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class RImp(RLFormula):
     l: RLFormula
     r: RLFormula
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class RAll(RLFormula):
     """Universal quantifier binding `width` consecutive levels; the body
     must hold wherever the optional range does."""
@@ -707,7 +671,6 @@ class RAll(RLFormula):
     body: RLFormula
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class REx(RLFormula):
     """Existential quantifier binding `width` consecutive levels."""
 
@@ -715,7 +678,6 @@ class REx(RLFormula):
     body: RLFormula
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class RMark(RLFormula):
     """Universal wrapper binding the marker pair x/y and no levels.
 
@@ -725,7 +687,6 @@ class RMark(RLFormula):
     body: RLFormula
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class RApp(RLFormula):
     """Tuple application: lhs R rhs, sides are non-empty item tuples."""
 

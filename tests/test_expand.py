@@ -163,8 +163,8 @@ class TestMembershipRules:
     def test_closure_callback_receives_context(self):
         seen = {}
 
-        def cb(xs, operand, nl, env):
-            seen["xs"], seen["operand"], seen["nl"] = xs, operand, nl
+        def cb(xs, operand, env):
+            seen["xs"], seen["operand"] = xs, operand
             seen["env"] = dict(env)
             return RApp((xs[0],), Star(Rel("s")), (xs[1],))
 
@@ -173,7 +173,6 @@ class TestMembershipRules:
         ex(f, closure=cb)
         assert seen["xs"] == (2, 3)
         assert isinstance(seen["operand"], AConv)
-        assert seen["nl"] == 3
         assert seen["env"] == {"x": 1}
 
     def test_width_mismatch_in_direct_call(self):

@@ -1,13 +1,16 @@
 """No source or test module imports a name it never reads or holds a
-line longer than 79 characters, and no source module calls `id()` or
-imports below module level.
+line longer than 79 characters, no source module calls `id()` or
+imports below module level, and only `terms` reads the dataclass
+field layout of the node classes.
 
 No linter ships with the toolchain, so these are `ast` and text scans:
 a name bound by an import (other than ``from __future__``) must occur
 as a loaded name somewhere in the same module.  Terms are hash-consed,
 so a cache keys by the term itself; an `id()` key would alias once its
 object is freed.  An import inside a function hides an import cycle
-between source modules instead of resolving it.
+between source modules instead of resolving it.  Code outside `terms`
+walks or rebuilds a node through `terms.children`, `map_children` and
+`with_child`, so the field layout is stated in one module.
 """
 
 import ast
@@ -72,6 +75,32 @@ def test_no_source_module_imports_below_module_level():
     assert SRC
     found = {p.relative_to(ROOT).as_posix(): nested_imports(p.read_text())
              for p in SRC}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def field_layout_reads(source: str) -> list:
+    """Line numbers that read `__dataclass_fields__` or use
+    `dataclasses.fields`."""
+    out = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Attribute) and (
+                n.attr == "__dataclass_fields__"
+                or n.attr == "fields" and isinstance(n.value, ast.Name)
+                and n.value.id == "dataclasses"):
+            out.append(n.lineno)
+        elif isinstance(n, ast.ImportFrom) and n.module == "dataclasses" \
+                and any(a.name == "fields" for a in n.names):
+            out.append(n.lineno)
+    return sorted(out)
+
+
+def test_only_terms_reads_the_field_layout():
+    assert field_layout_reads(
+        "t.__dataclass_fields__\ndataclasses.fields(t)\nt.fields\n"
+        "from dataclasses import field, fields\n") == [1, 2, 4]
+    assert SRC
+    found = {p.relative_to(ROOT).as_posix(): field_layout_reads(p.read_text())
+             for p in SRC if p.name != "terms.py"}
     assert {k: v for k, v in found.items() if v} == {}
 
 

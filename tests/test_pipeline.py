@@ -401,9 +401,12 @@ PARAMETRIC_CLOSURES = [
     pytest.param("all v0 : B | s in *(%s)" % e, id=e.replace(" ", ""))
     for e in ("v0 -> v0", "v0 <: (s . r)", "(s . r) :> v0",
               "(v0 <: s) . (r :> v0)", "(v0 <: s) . r", "s . (r :> v0)")
-] + [pytest.param(
-    "all v0 : A | all v1 : B | (v1 -> v0) in *((v0 . r) <: (B -> A))",
-    id="(v0.r)<:(B->A)")]
+] + [pytest.param(body, id=key) for body, key in (
+    ("all v0 : A | all v1 : B | (v1 -> v0) in *((v0 . r) <: (B -> A))",
+     "(v0.r)<:(B->A)"),
+    # a witness beside a marker: the closing rules take any item but x/y
+    ("all v0 : A | r in *(r . (A -> v0))", "r.(A->v0)"),
+    ("all v0 : A | all v1 : A | s in *(~r . (v0 <: r))", "~r.(v0<:r)"))]
 
 
 class TestClosureLifting:
@@ -432,7 +435,7 @@ class TestClosureLifting:
     def test_lifted_application_sides(self):
         cb = star_lifter({"r": 2})
         got = cb((2, 3), AInter(ARel("r"), AProd(AVar("u"), AVar("u"))),
-                 3, {"u": 1})
+                 {"u": 1})
         assert got.lhs == (1, 2) and got.rhs == (1, 3)
         assert isinstance(got.rel, Star)
 

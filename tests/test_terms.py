@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import pickle
+import typing
 
 import pytest
 
@@ -290,6 +291,52 @@ class TestFormShapes:
         call = FPredCall("p", (ASig("A"), AVar("x")))
         assert list(children(call)) == [("args", ASig("A")),
                                         ("args", AVar("x"))]
+
+
+def node_classes() -> list:
+    """Every subclass of terms.Node, at any depth."""
+    out, todo = [], [terms.Node]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            out.append(sub)
+            todo.append(sub)
+    return out
+
+
+def names_node(hint) -> bool:
+    """Whether a type hint names a Node subclass, directly or inside
+    Optional, Union or Tuple."""
+    if isinstance(hint, type) and issubclass(hint, terms.Node):
+        return True
+    return any(names_node(a) for a in typing.get_args(hint))
+
+
+class TestNodeModel:
+    def test_every_node_class_is_a_frozen_dataclass(self):
+        classes = node_classes()
+        assert terms.Interned in classes and Rel in classes
+        for cls in classes:
+            params = vars(cls).get("__dataclass_params__")
+            assert params is not None and params.frozen, cls
+
+    def test_interned_classes_compare_by_identity(self):
+        interned = [c for c in node_classes()
+                    if issubclass(c, terms.Interned)]
+        assert RApp in interned and FactEq not in interned
+        for cls in interned:
+            assert cls.__eq__ is object.__eq__, cls
+            assert not cls.__dataclass_params__.init, cls
+
+    def test_slots_are_the_fields_typed_as_nodes(self):
+        assert names_node(typing.Optional[terms.FAExpr])
+        assert not names_node(typing.Optional[tuple])
+        for cls in node_classes():
+            hints = typing.get_type_hints(cls)
+            want = tuple(
+                (f.name, typing.get_origin(hints[f.name]) is tuple)
+                for f in dataclasses.fields(cls)
+                if names_node(hints[f.name]))
+            assert cls._slots == want, cls
 
 
 class TestTraversal:
