@@ -30,7 +30,7 @@ from .expand import expand_form
 from .pipeline import (
     DEFINITION_RULES,
     MECHANICAL_BANKS,
-    _NORMALIZE_RULES,
+    _count,
     _flat,
     _leaves,
     _rebuild,
@@ -73,7 +73,6 @@ from .terms import (
     Rot,
     RTrue,
     Top,
-    children,
 )
 
 
@@ -93,7 +92,7 @@ def _pair_rule(name: str, kind, fn) -> Rule:
     scanned.  Their first match is the first match of all pairs.
     """
 
-    def go(t, ctx):
+    def go(t, depth):
         leaves = _leaves(kind, t.l)
         split = len(leaves)
         leaves += _leaves(kind, t.r)
@@ -114,24 +113,22 @@ def _pair_rule(name: str, kind, fn) -> Rule:
 # logical rules
 
 
-def _and_pair(a, b):
-    if isinstance(b, RTrue):
-        return a
-    if isinstance(b, RFalse):
-        return RFalse()
-    if a == b:
-        return a
-    return None
+def _lattice_pair(unit: type, zero: type):
+    """Pair identity of a lattice operator: its unit, zero and
+    idempotence.  Terms are interned, so a zero or twin b is the result."""
+
+    def pair(a, b):
+        if isinstance(b, unit):
+            return a
+        if isinstance(b, zero) or a == b:
+            return b
+        return None
+
+    return pair
 
 
-def _or_pair(a, b):
-    if isinstance(b, RFalse):
-        return a
-    if isinstance(b, RTrue):
-        return RTrue()
-    if a == b:
-        return a
-    return None
+_and_pair = _lattice_pair(RTrue, RFalse)
+_or_pair = _lattice_pair(RFalse, RTrue)
 
 
 def _or_to_imp(a, b):
@@ -140,13 +137,13 @@ def _or_to_imp(a, b):
     return None
 
 
-def _r_not_not(t, ctx):
+def _r_not_not(t, depth):
     if isinstance(t.f, RNot):
         return t.f.f
     return None
 
 
-def _r_not_literal(t, ctx):
+def _r_not_literal(t, depth):
     if isinstance(t.f, RTrue):
         return RFalse()
     if isinstance(t.f, RFalse):
@@ -154,19 +151,18 @@ def _r_not_literal(t, ctx):
     return None
 
 
-def _r_push_not_and(t, ctx):
-    if isinstance(t.f, RAnd):
-        return ROr(RNot(t.f.l), RNot(t.f.r))
-    return None
+def _push_not(over, dual):
+    """De Morgan: a negation over `over` becomes `dual` of negations."""
+
+    def push(t, depth):
+        if isinstance(t.f, over):
+            return dual(RNot(t.f.l), RNot(t.f.r))
+        return None
+
+    return push
 
 
-def _r_push_not_or(t, ctx):
-    if isinstance(t.f, ROr):
-        return RAnd(RNot(t.f.l), RNot(t.f.r))
-    return None
-
-
-def _r_imp_literal(t, ctx):
+def _r_imp_literal(t, depth):
     if isinstance(t.l, RFalse):
         return RTrue()
     if isinstance(t.l, RTrue):
@@ -174,7 +170,7 @@ def _r_imp_literal(t, ctx):
     return None
 
 
-def _r_imp_curry(t, ctx):
+def _r_imp_curry(t, depth):
     if isinstance(t.r, RImp):
         return RImp(RAnd(t.l, t.r.l), t.r.r)
     return None
@@ -188,44 +184,38 @@ def _conj(a: Optional[RLFormula], b: Optional[RLFormula]):
     return RAnd(a, b)
 
 
-def _r_all_absorb_imp(t, ctx):
+def _r_all_absorb_imp(t, depth):
     # forall u : rng : (a => b)  keeps a as part of the range
     if isinstance(t.body, RImp):
         return RAll(t.width, _conj(t.rng, t.body.l), t.body.r)
     return None
 
 
-def _r_all_fuse(t, ctx):
+def _r_all_fuse(t, depth):
     if isinstance(t.body, RAll):
         return RAll(t.width + t.body.width, _conj(t.rng, t.body.rng),
                     t.body.body)
     return None
 
 
-def _r_ex_fuse(t, ctx):
+def _r_ex_fuse(t, depth):
     if isinstance(t.body, REx):
         return REx(t.width + t.body.width, t.body.body)
     return None
 
 
-def _occurs(f, lvl: int) -> bool:
-    if isinstance(f, RApp):
-        return lvl in _flat(f)
-    return any(_occurs(c, lvl) for _, c in children(f))
-
-
-def _r_binder_trim(t, ctx):
+def _r_binder_trim(t, depth):
     """Drop or narrow a binder whose trailing levels are never used."""
-    lo = ctx.binder_depth
-    used = [l for l in range(lo + 1, lo + t.width + 1) if _occurs(t, l)]
-    if not used:
-        if isinstance(t, RAll) and t.rng is not None:
-            return RImp(t.rng, t.body)
-        return t.body
-    w = max(used) - lo
+    w = t.width
+    while w and not _count(t, depth + w):
+        w -= 1
     if w == t.width:
         return None
-    return dataclasses.replace(t, width=w)
+    if w:
+        return dataclasses.replace(t, width=w)
+    if isinstance(t, RAll) and t.rng is not None:
+        return RImp(t.rng, t.body)
+    return t.body
 
 
 LOGIC_RULES = [
@@ -233,8 +223,8 @@ LOGIC_RULES = [
     _pair_rule("disjunction-pair", ROr, _or_pair),
     Rule("double-negation", RNot, _r_not_not),
     Rule("negated-literal", RNot, _r_not_literal),
-    Rule("negation-over-and", RNot, _r_push_not_and),
-    Rule("negation-over-or", RNot, _r_push_not_or),
+    Rule("negation-over-and", RNot, _push_not(RAnd, ROr)),
+    Rule("negation-over-or", RNot, _push_not(ROr, RAnd)),
     Rule("implication-literal", RImp, _r_imp_literal),
     Rule("implication-curry", RImp, _r_imp_curry),
     _pair_rule("negation-to-implication", ROr, _or_to_imp),
@@ -244,9 +234,8 @@ LOGIC_RULES = [
     Rule("binder-trim", (RAll, REx), _r_binder_trim),
 ]
 
-# Reintroducing implications inside the mechanical loop would fight the
-# normalization rules that remove them, so the loop runs without the two
-# implication builders.
+# The mechanical loop runs after normalization and no loop rule removes an
+# implication again, so the loop runs without the two implication builders.
 _LOOP_LOGIC = [r for r in LOGIC_RULES
                if r.name not in ("negation-to-implication",
                                  "forall-absorb-implication")]
@@ -256,13 +245,14 @@ _LOOP_LOGIC = [r for r in LOGIC_RULES
 # algebraic rules on relational terms
 
 
+_join_pair = _lattice_pair(Bot, Top)
+_meet_lattice = _lattice_pair(Top, Bot)
+
+
 def _meet_pair(a, b):
-    if isinstance(b, Top):
-        return a
-    if isinstance(b, Bot):
-        return BOT
-    if a == b:
-        return a
+    res = _meet_lattice(a, b)
+    if res is not None:
+        return res
     if isinstance(b, Id) and isinstance(a, Phi):
         return a
     if (isinstance(a, Comp) and isinstance(a.l, Conv)
@@ -272,17 +262,7 @@ def _meet_pair(a, b):
     return None
 
 
-def _join_pair(a, b):
-    if isinstance(b, Bot):
-        return a
-    if isinstance(b, Top):
-        return TOP
-    if a == b:
-        return a
-    return None
-
-
-def _r_conv_collapse(t, ctx):
+def _r_conv_collapse(t, depth):
     if isinstance(t.e, Conv):
         return t.e.e
     if isinstance(t.e, (Id, Top, Bot)):
@@ -290,7 +270,7 @@ def _r_conv_collapse(t, ctx):
     return None
 
 
-def _r_conv_distribute(t, ctx):
+def _r_conv_distribute(t, depth):
     e = t.e
     if isinstance(e, Comp):
         return Comp(Conv(e.r), Conv(e.l))
@@ -301,7 +281,7 @@ def _r_conv_distribute(t, ctx):
     return None
 
 
-def _r_compl_collapse(t, ctx):
+def _r_compl_collapse(t, depth):
     e = t.e
     if isinstance(e, Compl):
         return e.e
@@ -314,7 +294,7 @@ def _r_compl_collapse(t, ctx):
     return None
 
 
-def _r_compl_distribute(t, ctx):
+def _r_compl_distribute(t, depth):
     e = t.e
     if isinstance(e, Meet):
         return Join(Compl(e.l), Compl(e.r))
@@ -327,7 +307,7 @@ def _r_compl_distribute(t, ctx):
     return None
 
 
-def _r_comp_unit(t, ctx):
+def _r_comp_unit(t, depth):
     if isinstance(t.r, Id):
         return t.l
     if isinstance(t.l, Id):
@@ -337,20 +317,20 @@ def _r_comp_unit(t, ctx):
     return None
 
 
-def _r_ncomp_unit(t, ctx):
+def _r_ncomp_unit(t, depth):
     if isinstance(t.r, Id):
         return t.l
     return None
 
 
-def _r_rot_cycle(t, ctx):
+def _r_rot_cycle(t, depth):
     cur, k = t, 0
     while isinstance(cur, Rot) and cur.n == t.n and k < t.n:
         cur, k = cur.e, k + 1
     return cur if k == t.n else None
 
 
-def _r_residual_units(t, ctx):
+def _r_residual_units(t, depth):
     if isinstance(t.l, Bot) or isinstance(t.r, Top):
         return TOP
     if isinstance(t.l, Id):
@@ -358,7 +338,7 @@ def _r_residual_units(t, ctx):
     return None
 
 
-def _r_fork_meet(t, ctx):
+def _r_fork_meet(t, depth):
     # (R nabla S)~ . (A nabla B)  =  R~.A & S~.B
     if (isinstance(t.l, Conv) and isinstance(t.l.e, Fork)
             and isinstance(t.r, Fork)):
@@ -367,7 +347,7 @@ def _r_fork_meet(t, ctx):
     return None
 
 
-def _r_fork_comp(t, ctx):
+def _r_fork_comp(t, depth):
     # (id nabla T) . R  duplicates R over both components
     if (isinstance(t.l, Fork) and isinstance(t.l.l, Id)
             and isinstance(t.l.r, Top)):
@@ -375,7 +355,7 @@ def _r_fork_comp(t, ctx):
     return None
 
 
-def _r_prod_intro(t, ctx):
+def _r_prod_intro(t, depth):
     if (isinstance(t.l, Comp) and isinstance(t.l.r, Pi1)
             and isinstance(t.r, Comp) and isinstance(t.r.r, Pi2)):
         return Prod(t.l.l, t.r.l)
@@ -399,7 +379,7 @@ ALGEBRA_RULES = [
 ]
 
 
-def _r_fact_norm(t, ctx):
+def _r_fact_norm(t, depth):
     if isinstance(t.lhs, Compl) and isinstance(t.rhs, Compl):
         return FactLe(t.rhs.e, t.lhs.e)
     if isinstance(t.lhs, Top) and isinstance(t.rhs, Conv):
@@ -421,10 +401,9 @@ FACT_RULES = [Rule("inequation-normalize", FactLe, _r_fact_norm)]
 _SIMPLIFY = (LOGIC_RULES, DEFINITION_RULES, ALGEBRA_RULES)
 
 # The elimination banks: the simplification rules first, then the
-# mechanical ones, and normalization last, for the implications and
-# universals the simplification rules leave behind.
+# mechanical ones.
 SHORTCUT_BANKS = ((_LOOP_LOGIC, DEFINITION_RULES, ALGEBRA_RULES)
-                  + MECHANICAL_BANKS + (_NORMALIZE_RULES,))
+                  + MECHANICAL_BANKS)
 
 
 def _oriented(app: RApp) -> Optional[FAExpr]:

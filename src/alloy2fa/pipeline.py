@@ -88,17 +88,17 @@ def nesting(f: RLFormula) -> int:
 # normalization: implications and universal quantifiers out
 
 
-def _r_imp(t, ctx):
+def _r_imp(t, depth):
     return ROr(RNot(t.l), t.r)
 
 
-def _r_all_ranged(t, ctx):
+def _r_all_ranged(t, depth):
     if t.rng is not None:
         return RAll(t.width, None, RImp(t.rng, t.body))
     return None
 
 
-def _r_all_plain(t, ctx):
+def _r_all_plain(t, depth):
     if t.rng is None:
         return RNot(REx(t.width, RNot(t.body)))
     return None
@@ -128,23 +128,23 @@ def _frame_app(rel, n: int) -> RApp:
     return RApp((MARK_X,), rel, tuple(range(1, n + 1)))
 
 
-def _r_uniform(t, ctx):
+def _r_uniform(t, depth):
     items = t.lhs + t.rhs
     if not all(isinstance(i, int) for i in items):
         return None
-    n = ctx.ex_depth
-    if n < max(items):  # open formula: the level is nobody's to frame
+    if depth < max(items):  # open formula: the level is nobody's to frame
         return None
-    body = Meet(_selector(n, t.lhs), Comp(t.rel, _selector(n, t.rhs)))
-    return RApp((MARK_X,), Comp(TOP, body), tuple(range(1, n + 1)))
+    body = Meet(_selector(depth, t.lhs),
+                Comp(t.rel, _selector(depth, t.rhs)))
+    return RApp((MARK_X,), Comp(TOP, body), tuple(range(1, depth + 1)))
 
 
-def _r_true(t, ctx):
-    return _frame_app(TOP, ctx.ex_depth)
+def _r_true(t, depth):
+    return _frame_app(TOP, depth)
 
 
-def _r_false(t, ctx):
-    return _frame_app(BOT, ctx.ex_depth)
+def _r_false(t, depth):
+    return _frame_app(BOT, depth)
 
 
 _FRAME_RULES = [
@@ -158,21 +158,19 @@ _FRAME_RULES = [
 # combining: connectives between co-located applications become operators
 
 
-def _r_and(t, ctx):
-    if (isinstance(t.l, RApp) and isinstance(t.r, RApp)
-            and t.l.lhs == t.r.lhs and t.l.rhs == t.r.rhs):
-        return RApp(t.l.lhs, Meet(t.l.rel, t.r.rel), t.l.rhs)
-    return None
+def _combine(op):
+    """Rule body merging two applications on the same items with op."""
+
+    def combine(t, depth):
+        if (isinstance(t.l, RApp) and isinstance(t.r, RApp)
+                and t.l.lhs == t.r.lhs and t.l.rhs == t.r.rhs):
+            return RApp(t.l.lhs, op(t.l.rel, t.r.rel), t.l.rhs)
+        return None
+
+    return combine
 
 
-def _r_or(t, ctx):
-    if (isinstance(t.l, RApp) and isinstance(t.r, RApp)
-            and t.l.lhs == t.r.lhs and t.l.rhs == t.r.rhs):
-        return RApp(t.l.lhs, Join(t.l.rel, t.r.rel), t.l.rhs)
-    return None
-
-
-def _r_not(t, ctx):
+def _r_not(t, depth):
     if isinstance(t.f, RApp):
         a = t.f
         return RApp(a.lhs, Compl(a.rel), a.rhs)
@@ -180,8 +178,8 @@ def _r_not(t, ctx):
 
 
 _COMBINE_RULES = [
-    Rule("combine-and", RAnd, _r_and),
-    Rule("combine-or", ROr, _r_or),
+    Rule("combine-and", RAnd, _combine(Meet)),
+    Rule("combine-or", ROr, _combine(Join)),
     Rule("complement-not", RNot, _r_not),
 ]
 
@@ -190,11 +188,11 @@ _COMBINE_RULES = [
 # discharging: the innermost existential level is cut off the frame tuple
 
 
-def _r_discharge(t, ctx):
+def _r_discharge(t, depth):
     if not isinstance(t.body, RApp):
         return None
     app = t.body
-    n = ctx.ex_depth + t.width
+    n = depth + t.width
     if app.lhs != (MARK_X,) or app.rhs != tuple(range(1, n + 1)):
         return None
     if n == 1:
@@ -223,6 +221,10 @@ def fact_of(f: RLFormula) -> Optional[FAFact]:
 
 # The paper's mechanical elimination, in priority order; the shortcut
 # translator runs the same driver with its own banks in front of these.
+# The frame and discharge rules read the depth as the number of
+# existential levels on the path.  That is exact because these banks
+# run only after normalization, which leaves no universal, and no loop
+# rule builds one.
 MECHANICAL_BANKS = (_COMBINE_RULES, _DISCHARGE_RULES, _FRAME_RULES)
 
 
@@ -350,10 +352,6 @@ def _rebuild(kind, leaves: list):
     return cur
 
 
-def _last_level(t, ctx) -> int:
-    return ctx.binder_depth + t.width
-
-
 def _count(f, lvl: int) -> int:
     if isinstance(f, RApp):
         return _flat(f).count(lvl)
@@ -376,12 +374,11 @@ def _first(app: RApp, lvl: int):
     return None
 
 
-def _r_substitute(t, ctx):
+def _r_substitute(t, depth):
     """An identity conjunct pins a bound level to another item."""
     host = t.rng if isinstance(t, RAll) else t.body
     if host is None:
         return None
-    lo = ctx.binder_depth
     leaves = _leaves(RAnd, host)
     for i, leaf in enumerate(leaves):
         if not (isinstance(leaf, RApp) and isinstance(leaf.rel, Id)
@@ -389,21 +386,23 @@ def _r_substitute(t, ctx):
             continue
         for lvl, repl in ((leaf.lhs[0], leaf.rhs[0]),
                           (leaf.rhs[0], leaf.lhs[0])):
-            if not (isinstance(lvl, int) and lo < lvl <= lo + t.width):
+            if not (isinstance(lvl, int) and depth < lvl <= depth + t.width):
                 continue
-            if repl in (MARK_X, MARK_Y) or repl == lvl:
+            # unbind renumbers the deeper levels, so repl must lie above
+            if repl in (MARK_X, MARK_Y) or isinstance(repl, int) and \
+                    repl >= lvl:
                 continue
             rest = [unbind(x, lvl, repl)
                     for k, x in enumerate(leaves) if k != i]
             if isinstance(t, REx):
-                return _shrink(t, rest) if lvl == lo + t.width else \
+                return _shrink(t, rest) if lvl == depth + t.width else \
                     REx(t.width, _rebuild(RAnd, rest or [RTrue()]))
             rng = _rebuild(RAnd, rest) if rest else None
             return RAll(t.width, rng, unbind(t.body, lvl, repl))
     return None
 
 
-def _r_absorb_diag(t, ctx):
+def _r_absorb_diag(t, depth):
     """a (X) a beside a (R) ys pins the composition through a."""
     leaves = _leaves(RAnd, t)
     for i, d in enumerate(leaves):
@@ -420,9 +419,9 @@ def _r_absorb_diag(t, ctx):
     return None
 
 
-def _r_compose(t, ctx):
+def _r_compose(t, depth):
     """Two applications sharing the innermost level compose it away."""
-    lvl = _last_level(t, ctx)
+    lvl = depth + t.width
     leaves = _leaves(RAnd, t.body)
     if _count(t.body, lvl) != 2:
         return None
@@ -439,9 +438,9 @@ def _r_compose(t, ctx):
     return _shrink(t, [compose_apps(p, q)] + rest)
 
 
-def _r_project(t, ctx):
+def _r_project(t, depth):
     """A level used once in a wide application is cut from its column."""
-    lvl = _last_level(t, ctx)
+    lvl = depth + t.width
     if _count(t.body, lvl) != 1:
         return None
     leaves = _leaves(RAnd, t.body)
@@ -456,9 +455,9 @@ def _r_project(t, ctx):
     return None
 
 
-def _r_close_membership(t, ctx):
+def _r_close_membership(t, depth):
     """A level seen once in a binary application marks a domain element."""
-    lvl = _last_level(t, ctx)
+    lvl = depth + t.width
     if _count(t.body, lvl) != 1:
         return None
     leaves = _leaves(RAnd, t.body)
@@ -476,11 +475,11 @@ def _r_close_membership(t, ctx):
     return None
 
 
-def _r_residual(t, ctx):
+def _r_residual(t, depth):
     """A universal level linking two applications becomes a residual."""
     if t.rng is None or not isinstance(t.body, RApp):
         return None
-    lvl = _last_level(t, ctx)
+    lvl = depth + t.width
     if _count(t.body, lvl) != 1 or _count(t.rng, lvl) != 1:
         return None
     got_b = _first(t.body, lvl)
@@ -547,7 +546,7 @@ def _lift_rules(params: tuple):
             e = Conv(left) if isinstance(e, Id) else Comp(Conv(left), e)
         return e
 
-    def lift(t, ctx):
+    def lift(t, depth):
         if t.lhs == lframe and t.rhs == rframe:
             return None
         items = _flat(t)

@@ -12,8 +12,8 @@ where the bank's first matching rule fires.
 whole-term snapshot in the `RunState`, which also caps the number of
 firings of one run; a term too deep to walk is a `BudgetError` too.
 
-Rules must be pure: a rule's result depends on its term and the two
-depths of its context and on nothing else, and terms are immutable.
+Rules must be pure: a rule's result depends on its term and its depth
+and on nothing else, and terms are immutable.
 The engine relies on that to remember, per bank, every subterm a
 traversal found free of redexes at given depths (the clean-subterm
 memo on `RunState`, in the manner of Stratego's and Maude's memoized
@@ -21,9 +21,9 @@ traversals), keyed by the hash-consed node.  A later `step` skips such
 a subterm, so a firing costs the path it rebuilt and the new subterm,
 not the whole term; it picks the position, rule and bank a rescan picks.
 
-Rules see a context carrying the quantifier depth at their position:
-`binder_depth` counts all bound levels on the path and `ex_depth` only
-the existentially bound ones; the marker wrapper `RMark` binds none.
+Rules see one depth, the number of levels bound on the path to their
+position: `RAll` and `REx` raise it by their width, and the marker
+wrapper `RMark` binds none.
 Terms of all three languages (RL formulas, FA expressions, facts) share
 the generic traversal `terms.children`; item tuples inside applications
 are opaque to it.
@@ -53,13 +53,7 @@ class BudgetError(Exception):
 class Rule:
     name: str
     kind: type | tuple  # the node class(es) fn is offered
-    fn: Callable  # (term, Ctx) -> Optional[term]
-
-
-@dataclass(frozen=True)
-class Ctx:
-    binder_depth: int = 0
-    ex_depth: int = 0
+    fn: Callable  # (term, depth) -> Optional[term]
 
 
 @dataclass(frozen=True)
@@ -74,25 +68,21 @@ class RunState:
     budget: int = 10000
     steps: int = 0
     trace: List[TraceStep] = field(default_factory=list)
-    # the bank's rules -> {(node, binder_depth, ex_depth) free of its redexes}
+    # the bank's rules -> {(node, depth) free of its redexes}
     clean: dict = field(default_factory=dict, repr=False)
 
 
-def _once(t, bank, ctx: Ctx, clean: set):
+def _once(t, bank, depth: int, clean: set):
     """(rewritten t, rule) at the bank's leftmost-innermost redex, or None.
 
     Both slots of a quantifier (range and body) lie inside its scope.
     A subterm found free of redexes is entered in `clean` and skipped
     the next time.
     """
-    key = (t, ctx.binder_depth, ctx.ex_depth)
+    key = (t, depth)
     if key in clean:
         return None
-    inner = ctx
-    if isinstance(t, REx):
-        inner = Ctx(ctx.binder_depth + t.width, ctx.ex_depth + t.width)
-    elif isinstance(t, RAll):
-        inner = Ctx(ctx.binder_depth + t.width, ctx.ex_depth)
+    inner = depth + t.width if isinstance(t, (RAll, REx)) else depth
     for name, v in children(t):
         hit = _once(v, bank, inner, clean)
         if hit is not None:
@@ -100,7 +90,7 @@ def _once(t, bank, ctx: Ctx, clean: set):
     for rule in bank:
         if not isinstance(t, rule.kind):
             continue
-        res = rule.fn(t, ctx)
+        res = rule.fn(t, depth)
         if res is not None:
             if res == t:
                 raise StrategyError(
@@ -115,7 +105,7 @@ def step(t, banks, state: RunState):
     try:
         for bank in banks:
             clean = state.clean.setdefault(tuple(bank), set())
-            hit = _once(t, bank, Ctx(), clean)
+            hit = _once(t, bank, 0, clean)
             if hit is not None:
                 break
         else:

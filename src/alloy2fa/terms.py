@@ -716,8 +716,11 @@ def unbind(f: RLFormula, lvl: int, repl: Item) -> RLFormula:
     """Substitute repl for level lvl and renumber the deeper levels down.
 
     Used by the rules that discharge one bound variable; repl must itself
-    be an item in scope above lvl.
+    be an item in scope above lvl, and a level at or below lvl is a
+    ValueError.
     """
+    if isinstance(repl, int) and repl >= lvl:
+        raise ValueError("level %d cannot replace level %d" % (repl, lvl))
     if isinstance(f, RApp):
         return RApp(tuple(_unbind_item(i, lvl, repl) for i in f.lhs), f.rel,
                     tuple(_unbind_item(i, lvl, repl) for i in f.rhs))

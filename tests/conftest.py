@@ -10,6 +10,7 @@ import os
 
 import pytest
 
+from alloy2fa import strategy
 from alloy2fa.frontend import check_arities, desugar, parse
 from alloy2fa.heuristics import translate_form_h
 from alloy2fa.oracle import gen_formula, gen_vocab
@@ -58,10 +59,36 @@ def golden_inputs():
     return out
 
 
+def traced(translate, form, arities):
+    """(fact, every TraceStep the rewrite engine fired on the way),
+    closure lifting's steps included."""
+    steps = []
+    real = strategy.step
+
+    def recording(t, banks, state):
+        out = real(t, banks, state)
+        if out is not None:
+            steps.append(state.trace[-1])
+        return out
+
+    strategy.step = recording
+    try:
+        return translate(form, arities), steps
+    finally:
+        strategy.step = real
+
+
 @pytest.fixture(scope="session")
-def golden_translations():
-    """Translator name -> [(input id, source formula, fact)]."""
+def golden_runs():
+    """Translator name -> [(input id, source formula, fact, steps)]."""
     inputs = golden_inputs()
-    return {name: [(key, form, fn(form, arities))
+    return {name: [(key, form) + traced(fn, form, arities)
                    for key, form, arities in inputs]
             for name, fn in TRANSLATORS}
+
+
+@pytest.fixture(scope="session")
+def golden_translations(golden_runs):
+    """Translator name -> [(input id, source formula, fact)]."""
+    return {name: [run[:3] for run in runs]
+            for name, runs in golden_runs.items()}

@@ -216,6 +216,8 @@ class TestParseErrors:
         ("sig A {} fact { some A.q }", "unknown identifier 'q'"),
         ("sig A { f : B }", "unknown column signature 'B'"),
         ("sig A extends A {}", "cycle"),
+        ("sig A extends Z {}",
+         "unknown parent signature 'Z' at line 1, column 5"),
         ("sig A extends B {}\nsig B extends A {}",
          "cycle through 'A' at line 2, column 5"),
         ("sig A {} fact { some ^A }", "outside the fragment"),
@@ -445,6 +447,7 @@ class TestPretty:
             "sig A { r : lone A } fact { lone r => some x : A | x in A }",
             "lone sig B {} sig A { r : B -> some B } "
             "fact { all x : A | ~(x.r) in (B -> B).~r }",
+            "sig A { r : A, } assert { r in iden + (none -> none) }",
         ]
         for src in sources:
             m = parse(src)

@@ -149,6 +149,31 @@ class TestNormalize:
         scan(normalized(f))
 
 
+def test_the_elimination_loop_builds_no_universal(golden_runs):
+    """The frame and discharge rules read the depth as the existential
+    depth: no loop step (its input under the marker wrapper) may leave a
+    universal or an implication, which normalization removed."""
+    clean = set()
+
+    def leaves_one(f):
+        if f in clean or isinstance(f, RApp):
+            return False
+        if isinstance(f, (RAll, RImp)) or any(
+                leaves_one(c) for _, c in children(f)):
+            return True
+        clean.add(f)
+        return False
+
+    loop = 0
+    for name, runs in golden_runs.items():
+        for key, _, _, steps in runs:
+            for s in steps:
+                if isinstance(s.before, RMark):
+                    loop += 1
+                    assert not leaves_one(s.after), (name, key, s.rule)
+    assert loop > 5000
+
+
 class TestUniform:
     def test_two_level_application(self):
         f = REx(2, app(2, R, 1))
@@ -505,6 +530,21 @@ class TestClosureLifting:
         t = REx(3, RAnd(RApp((1,), Phi("B"), (1,)), lifted))
         assert step(t, (DEFINITION_RULES,), RunState()) is None
 
+    # At 2 atoms *e equals iden + e, so only 3 atoms, where e.e can need
+    # a second step, tell a closure from one that lost its star.
+    @pytest.mark.parametrize("name, translate", TRANSLATORS,
+                             ids=[n for n, _ in TRANSLATORS])
+    @pytest.mark.parametrize("body", [
+        "e.e in *e", "all a : A | a.e.e in a.*(e :> A)", "e.e in *(~~e)",
+        "all v0 : A | v0.e.e in v0.*(e - (v0 -> v0))"])
+    def test_closures_see_transitivity_at_three_atoms(self, body, name,
+                                                      translate):
+        form, arities = model_assert("sig A { e : A }\nassert { %s }\n"
+                                     % body)
+        vocab = Vocab(sigs={"A": SigInfo("A")}, rels={"e": ("A", "A")})
+        v = check_equiv(form, translate(form, arities), vocab, bound=3)
+        assert (v.status, v.checked) == ("PASS", 530), v.detail
+
     def test_closure_membership_through_navigation(self):
         f = FAll("a", ASig("A"), FIn(
             AJoin(AVar("a"), AStar(AJoin(ARel("r"), ARel("s")))),
@@ -513,6 +553,21 @@ class TestClosureLifting:
         fact = translate_form(f, voc.arity())
         v = check_equiv(f, fact, voc, bound=3, samples=500)
         assert bool(v) and v.checked > 0
+
+
+# iden between two levels of one binder: substituting the outer level
+# by the deeper one would break unbind's renumbering.
+@pytest.mark.parametrize("name, translate", TRANSLATORS,
+                         ids=[n for n, _ in TRANSLATORS])
+@pytest.mark.parametrize("body", [
+    "iden in iden", "iden & r in iden", "iden in ~iden",
+    "(r & iden) in (none -> none)", "(A <: iden) = iden", "iden = *iden",
+    "iden = ~iden"])
+def test_iden_asserts_keep_their_meaning(body, name, translate):
+    form, arities = model_assert("sig A { r : A }\nassert { %s }\n" % body)
+    vocab = Vocab(sigs={"A": SigInfo("A")}, rels={"r": ("A", "A")})
+    v = check_equiv(form, translate(form, arities), vocab, bound=2)
+    assert v.status == "PASS", v.detail
 
 
 def _wrapped(t):

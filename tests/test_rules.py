@@ -1,21 +1,21 @@
-"""Bank rules that no corpus translation fires, one hand-built redex each.
+"""Bank rules, and rule branches, that no corpus translation fires, one
+hand-built redex each.
 
 Every case fires exactly its rule with `step(t, (bank,), RunState())`,
 and the oracle checks that the redex and its rewrite denote the same
-thing on every model `iter_models` yields at 2 atoms, over the tuple
-carrier of width 2. The vocabulary types every relation column, so
-ternary extents relate atoms to atom pairs. The guard test fails when a
-rule of any bank is neither fired by the corpus translations nor listed
-in CASES, or declares a kind that is not a term class or a tuple of
-them.
+thing (facts: have the same truth) on every model `iter_models` yields
+at 2 atoms, over the tuple carrier of width 2. The vocabulary types
+every relation column, so ternary extents relate atoms to atom pairs.
+The guard test fails when a rule of any bank is neither fired by the
+corpus translations nor listed in CASES, or declares a kind that is not
+a term class or a tuple of them.
 """
 
 import numpy as np
 import pytest
 
-from conftest import TRANSLATORS, golden_inputs
+from conftest import TRANSLATORS, traced
 
-from alloy2fa import strategy
 from alloy2fa.heuristics import (
     ALGEBRA_RULES,
     DEFINITION_RULES,
@@ -27,6 +27,7 @@ from alloy2fa.oracle import (
     Vocab,
     eval_fa,
     eval_rl,
+    fact_holds,
     gen_vocab,
     get_tuple_space,
     interp_from_model,
@@ -56,7 +57,9 @@ from alloy2fa.terms import (
     AUniv,
     AVar,
     Comp,
+    Compl,
     Conv,
+    FactLe,
     FAFact,
     FAll,
     FIn,
@@ -110,6 +113,13 @@ CASES = [
      Comp(Conv(Fork(R, Conv(S))), Fork(Conv(S), R))),
     ("fork-absorbs-composition", ALGEBRA_RULES, Comp(Fork(ID, TOP), R)),
     ("product-intro", ALGEBRA_RULES, Fork(Comp(R, PI1), Comp(Conv(S), PI2))),
+    ("complement-collapse", ALGEBRA_RULES, Compl(Conv(Compl(R)))),
+    ("complement-collapse", ALGEBRA_RULES, Compl(BOT)),
+    ("complement-distribute", ALGEBRA_RULES, Compl(Join(R, S))),
+    ("composition-unit", ALGEBRA_RULES, Comp(BOT, R)),
+    ("inequation-normalize", FACT_RULES, FactLe(Compl(R), Compl(S))),
+    ("inequation-normalize", FACT_RULES, FactLe(TOP, Conv(S))),
+    ("inequation-normalize", FACT_RULES, FactLe(Conv(R), BOT)),
 ]
 
 
@@ -126,6 +136,8 @@ def test_rule_fires_and_keeps_the_denotation(name, bank, redex):
         interp = interp_from_model(m, space)
         if isinstance(redex, RLFormula):
             assert eval_rl(redex, space, interp) == eval_rl(out, space, interp)
+        elif isinstance(redex, FAFact):
+            assert fact_holds(redex, m, 2) == fact_holds(out, m, 2)
         else:
             assert np.array_equal(eval_fa(redex, space, interp),
                                   eval_fa(out, space, interp))
@@ -153,23 +165,13 @@ def is_term_class(k) -> bool:
     return isinstance(k, type) and issubclass(k, (Interned, FAFact))
 
 
-def test_every_bank_rule_is_fired_or_tested(monkeypatch):
-    fired = set()
-    real_step = strategy.step
-
-    def recording_step(t, banks, state):
-        out = real_step(t, banks, state)
-        if out is not None:
-            fired.add(state.trace[-1].rule)
-        return out
-
-    monkeypatch.setattr(strategy, "step", recording_step)
+def test_every_bank_rule_is_fired_or_tested(golden_runs):
+    fired = {s.rule for runs in golden_runs.values()
+             for _, _, _, steps in runs for s in steps}
     gen = gen_vocab().arity()
-    inputs = [(form, arities) for _, form, arities in golden_inputs()]
-    inputs += [(form, gen) for form in CLOSURE_INPUTS]
-    for form, arities in inputs:
+    for form in CLOSURE_INPUTS:
         for _, translate in TRANSLATORS:
-            translate(form, arities)
+            fired |= {s.rule for s in traced(translate, form, gen)[1]}
     rules = bank_rules()
     for rule in rules:
         kinds = rule.kind if isinstance(rule.kind, tuple) else (rule.kind,)

@@ -13,14 +13,14 @@ from alloy2fa.terms import (
 )
 
 
-def collapse_twin(t, ctx):
+def collapse_twin(t, depth):
     return t.l if t.l == t.r else None
 
 
 COLLAPSE = Rule("collapse-twin", Join, collapse_twin)
 
 
-def drop_conv(t, ctx):
+def drop_conv(t, depth):
     if isinstance(t, Conv) and isinstance(t.e, Conv):
         return t.e.e
     return None
@@ -59,7 +59,7 @@ class TestOnce:
         assert out is t and trace == [] and state.trace == []
 
     def test_rule_order_decides_at_one_position(self):
-        to_meet = Rule("join-to-meet", Join, lambda t, ctx: Meet(t.l, t.r))
+        to_meet = Rule("join-to-meet", Join, lambda t, depth: Meet(t.l, t.r))
         t = Join(Rel("a"), Rel("a"))
         assert step(t, ([COLLAPSE, to_meet],), RunState()) == Rel("a")
         assert step(t, ([to_meet, COLLAPSE],), RunState()) == Meet(
@@ -73,7 +73,7 @@ class TestOnce:
     def test_a_rule_is_offered_only_the_nodes_of_its_kind(self):
         seen = []
 
-        def probe(t, ctx):
+        def probe(t, depth):
             seen.append(t)
 
         inner = RNot(RApp((1,), Conv(Rel("r")), (2,)))
@@ -85,8 +85,8 @@ class TestOnce:
     def test_a_tuple_kind_admits_each_of_its_classes(self):
         seen = []
 
-        def probe(t, ctx):
-            seen.append((type(t).__name__, ctx.binder_depth))
+        def probe(t, depth):
+            seen.append((type(t).__name__, depth))
 
         f = RAll(1, None, RNot(REx(2, RApp((1,), Rel("r"), (3,)))))
         assert step(f, ([Rule("probe", (RAll, REx), probe)],),
@@ -94,7 +94,7 @@ class TestOnce:
         assert seen == [("REx", 1), ("RAll", 0)]
 
     def test_identity_rule_is_rejected(self):
-        bad = Rule("noop", Join, lambda t, ctx: t)
+        bad = Rule("noop", Join, lambda t, depth: t)
         with pytest.raises(StrategyError, match="noop"):
             step(Join(Rel("a"), Rel("b")), ([bad],), RunState())
 
@@ -138,30 +138,30 @@ class TestContext:
     def test_binder_depths_at_application_positions(self):
         seen = {}
 
-        def probe(t, ctx):
-            seen[fa_text(t.rel)] = (ctx.binder_depth, ctx.ex_depth)
+        def probe(t, depth):
+            seen[fa_text(t.rel)] = depth
 
         f = RAll(2, RApp((1,), Phi("A"), (1,)),
                  REx(1, RNot(RApp((1,), Rel("r"), (3,)))))
         step(f, ([Rule("probe", RApp, probe)],), RunState())
         # the range lives inside the binder's scope, like the body
-        assert seen["Phi_A"] == (2, 0)
-        assert seen["r"] == (3, 1)
+        assert seen["Phi_A"] == 2
+        assert seen["r"] == 3
 
-    def test_special_wrapper_keeps_both_depths(self):
-        seen = {}
+    def test_special_wrapper_binds_no_level(self):
+        seen = []
 
-        def probe(t, ctx):
-            seen[fa_text(t.rel)] = (ctx.binder_depth, ctx.ex_depth)
+        def probe(t, depth):
+            seen.append((type(t).__name__, depth))
 
         f = RMark(REx(1, RMark(RApp(("x",), Rel("r"), ("y",)))))
-        step(f, ([Rule("probe", RApp, probe)],), RunState())
-        assert seen["r"] == (1, 1)
+        step(f, ([Rule("probe", (RMark, RApp), probe)],), RunState())
+        assert seen == [("RApp", 1), ("RMark", 1), ("RMark", 0)]
 
     def test_never_firing_rule_visits_innermost_first(self):
         seen = []
 
-        def probe(t, ctx):
+        def probe(t, depth):
             seen.append(fa_text(t))
             return None
 
@@ -184,7 +184,7 @@ class TestBudgets:
         t = RTRUE
         for _ in range(3000):
             t = RNot(t)
-        drop = Rule("drop-double-negation", RNot, lambda t, ctx: t.f.f
+        drop = Rule("drop-double-negation", RNot, lambda t, depth: t.f.f
                     if isinstance(t.f, RNot) else None)
         start = time.perf_counter()
         with pytest.raises(BudgetError, match="nested too deeply") as exc:
@@ -193,7 +193,7 @@ class TestBudgets:
         assert exc.value.trace == [] and "!" not in str(exc.value)
 
     def test_a_term_that_grows_too_deep_keeps_its_partial_trace(self):
-        grow = Rule("grow", RTrue, lambda t, ctx: RNot(RNot(t)))
+        grow = Rule("grow", RTrue, lambda t, depth: RNot(RNot(t)))
         with pytest.raises(BudgetError, match="nested too deeply") as exc:
             run(RTRUE, ([grow],))
         trace = exc.value.trace
@@ -214,9 +214,9 @@ class TestCleanSubtermMemo:
     def test_rule_calls_grow_with_the_changed_paths(self):
         calls = []
 
-        def counted(t, ctx):
+        def counted(t, depth):
             calls.append(t)
-            return drop_conv(t, ctx)
+            return drop_conv(t, depth)
 
         leaves = [Conv(Conv(Rel("r%d" % i))) for i in range(64)]
         t = balanced_join(leaves)
@@ -241,9 +241,9 @@ class TestCleanSubtermMemo:
     def test_clean_at_one_depth_is_not_clean_at_another(self):
         seen = []
 
-        def deep_only(t, ctx):
-            if ctx.binder_depth >= 2:
-                seen.append(ctx.binder_depth)
+        def deep_only(t, depth):
+            if depth >= 2:
+                seen.append(depth)
                 return RApp(t.lhs, Conv(t.rel), t.rhs)
             return None
 

@@ -388,3 +388,10 @@ class TestRLHelpers:
         f = RAnd(RApp((2,), Rel("r"), (3,)), RApp((1,), Rel("s"), (2,)))
         g = unbind(f, 2, "cx")
         assert rl_text(g) == "cx r 2 && 1 s cx"
+
+    @pytest.mark.parametrize("repl", [2, 3])
+    def test_unbind_refuses_a_replacement_at_or_below_the_level(self, repl):
+        f = RApp((1,), Rel("r"), (3,))
+        assert unbind(f, 2, 1) == RApp((1,), Rel("r"), (2,))
+        with pytest.raises(ValueError, match="cannot replace level 2"):
+            unbind(f, 2, repl)
