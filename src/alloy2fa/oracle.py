@@ -5,7 +5,13 @@ against the truth of the produced fact over every finite model up to a
 size bound (or over a seeded sample when the extent count explodes).
 
 Relational terms are evaluated as boolean matrices over a finite carrier.
-Two carrier shapes cover the different jobs:
+A matrix has shape (1|n, 1|n) and stands for its broadcast to n x n: a
+vector (a relation TOP;X, whose rows are all equal) keeps one row, and
+TOP, BOT and unknown names are (1, 1). A 1 stands for n >= 1 equal rows
+or columns, so on the empty carrier every shape is (0, 0). Union, meet,
+complement and converse keep the shapes by broadcasting, composition has
+cases for them (``_mm``); fork, product, closure and ``eval_fa`` use the
+full layout. Two kinds of carrier cover the different jobs:
 
 * ``tuple_space(atoms, width)``: the atoms plus every right-nested tuple
   of atoms up to the given width. Translation checks live here, because
@@ -42,7 +48,7 @@ from .terms import (
     FAll, FAnd, FEq, FImp, FIn, FLone, FNot, FOr, FPredCall, FSome, FSomeQ,
     Fork, Id, Join, Ldiv, Meet, NComp, Phi, Pi1, Pi2, Prod, Rel, Rot, Star,
     Top, RAll, RAnd, RApp, REx, RFalse, RImp, RLFormula, RMark, RNot, ROr,
-    RTrue, children, subterms, unfold,
+    RTrue, children, unfold,
 )
 
 
@@ -66,7 +72,7 @@ class Space:
     """A finite carrier indexed for matrix evaluation.
 
     Pair elements are pre-scanned into index arrays so fork, product and
-    the projections are single fancy-indexing operations. The cache holds
+    the projections are fancy-indexing operations. The cache holds
     the results of constant terms (no relation or signature symbols), which
     are shared by every model over this carrier.
     """
@@ -289,30 +295,50 @@ def interp_from_model(model: FiniteModel, space: Space) -> dict:
 # matrix semantics of variable-free terms
 
 
-# Inner dimension above which _mm drops the unused inner indices. On
-# unstructured random operands the dense/restricted time ratio is 0.63
-# at 64, 0.78 at 96, 1.12 at 128 and 1.57 at 256: below this the mask
-# and the two slices cost more than the float32 product they shrink.
+# Inner dimension above which _mm looks for a gather and drops the
+# unused inner indices. On unstructured random operands the
+# dense/restricted time ratio is 0.63 at 64, 0.78 at 96, 1.12 at 128 and
+# 1.57 at 256: below this the mask and the two slices cost more than the
+# float32 product they shrink. The row and column counts a gather needs
+# cost as much as the product at n = 62 and a fifth of it at 256.
 _RESTRICT_INNER = 128
 
 
 def _mm(a, b):
-    """Boolean product a;b of two bool matrices, as a float32 matmul.
+    """Boolean product a;b of two matrices of shape (1|n, 1|n).
 
-    Above an inner dimension of _RESTRICT_INNER only the inner indices w
-    where column w of a and row w of b are both non-empty are kept. The
-    restriction is exact: an index with an empty column of a or an empty
-    row of b adds no path u a w b v, so dropping it changes no entry of
-    a;b. Oracle operands are mostly very sparse (most products on the
-    running example's 510-element carrier share no inner index at all),
-    so the kept product is usually tiny, and with no index kept a;b is
-    empty without a product; skipping that float32 result also keeps the
-    peak RSS from rising. The gate sits where the restriction pays on
-    unstructured operands, from the kernel's own cost, not from any
-    carrier size of a workload. The float32 sums count at most n paths
-    per entry, exact well past any carrier here.
+    a;b holds at (u, v) iff some inner index w has u a w and w b v. An
+    inner dimension of 1 means the operand does not vary with w; as the
+    carrier has some w (n >= 1), a;b is then a row test of a times a
+    column test of b. Above an inner dimension of _RESTRICT_INNER:
+
+    * where every row u of a holds at most one entry w(u), row u of a;b
+      is row w(u) of b, or empty with row u of a: a gather of rows, exact
+      because no other w adds a path. Columns of b with at most one
+      entry gather the columns of a the same way.
+    * otherwise only the inner indices w where column w of a and row w
+      of b are both non-empty are kept, and the rest is a float32
+      matmul. Dropping an index with an empty column of a or an empty
+      row of b changes no entry of a;b. Oracle operands are mostly very
+      sparse, so the kept product is usually tiny, and with no index
+      kept a;b is empty without a product; skipping that float32 result
+      also keeps the peak RSS from rising.
+
+    The gate sits where these pay on unstructured operands, from the
+    kernel's own cost, not from any carrier size of a workload. The
+    int32 counts and float32 sums are exact well past any carrier here.
     """
+    if a.shape[1] == 1:
+        return a & b.any(0, keepdims=True)
+    if b.shape[0] == 1:
+        return a.any(1, keepdims=True) & b
     if a.shape[1] > _RESTRICT_INNER:
+        rows = a.sum(1, dtype=np.int32)
+        if rows.max() <= 1:
+            return b.take(a.argmax(1), axis=0) & rows.astype(bool)[:, None]
+        cols = b.sum(0, dtype=np.int32)
+        if cols.max() <= 1:
+            return a.take(b.argmax(0), axis=1) & cols.astype(bool)
         keep = a.any(0) & b.any(1)
         if not keep.any():
             return np.zeros((a.shape[0], b.shape[1]), dtype=bool)
@@ -320,14 +346,19 @@ def _mm(a, b):
     return (a.astype(np.float32) @ b.astype(np.float32)) > 0.0
 
 
+def _full(m, n):
+    """A matrix value in its n x n layout (a read-only view if broadcast)."""
+    return m if m.shape == (n, n) else np.broadcast_to(m, (n, n))
+
+
 def eval_fa(e: FAExpr, space: Space, interp: dict):
-    """Boolean matrix of a variable-free term over the carrier.
+    """Fresh n x n boolean matrix of a variable-free term over the carrier.
 
     Unknown relation and signature names denote the empty relation.
     Subterms free of relation symbols are cached on the space itself and
     shared across models.
     """
-    return _eval2(e, space, interp, {})[0]
+    return np.array(_full(_eval2(e, space, interp, {})[0], space.n))
 
 
 def _eval2(e, space, interp, cache):
@@ -337,27 +368,19 @@ def _eval2(e, space, interp, cache):
     if hit is not None:
         return hit
     n = space.n
-    const = True
-    if isinstance(e, Rel):
-        m = interp.get(("rel", e.name))
-        m = np.zeros((n, n), dtype=bool) if m is None else m
-        const = False
-    elif isinstance(e, Phi):
-        m = interp.get(("sig", e.sig))
-        m = np.zeros((n, n), dtype=bool) if m is None else m
-        const = False
-    elif isinstance(e, Top):
-        m = np.ones((n, n), dtype=bool)
-    elif isinstance(e, Bot):
-        m = np.zeros((n, n), dtype=bool)
+    const = not isinstance(e, (Rel, Phi))
+    if not const:
+        key = ("rel", e.name) if isinstance(e, Rel) else ("sig", e.sig)
+        m = interp.get(key)
+        m = np.zeros((min(n, 1),) * 2, dtype=bool) if m is None else m
+    elif isinstance(e, (Top, Bot)):
+        m = np.full((min(n, 1),) * 2, isinstance(e, Top))
     elif isinstance(e, Id):
         m = np.eye(n, dtype=bool)
-    elif isinstance(e, Pi1):
+    elif isinstance(e, (Pi1, Pi2)):
         m = np.zeros((n, n), dtype=bool)
-        m[space._left, space._pairs] = True
-    elif isinstance(e, Pi2):
-        m = np.zeros((n, n), dtype=bool)
-        m[space._right, space._pairs] = True
+        m[space._left if isinstance(e, Pi1) else space._right,
+          space._pairs] = True
     elif isinstance(e, (Join, Meet, Comp, Ldiv)):
         l, cl = _eval2(e.l, space, interp, cache)
         r, cr = _eval2(e.r, space, interp, cache)
@@ -382,16 +405,19 @@ def _eval2(e, space, interp, cache):
         r, cr = _eval2(e.r, space, interp, cache)
         const = cl and cr
         m = np.zeros((n, n), dtype=bool)
-        m[space._pairs] = l[space._left] & r[space._right]
+        m[space._pairs] = (_full(l, n)[space._left]
+                           & _full(r, n)[space._right])
     elif isinstance(e, Prod):
         l, cl = _eval2(e.l, space, interp, cache)
         r, cr = _eval2(e.r, space, interp, cache)
         const = cl and cr
+        # one axis at a time: 2-D np.ix_ indexing costs several times more
+        left, right = space._left, space._right
+        rows = np.zeros((len(left), n), dtype=bool)
+        rows[:, space._pairs] = (_full(l, n)[left][:, left]
+                                 & _full(r, n)[right][:, right])
         m = np.zeros((n, n), dtype=bool)
-        if len(space._pairs):
-            m[np.ix_(space._pairs, space._pairs)] = (
-                l[np.ix_(space._left, space._left)]
-                & r[np.ix_(space._right, space._right)])
+        m[space._pairs] = rows
     elif isinstance(e, (NComp, Rot)):
         m, const = _eval2(unfold(e), space, interp, cache)
     elif isinstance(e, Star):
@@ -547,7 +573,7 @@ def _rl(f, space, interp, env, nl, cache):
         if lv is None or rv is None:
             return False
         m = _eval2(f.rel, space, interp, cache)[0]
-        return bool(m[lv, rv])
+        return bool(_full(m, space.n)[lv, rv])
     raise TypeError("not an RL formula: %r" % (f,))
 
 
@@ -570,27 +596,33 @@ def infer_width(x) -> int:
     chains; the pipeline stamps the exact width on the facts it builds,
     so this is the safety net for hand-written terms.
     """
-    if isinstance(x, FAFact):
-        return max(infer_width(x.lhs), infer_width(x.rhs))
-    return _width(unfold(x))
+    sides = (x.lhs, x.rhs) if isinstance(x, FAFact) else (x,)
+    return max(map(_width, _distinct(*map(unfold, sides))))
+
+
+def _distinct(*roots):
+    """Every node under the roots; a hash-consed term is yielded once
+    however often it is shared."""
+    seen, todo = set(), list(roots)
+    while todo:
+        t = todo.pop()
+        if isinstance(t, (FAExpr, RLFormula)):
+            if t in seen:
+                continue
+            seen.add(t)
+        yield t
+        todo.extend(c for _, c in children(t))
 
 
 def _width(e):
-    w = 1
-    if isinstance(e, Rel):
-        w = max(w, e.arity - 1)
-    if isinstance(e, (Fork, Prod)):
-        k, cur = 0, e
-        while isinstance(cur, (Fork, Prod)):
-            k += 1
-            cur = cur.r
-        w = max(w, k + 1)
-    chain = _pi_chain(e)
-    if chain:
-        w = max(w, chain + 1)
-    for _, c in children(e):
-        w = max(w, _width(c))
-    return w
+    """The width one node needs: a relation's arity less one, a
+    fork/product spine's length plus one, a selector chain's too."""
+    k, cur = 0, e
+    while isinstance(cur, (Fork, Prod)):
+        k += 1
+        cur = cur.r
+    rel = e.arity - 1 if isinstance(e, Rel) else 1
+    return max(rel, k + 1, _pi_chain(e) + 1)
 
 
 def _pi_chain(e):
@@ -624,7 +656,7 @@ def _fact_truth(fact, space, interp, cache, frame):
         k = space.atom_count
         a, b = a[:k, :k], b[:k, :k]
     if isinstance(fact, FactEq):
-        return bool(np.array_equal(a, b))
+        return bool((a == b).all())
     return bool((~a | b).all())
 
 
@@ -646,7 +678,7 @@ class Verdict:
 def mentioned_rels(x) -> set:
     """Names of the relations a formula, term or fact of any language
     mentions."""
-    return {t.name for t in subterms(x) if isinstance(t, (ARel, Rel))}
+    return {t.name for t in _distinct(x) if isinstance(t, (ARel, Rel))}
 
 
 def _source_truth(source, model, space, interp, cache):

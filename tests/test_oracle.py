@@ -5,24 +5,28 @@ before the evaluator existed; everything downstream is certified
 against them, so change them only with a written justification.
 """
 
+import hashlib
+import os
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from alloy2fa import oracle
 from alloy2fa.terms import (
     AConv, ADiff, AInter, AJoin, AProd, ARel, ASig, AStar, AUnion, AVar,
     Comp, Compl, Conv, FAll, FIn, FSome,
-    FactEq, FactLe, Fork, Join, Ldiv, Meet, NComp, Phi, Prod, Rel, Rot, Star,
-    ID, PI1, PI2, TOP,
+    FactEq, FactLe, Fork, Join, Ldiv, Meet, NComp, Phi, Pi1, Pi2, Prod,
+    Rel, Rot, Star, Top, Bot, Id,
+    BOT, ID, PI1, PI2, TOP,
     RAll, RAnd, RApp, REx, RImp, RMark, arity_of, children, cut, is_core,
-    ncomp, projX, rotate,
+    ncomp, projX, rotate, subterms, unfold,
 )
+from alloy2fa.frontend import parse, symbol_table
 from alloy2fa.oracle import (
-    FiniteModel, SigInfo, SizingError, Vocab,
+    FiniteModel, SigInfo, SizingError, Space, Vocab,
     check_equiv, describe_model, eval_aexpr, eval_alloy, eval_fa, eval_rl,
     fact_holds, gen_formula, gen_vocab, get_tuple_space, infer_width,
     interp_from_model, iter_models, mentioned_rels, model_count, nest,
@@ -246,7 +250,25 @@ GATE = oracle._RESTRICT_INNER
 
 
 def _dense_mm(a, b):
+    """a;b as one float32 product of the n x n broadcasts."""
+    n = max(a.shape + b.shape)
+    a, b = np.broadcast_to(a, (n, n)), np.broadcast_to(b, (n, n))
     return (a.astype(np.float32) @ b.astype(np.float32)) > 0.0
+
+
+def _kernel_agrees(a, b):
+    """_mm matches the dense product, in a valid C-ordered shape."""
+    n = max(a.shape + b.shape)
+    m = oracle._mm(a, b)
+    assert set(m.shape) <= {1, n} and m.flags.c_contiguous
+    return np.array_equal(np.broadcast_to(m, (n, n)), _dense_mm(a, b))
+
+
+def _partial_function(rng, rows, n, density):
+    """rows x n with at most one entry per row, in a random column."""
+    m = np.zeros((rows, n), dtype=bool)
+    m[np.arange(rows), rng.integers(0, n, rows)] = rng.random(rows) < density
+    return m
 
 
 def _planted(rng, n, density, empty_rows, empty_cols):
@@ -271,7 +293,49 @@ class TestCompositionKernel:
         rng = np.random.default_rng(seed)
         a = _planted(rng, n, density, empty[0], empty[1])
         b = _planted(rng, n, density, empty[2], empty[3])
-        assert np.array_equal(oracle._mm(a, b), _dense_mm(a, b))
+        assert _kernel_agrees(a, b)
+
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.integers(1, 2 * GATE) | st.sampled_from(
+               [GATE - 1, GATE, GATE + 1]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           density=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+           shapes=st.tuples(*[st.sampled_from(["1n", "n1", "11", "nn"])] * 2))
+    def test_vector_shapes_match_the_dense_product(self, n, seed, density,
+                                                   shapes):
+        # a 1 in a shape stands for n equal rows or columns
+        rng = np.random.default_rng(seed)
+        a, b = (rng.random(tuple(n if c == "n" else 1 for c in shape))
+                < density for shape in shapes)
+        assert _kernel_agrees(a, b)
+
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.sampled_from([2, GATE - 1, GATE, GATE + 1, 2 * GATE]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           density=st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+           other=st.sampled_from([0.0, 0.02, 0.3, 1.0]),
+           vector=st.booleans(), converse=st.booleans(),
+           ordered=st.booleans(), twice=st.booleans())
+    def test_gathers_match_the_dense_product(self, n, seed, density, other,
+                                             vector, converse, ordered,
+                                             twice):
+        # a partial function on the left (at most one entry per row), or
+        # its converse on the right (at most one per column), possibly a
+        # single row or column, beside a random operand; the converse is
+        # a transposed view unless ordered, and twice gives one row a
+        # second entry, so no gather applies
+        rng = np.random.default_rng(seed)
+        f = _partial_function(rng, 1 if vector else n, n, density)
+        if twice:
+            f[0, :2] = True
+        g = rng.random((n, n)) < other
+        if converse:
+            f = np.ascontiguousarray(f.T) if ordered else f.T
+            a, b = g, f
+        else:
+            a, b = f, g
+        assert _kernel_agrees(a, b)
+        assert _kernel_agrees(f, f.T) and _kernel_agrees(f.T, f)
 
     @pytest.mark.parametrize("n", [GATE, GATE + 1, 3 * GATE])
     def test_no_shared_inner_index(self, n):
@@ -326,6 +390,195 @@ class TestCompositionKernel:
                             seen.add(v)
                             todo.append(v)
                 assert set(np.flatnonzero(m[u])) == seen
+
+
+def dense_eval(e, space, interp):
+    """The evaluator the vector-shaped one replaced, as the reference:
+    every value a full n x n matrix, every composition one float32
+    product, no caches."""
+    n = space.n
+    ev = lambda x: dense_eval(x, space, interp)  # noqa: E731
+    pairs, left, right = space._pairs, space._left, space._right
+    if isinstance(e, (Rel, Phi)):
+        key = ("rel", e.name) if isinstance(e, Rel) else ("sig", e.sig)
+        return interp.get(key, np.zeros((n, n), dtype=bool))
+    if isinstance(e, (Top, Bot)):
+        return np.full((n, n), isinstance(e, Top))
+    if isinstance(e, Id):
+        return np.eye(n, dtype=bool)
+    if isinstance(e, (Pi1, Pi2)):
+        m = np.zeros((n, n), dtype=bool)
+        m[left if isinstance(e, Pi1) else right, pairs] = True
+        return m
+    if isinstance(e, Join):
+        return ev(e.l) | ev(e.r)
+    if isinstance(e, Meet):
+        return ev(e.l) & ev(e.r)
+    if isinstance(e, Comp):
+        return _dense_mm(ev(e.l), ev(e.r))
+    if isinstance(e, Ldiv):
+        return ~_dense_mm(ev(e.l).T, ~ev(e.r))
+    if isinstance(e, Conv):
+        return ev(e.e).T
+    if isinstance(e, Compl):
+        return ~ev(e.e)
+    if isinstance(e, Fork):
+        m = np.zeros((n, n), dtype=bool)
+        m[pairs] = ev(e.l)[left] & ev(e.r)[right]
+        return m
+    if isinstance(e, Prod):
+        m = np.zeros((n, n), dtype=bool)
+        if len(pairs):
+            m[np.ix_(pairs, pairs)] = (ev(e.l)[np.ix_(left, left)]
+                                       & ev(e.r)[np.ix_(right, right)])
+        return m
+    if isinstance(e, (NComp, Rot)):
+        return ev(unfold(e))
+    if isinstance(e, Star):
+        m = np.eye(n, dtype=bool) | ev(e.e)
+        while True:
+            nxt = _dense_mm(m, m) | m
+            if np.array_equal(nxt, m):
+                return m
+            m = nxt
+    raise TypeError(e)
+
+
+def dense_fact(fact, space, interp, frame):
+    a, b = dense_eval(fact.lhs, space, interp), dense_eval(fact.rhs, space,
+                                                          interp)
+    if frame == "atoms":
+        k = space.atom_count
+        a, b = a[:k, :k], b[:k, :k]
+    if isinstance(fact, FactEq):
+        return bool(np.array_equal(a, b))
+    return bool((~a | b).all())
+
+
+# r is random, f a partial function, g the converse of one, A a
+# coreflexive and nope an unknown name
+fa_terms = st.recursive(
+    st.sampled_from([Rel("r"), Rel("f"), Rel("g"), Rel("nope"), Phi("A"),
+                     TOP, BOT, ID, PI1, PI2]),
+    lambda sub: st.one_of(
+        *[st.builds(op, sub, sub)
+          for op in (Join, Meet, Comp, Ldiv, Fork, Prod)],
+        *[st.builds(op, sub) for op in (Conv, Compl, Star)]),
+    max_leaves=6)
+
+# prefixes of a tuple carrier keep every pair's components, so the
+# projections, forks and products have pairs to act on
+_ELEMENTS = tuple_space(("a", "b"), 8).elements
+SHAPE_SPACES = {n: Space(_ELEMENTS[:n], min(n, 2))
+                for n in (0, 1, GATE - 1, GATE + 1)}
+
+
+def _shape_interp(space, rng):
+    n = space.n
+    f = _partial_function(rng, n, n, 0.7)
+    return {("rel", "r"): rng.random((n, n)) < rng.choice([0.01, 0.3]),
+            ("rel", "f"): f,
+            ("rel", "g"): np.ascontiguousarray(
+                _partial_function(rng, n, n, 0.7).T),
+            ("sig", "A"): np.diag(rng.random(n) < 0.5)}
+
+
+def _shape_model(rng, k):
+    atoms = tuple("a%d" % i for i in range(k))
+    fun = {(x, atoms[rng.integers(k)]) for x in atoms if rng.random() < 0.7}
+    con = {(atoms[rng.integers(k)], x) for x in atoms if rng.random() < 0.7}
+    return FiniteModel(atoms, {"A": frozenset(atoms[:k // 2])}, {
+        "r": frozenset((x, y) for x in atoms for y in atoms
+                       if rng.random() < 0.1),
+        "f": frozenset(fun), "g": frozenset(con)})
+
+
+def _near_gate(width):
+    """Atom counts whose tuple carrier of the width has the most elements
+    below GATE and the fewest above it."""
+    size = lambda k: sum(k ** i for i in range(1, width + 1))  # noqa: E731
+    below = max(k for k in range(1, GATE + 1) if size(k) < GATE)
+    return below, next(k for k in range(below, GATE + 2) if size(k) > GATE)
+
+
+class TestVectorShapes:
+    """Vector-shaped values and the gather kernel evaluate every term
+    and fact as the dense evaluator does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(term=fa_terms, n=st.sampled_from(sorted(SHAPE_SPACES)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_eval_fa_matches_the_dense_evaluator(self, term, n, seed):
+        space = SHAPE_SPACES[n]
+        interp = _shape_interp(space, np.random.default_rng(seed))
+        m = eval_fa(term, space, interp)
+        assert m.shape == (n, n) and m.flags.writeable
+        assert np.array_equal(m, dense_eval(term, space, interp))
+
+    @settings(max_examples=80, deadline=None)
+    @given(lhs=fa_terms, rhs=fa_terms, eq=st.booleans(),
+           carrier=st.sampled_from(["empty", "one", "below", "above"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_fact_holds_matches_the_dense_evaluator(self, lhs, rhs, eq,
+                                                    carrier, seed):
+        # 0 atoms, 1 atom, and the tuple carriers of the fact's width
+        # just below and just above GATE elements
+        fact = (FactEq if eq else FactLe)(lhs, rhs)
+        w = infer_width(fact)
+        assume(w <= 4)
+        k = {"empty": 0, "one": 1}.get(carrier)
+        if k is None:
+            k = _near_gate(w)[carrier == "above"]
+        model = _shape_model(np.random.default_rng(seed), k)
+        space = get_tuple_space(model.atoms, w)
+        interp = interp_from_model(model, space)
+        for frame in ("carrier", "atoms"):
+            assert fact_holds(fact, model, frame=frame) == dense_fact(
+                fact, space, interp, frame)
+
+    def test_empty_carrier_has_empty_vectors(self):
+        # TOP and BOT are (1, 1) only on a non-empty carrier
+        empty = FiniteModel((), {}, {})
+        assert fact_holds(FactEq(TOP, BOT), empty)
+        assert fact_holds(FactLe(TOP, Comp(Comp(TOP, Phi("A")), TOP)), empty)
+        assert eval_fa(TOP, SHAPE_SPACES[0], {}).shape == (0, 0)
+
+    @pytest.mark.parametrize("config, settings", [
+        ("mech", dict(bound=2, max_exhaustive=0, samples=6)),
+        ("short", dict(bound=2))])
+    def test_constant_cache_is_never_written(self, config, settings,
+                                             golden_translations,
+                                             monkeypatch):
+        # hash every matrix of space.cache before each model of one
+        # check_equiv on the running example and once more after it
+        with open(os.path.join(os.path.dirname(__file__), "data",
+                               "university.als")) as fh:
+            table = symbol_table(parse(fh.read()))
+        vocab = Vocab({name: SigInfo(name, parent, table.sig_abstract[name])
+                       for name, parent in table.sig_parent.items()},
+                      dict(table.rel_cols))
+        ((_, form, fact),) = [run for run in golden_translations[config]
+                              if run[0].startswith("university:")]
+        hashes, spaces = {}, []
+
+        def check(space):
+            for term, (m, _) in space.cache.items():
+                h = hashlib.sha256(np.ascontiguousarray(m).tobytes())
+                h = (m.shape, h.hexdigest())
+                assert hashes.setdefault((space, term), h) == h, term
+
+        def checking(model, space):
+            spaces.append(space)
+            check(space)
+            return real(model, space)
+
+        real = oracle.interp_from_model
+        monkeypatch.setattr(oracle, "interp_from_model", checking)
+        v = check_equiv(form, fact, vocab, **settings)
+        for space in set(spaces):
+            check(space)
+        assert v.status != "FAIL" and v.checked == len(spaces)
+        assert len(hashes) > 10
 
 
 def _random_interp(space, rng, names, density=0.35):
@@ -491,6 +744,39 @@ class TestFactEvaluation:
         sigma = Fork(projX(3, 1), Fork(projX(3, 2), projX(3, 3)))
         assert infer_width(sigma) == 3
         assert infer_width(cut(4)) == 4
+
+    def test_golden_facts_keep_the_tree_walk_results(self,
+                                                     golden_translations):
+        # infer_width and mentioned_rels visit each shared subterm once;
+        # the tree walks they replaced are the reference
+        def tree_width(e):
+            w = e.arity - 1 if isinstance(e, Rel) else 1
+            if isinstance(e, (Fork, Prod)):
+                k, cur = 0, e
+                while isinstance(cur, (Fork, Prod)):
+                    k, cur = k + 1, cur.r
+                w = max(w, k + 1)
+            return max([w, pi_chain(e) + 1]
+                       + [tree_width(c) for _, c in children(e)])
+
+        def pi_chain(e):
+            if isinstance(e, (Pi1, Pi2)):
+                return 1
+            if isinstance(e, Comp):
+                l, r = pi_chain(e.l), pi_chain(e.r)
+                return l + r if l and r else 0
+            return 0
+
+        def tree_rels(x):
+            return {t.name for t in subterms(x) if isinstance(t, (ARel, Rel))}
+
+        for config, runs in golden_translations.items():
+            for key, form, fact in runs:
+                assert infer_width(fact) == max(
+                    tree_width(unfold(fact.lhs)),
+                    tree_width(unfold(fact.rhs))), (config, key)
+                assert mentioned_rels(fact) == tree_rels(fact), (config, key)
+                assert mentioned_rels(form) == tree_rels(form), (config, key)
 
     def test_explicit_width_wins_when_larger(self):
         m = FiniteModel(("a",), {}, {"r": frozenset({("a", "a")})})
