@@ -7,6 +7,12 @@ the boolean connectives, quantifiers and the counting forms `some` and
 `lone`. Transitive closure `^e` is rejected up front; only the
 reflexive-transitive `*e` is in the fragment.
 
+`lex` matches one compiled pattern, `_TOKEN`, whose alternatives are
+tried in order: skipped text (blanks, `//` and `--` line comments,
+closed `/* */` comments), an unclosed `/*`, a name, an operator (the
+two-character ones first), and any other character, which is an error.
+Lines and columns come from the match offsets.
+
 Binary operators by level, loosest first, on one ladder (the table
 OPS); each groups to the left except `=>`, which nests right:
 
@@ -26,11 +32,17 @@ types from terms. `desugar` inlines predicate calls, closes parametric
 asserts and rewrites every convenience form down to the core
 (membership, counting some, negation, conjunction, ranged all), which
 is what the translation pipeline consumes.
+
+The walks recurse once or more per operator. On a chain too long for
+the interpreter stack the parser fails at the token it stopped on, and
+`_guarded` makes name resolution and desugaring fail at the first
+position the input holds.
 """
 
 import dataclasses
-import string
+import re
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Optional
 
 from .terms import (
@@ -58,11 +70,13 @@ KEYWORDS = {
     "iden", "none", "univ", "and", "or", "not",
 }
 
-TWO_CHAR = ("->", "=>", "&&", "||", "<:", ":>")
-ONE_CHAR = "{}()[],:|!~*^.&+-="
-
-_ID_START = set(string.ascii_letters)
-_ID_CONT = set(string.ascii_letters + string.digits + "_'")
+_TOKEN = re.compile(r"""
+    (?P<skip> [ \t\r\n]+ | //[^\n]* | --[^\n]* | /\*.*?\*/ )
+  | (?P<open> /\* )
+  | (?P<id>   [A-Za-z][A-Za-z0-9_']* )
+  | (?P<op>   -> | => | && | \|\| | <: | :> | [{}()\[\],:|!~*^.&+\-=] )
+  | (?P<bad>  . )
+""", re.VERBOSE | re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -74,55 +88,23 @@ class Tok:
 
 
 def lex(text: str):
-    toks = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if c in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if text.startswith("//", i) or text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end < 0:
-                raise ParseError(
-                    "lexical error: unterminated comment at line %d, "
-                    "column %d" % (line, col))
-            skipped = text[i:end + 2]
-            line += skipped.count("\n")
-            col = (len(skipped) - skipped.rfind("\n")
-                   if "\n" in skipped else col + len(skipped))
-            i = end + 2
-            continue
-        if c in _ID_START:
-            j = i
-            while j < n and text[j] in _ID_CONT:
-                j += 1
-            word = text[i:j]
-            toks.append(Tok("kw" if word in KEYWORDS else "id",
+    toks, line, bol = [], 1, 0  # bol: the offset the current line begins at
+    for m in _TOKEN.finditer(text):
+        kind, word, col = m.lastgroup, m.group(), m.start() - bol + 1
+        if kind == "skip":
+            if "\n" in word:
+                line += word.count("\n")
+                bol = m.start() + word.rindex("\n") + 1
+        elif kind == "open":
+            raise ParseError("lexical error: unterminated comment at line "
+                             "%d, column %d" % (line, col))
+        elif kind == "bad":
+            raise ParseError("lexical error: unexpected character %r at "
+                             "line %d, column %d" % (word, line, col))
+        else:
+            toks.append(Tok("kw" if word in KEYWORDS else kind,
                             word, line, col))
-            col += j - i
-            i = j
-            continue
-        two = text[i:i + 2]
-        if two in TWO_CHAR:
-            toks.append(Tok("op", two, line, col))
-            i, col = i + 2, col + 2
-            continue
-        if c in ONE_CHAR:
-            toks.append(Tok("op", c, line, col))
-            i, col = i + 1, col + 1
-            continue
-        raise ParseError("lexical error: unexpected character %r at "
-                         "line %d, column %d" % (c, line, col))
-    toks.append(Tok("eof", "", line, col))
+    toks.append(Tok("eof", "", line, len(text) - bol + 1))
     return toks
 
 
@@ -201,7 +183,10 @@ OPS = {"||": (0, FOr), "or": (0, FOr), "=>": (1, FImp),
        "+": (4, AUnion), "-": (4, ADiff), "&": (5, AInter), "->": (6, AProd),
        "<:": (7, ADomRes), ":>": (7, ARanRes), ".": (8, AJoin)}
 _COMPARISON = OPS["in"][0]  # looser levels join formulas, tighter join sets
-_SPELLING = {node: op for op, (_, node) in reversed(OPS.items())}
+# keyword -> constant expression, which the printer spells as the keyword
+_CONSTANTS = {"iden": AIden, "none": ANone, "univ": AUniv}
+_SPELLING = {**{node: op for op, (_, node) in reversed(OPS.items())},
+             **{node: word for word, node in _CONSTANTS.items()}}
 
 
 class _Parser:
@@ -487,12 +472,9 @@ class _Parser:
             return x
         if t.kind == "id" and self.peek(1).text == "[":
             return self.pred_call()
-        if self.eat("iden"):
-            return AIden(pos=self._pos(t))
-        if self.eat("none"):
-            return ANone(pos=self._pos(t))
-        if self.eat("univ"):
-            return AUniv(pos=self._pos(t))
+        if t.kind == "kw" and t.text in _CONSTANTS:
+            self.i += 1
+            return _CONSTANTS[t.text](pos=self._pos(t))
         if t.kind == "id":
             self.i += 1
             if any(t.text in s for s in self.scopes):
@@ -535,42 +517,41 @@ def _resolve(model: AlloyModel) -> AlloyModel:
                                  "%r%s" % (c, f.name, at_pos(f)))
     _check_forest(model)
 
-    def fix_expr(e):
-        if isinstance(e, ARel):
-            if e.name in signames:
-                return ASig(e.name, pos=e.pos)
-            if e.name not in fieldnames:
+    def fix(x):
+        if isinstance(x, ARel):
+            if x.name in signames:
+                return ASig(x.name, pos=x.pos)
+            if x.name not in fieldnames:
                 raise ParseError("unknown identifier %r%s"
-                                 % (e.name, at_pos(e)))
-            return e
-        return map_children(e, fix_expr)
+                                 % (x.name, at_pos(x)))
+            return x
+        return map_children(x, fix)
 
-    def fix_form(f):
-        return map_children(f, lambda c: fix_form(c)
-                            if isinstance(c, AlloyForm) else fix_expr(c))
-
-    def fix(x, fn):
-        # the walks recurse once per operator; a long chain of them (say
-        # 1,000 conjuncts) is reported at the first position it holds
-        try:
-            return fn(x)
-        except RecursionError:
-            first = min((t for t in subterms(x) if t.pos),
-                        key=lambda t: t.pos, default=None)
-            raise ParseError("input nested too deeply%s"
-                             % at_pos(first)) from None
+    def resolved(x):
+        return _guarded(fix, x, ParseError)
 
     return dataclasses.replace(
         model,
-        facts=tuple(fix(f, fix_form) for f in model.facts),
+        facts=tuple(resolved(f) for f in model.facts),
         preds=tuple(
             dataclasses.replace(p, params=tuple(
-                (n, fix(r, fix_expr)) for n, r in p.params),
-                body=fix(p.body, fix_form)) for p in model.preds),
+                (n, resolved(r)) for n, r in p.params),
+                body=resolved(p.body)) for p in model.preds),
         asserts=tuple(
             dataclasses.replace(a, params=tuple(
-                (n, fix(r, fix_expr)) for n, r in a.params),
-                form=fix(a.form, fix_form)) for a in model.asserts))
+                (n, resolved(r)) for n, r in a.params),
+                form=resolved(a.form)) for a in model.asserts))
+
+
+def _guarded(fn, x, error):
+    """fn(x), or an error of class error at the first position x holds
+    when x is nested too deeply for fn (say, 1,000 conjuncts)."""
+    try:
+        return fn(x)
+    except RecursionError:
+        first = min((t for t in subterms(x) if t.pos),
+                    key=lambda t: t.pos, default=None)
+        raise error("input nested too deeply%s" % at_pos(first)) from None
 
 
 def _check_forest(model: AlloyModel):
@@ -657,12 +638,8 @@ def pp_form(f: AlloyForm) -> str:
 def pp_expr(e: AlloyExpr) -> str:
     if isinstance(e, (ASig, ARel, AVar)):
         return e.name
-    if isinstance(e, AIden):
-        return "iden"
-    if isinstance(e, ANone):
-        return "none"
-    if isinstance(e, AUniv):
-        return "univ"
+    if isinstance(e, (AIden, ANone, AUniv)):
+        return _SPELLING[type(e)]
     if isinstance(e, AConv):
         return "~%s" % _pp_tight(e.e)
     if isinstance(e, AStar):
@@ -690,28 +667,24 @@ def free_vars(x) -> set:
     return out
 
 
-def _subst_expr(e: AlloyExpr, env: dict) -> AlloyExpr:
-    if isinstance(e, AVar):
-        return env.get(e.name, e)
-    return map_children(e, lambda c: _subst_expr(c, env))
-
-
-def subst(f: AlloyForm, env: dict, fresh=None) -> AlloyForm:
-    """Capture-avoiding substitution of expressions for free variables."""
+def subst(x, env: dict, fresh=None):
+    """Capture-avoiding substitution of expressions for free variables in
+    a formula or an expression."""
     if fresh is None:
-        fresh = _FreshNames(free_vars(f) | {n for v in env.values()
+        fresh = _FreshNames(free_vars(x) | {n for v in env.values()
                                             for n in free_vars(v)})
-    if isinstance(f, (FAll, FSomeQ)):
-        env = {k: v for k, v in env.items() if k != f.var}
-        bound = _subst_expr(f.bound, env)
-        var, body = f.var, f.body
+    if isinstance(x, AVar):
+        return env.get(x.name, x)
+    if isinstance(x, (FAll, FSomeQ)):
+        env = {k: v for k, v in env.items() if k != x.var}
+        bound = subst(x.bound, env, fresh)
+        var, body = x.var, x.body
         if any(var in free_vars(v) for v in env.values()):
-            var = fresh.like(f.var)
-            body = subst(body, {f.var: AVar(var)}, fresh)
-        return dataclasses.replace(f, var=var, bound=bound,
+            var = fresh.like(x.var)
+            body = subst(body, {x.var: AVar(var)}, fresh)
+        return dataclasses.replace(x, var=var, bound=bound,
                                    body=subst(body, env, fresh))
-    return map_children(f, lambda c: subst(c, env, fresh)
-                        if isinstance(c, AlloyForm) else _subst_expr(c, env))
+    return map_children(x, lambda c: subst(c, env, fresh))
 
 
 class _FreshNames:
@@ -778,17 +751,11 @@ def _expand_lone(f: FLone, arities: dict) -> AlloyForm:
     fresh = _FreshNames(free_vars(f.e))
     xs = [fresh.numbered("lx") for _ in range(n)]
     ys = [fresh.numbered("ly") for _ in range(n)]
-
-    def tup(names):
-        e = AVar(names[0])
-        for v in names[1:]:
-            e = AProd(e, AVar(v))
-        return e
-
+    tx, ty = (reduce(AProd, map(AVar, names)) for names in (xs, ys))
     eqs = FEq(AVar(xs[-1]), AVar(ys[-1]))
     for x, y in zip(reversed(xs[:-1]), reversed(ys[:-1])):
         eqs = FAnd(FEq(AVar(x), AVar(y)), eqs)
-    out = FImp(FAnd(FIn(tup(xs), f.e), FIn(tup(ys), f.e)), eqs)
+    out = FImp(FAnd(FIn(tx, f.e), FIn(ty, f.e)), eqs)
     for v in reversed(xs + ys):
         out = FAll(v, AUniv(), out)
     return out
@@ -798,17 +765,16 @@ def desugar(model: AlloyModel) -> AlloyModel:
     """Inline predicates, close asserts, reduce every formula to the core."""
     arities = model.rel_arity()
 
-    def close(a: Assertion) -> AlloyForm:
-        form = _inline_calls(a.form, model, ())
-        for name, rng in reversed(a.params):
-            form = FAll(name, rng, form)
-        return form
+    def core(f: AlloyForm, params=()) -> AlloyForm:
+        f = _inline_calls(f, model, ())
+        for name, rng in reversed(params):
+            f = FAll(name, rng, f)
+        return _to_core(f, arities)
 
-    facts = tuple(_to_core(_inline_calls(f, model, ()), arities)
-                  for f in model.facts)
-    asserts = tuple(dataclasses.replace(a, params=(),
-                                        form=_to_core(close(a), arities))
-                    for a in model.asserts)
+    facts = tuple(_guarded(core, f, DesugarError) for f in model.facts)
+    asserts = tuple(dataclasses.replace(a, params=(), form=_guarded(
+        lambda f: core(f, a.params), a.form, DesugarError))
+        for a in model.asserts)
     return AlloyModel(model.sigs, model.fields, facts, model.preds, asserts)
 
 

@@ -1,13 +1,18 @@
 """Parsing, desugaring and symbol-table behavior on the accepted subset."""
 
+import ast
 import os
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alloy2fa.expand import expand_form
 from alloy2fa.frontend import (
-    DesugarError, ParseError, SigDecl, _Parser, check_arities, desugar,
-    parse, pp_expr, pp_form, pretty, subst, symbol_table,
+    KEYWORDS, OPS, DesugarError, ParseError, SigDecl, _Parser,
+    check_arities, desugar, lex, parse, pp_expr, pp_form, pretty, subst,
+    symbol_table,
 )
 from alloy2fa.terms import (
     ADiff, ADomRes, AInter, AJoin, AProd, ARanRes, ARel, ASig, AStar,
@@ -238,6 +243,10 @@ class TestParseErrors:
          "column 37"),
         ("sig A { r : A } fact { some (some A) }",
          "expected an expression, got a formula at line 1, column 30"),
+        # the end of input stands past a trailing line comment
+        ("sig A { // x", "got 'end of input' at line 1, column 13"),
+        ("sig A {} assert { some A -- y",
+         "got 'end of input' at line 1, column 30"),
     ]
 
     @pytest.mark.parametrize("text,needle", CASES)
@@ -282,15 +291,56 @@ class TestParseErrors:
 
     @pytest.mark.parametrize("op", ["or", "=>", "and"])
     def test_long_chains_pass_every_stage_or_fail_with_a_position(self, op):
-        def chain(n):
-            return "sig A {}\nassert a { %s }" % (" %s " % op).join(
+        # each stage recurses at its own depth per operator, so the first
+        # to give up moves as the walks change; whichever it is names a
+        # position, and a bare RecursionError fails the test
+        def stages(n):
+            text = "sig A {}\nassert a { %s }" % (" %s " % op).join(
                 ["some A"] * n)
+            model = check_arities(desugar(parse(text)))
+            expand_form(model.asserts[0].form, model.rel_arity())
 
-        model = check_arities(desugar(parse(chain(300))))
-        expand_form(model.asserts[0].form, model.rel_arity())
-        with pytest.raises(ParseError,
-                           match=r"nested too deeply.* line 2, column \d+"):
-            parse(chain(400))
+        stages(300)
+        for n in range(350, 1101, 50):
+            try:
+                stages(n)
+            except (ParseError, DesugarError, ArityError) as e:
+                assert re.search(r"nested too deeply.* line 2, column \d+",
+                                 str(e)), (n, e)
+
+
+class TestLexer:
+    FRAGMENTS = (["a", "Zq", "x1_'", "_", "'", "7", " ", "\t", "\r", "\n",
+                  "//", "--", "/*", "*/", "/", "@", "<", ">"]
+                 + [op for op in OPS if not op.isalpha()]
+                 + list("{}()[],:|!~*^.&+-="))
+
+    @staticmethod
+    def offset(text, line, col):
+        """The offset of a (line, column) position in text."""
+        return sum(len(s) + 1 for s in text.split("\n")[:line - 1]) + col - 1
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(FRAGMENTS), max_size=30).map("".join))
+    def test_every_position_holds_what_it_names(self, text):
+        try:
+            toks = lex(text)
+        except ParseError as e:
+            m = re.search(r"(unexpected character (.+)|unterminated comment)"
+                          r" at line (\d+), column (\d+)", str(e))
+            i = self.offset(text, int(m[3]), int(m[4]))
+            bad = ast.literal_eval(m[2]) if m[2] else "/*"
+            assert text.startswith(bad, i)
+            return
+        end = 0
+        for t in toks[:-1]:
+            i = self.offset(text, t.line, t.col)
+            assert i >= end and text.startswith(t.text, i)
+            assert (t.kind == "kw") == (t.text in KEYWORDS)
+            end = i + len(t.text)
+        eof = toks[-1]
+        assert eof.kind == "eof"
+        assert self.offset(text, eof.line, eof.col) == len(text)
 
 
 class TestDesugar:

@@ -1,7 +1,8 @@
 """No source or test module imports a name it never reads or holds a
 line longer than 79 characters, no source module calls `id()` or
-imports below module level, and only `terms` reads the dataclass
-field layout of the node classes.
+imports below module level, only `terms` reads the dataclass field
+layout of the node classes, and every module-level name in src is read
+somewhere outside its own definition.
 
 No linter ships with the toolchain, so these are `ast` and text scans:
 a name bound by an import (other than ``from __future__``) must occur
@@ -10,7 +11,9 @@ so a cache keys by the term itself; an `id()` key would alias once its
 object is freed.  An import inside a function hides an import cycle
 between source modules instead of resolving it.  Code outside `terms`
 walks or rebuilds a node through `terms.children`, `map_children` and
-`with_child`, so the field layout is stated in one module.
+`with_child`, so the field layout is stated in one module.  A name
+that only its own definition reads (say, a recursive helper nothing
+calls) is vocabulary that nothing uses.
 """
 
 import ast
@@ -115,4 +118,54 @@ def test_no_source_line_is_longer_than_79_characters():
     assert SRC and FILES != SRC
     found = {p.relative_to(ROOT).as_posix(): long_lines(p.read_text())
              for p in FILES}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def module_names(stmt) -> set:
+    """The names a module-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return {stmt.name}
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return {n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name)}
+
+
+def names_read(source: str) -> set:
+    """The names a module reads as a name, an attribute or an imported
+    name, each outside the module-level statement that defines it."""
+    out = set()
+    for stmt in ast.parse(source).body:
+        own = module_names(stmt)
+        for n in ast.walk(stmt):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                if n.id not in own:
+                    out.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                out.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                out |= {a.name for a in n.names}
+    return out
+
+
+def unread_names(source: str, read: set) -> list:
+    """The module-level names of source that are not in read;
+    `__version__` is exempt."""
+    defined = set().union(*map(module_names, ast.parse(source).body))
+    return sorted(defined - read - {"__version__"})
+
+
+def test_every_module_level_name_in_src_is_read():
+    mod = ("import m\nA, B = 1, 2\nK: int = 3\n__version__ = '1'\n"
+           "def f(x):\n    return f(A)\nclass C:\n    y = C\n"
+           "def g():\n    return m.B\n")
+    assert unread_names(mod, names_read(mod)) == ["C", "K", "f", "g"]
+    assert unread_names(mod, names_read(mod) | names_read(
+        "from mod import f, g\nK.y\n")) == ["C"]
+    assert SRC
+    read = set().union(*(names_read(p.read_text()) for p in FILES
+                         + sorted(ROOT.glob("perfbench/*.py"))))
+    found = {p.relative_to(ROOT).as_posix(): unread_names(p.read_text(), read)
+             for p in SRC}
     assert {k: v for k, v in found.items() if v} == {}
