@@ -31,6 +31,7 @@ from .pipeline import (
     DEFINITION_RULES,
     MECHANICAL_BANKS,
     _count,
+    _first,
     _flat,
     _leaves,
     _rebuild,
@@ -50,7 +51,6 @@ from .terms import (
     FactEq,
     FactLe,
     FAFact,
-    FAExpr,
     Fork,
     Id,
     Join,
@@ -406,14 +406,6 @@ SHORTCUT_BANKS = ((_LOOP_LOGIC, DEFINITION_RULES, ALGEBRA_RULES)
                   + MECHANICAL_BANKS)
 
 
-def _oriented(app: RApp) -> Optional[FAExpr]:
-    if _flat(app) == (1, 2):
-        return app.rel
-    if _flat(app) == (2, 1):
-        return Conv(app.rel)
-    return None
-
-
 def drop_vars(f: RLFormula) -> Optional[FAFact]:
     """Fact a closed prefix-form formula denotes, read off without frames.
 
@@ -426,13 +418,17 @@ def drop_vars(f: RLFormula) -> Optional[FAFact]:
         return FactEq(TOP, BOT)
     if not isinstance(f, RAll) or not isinstance(f.body, RApp):
         return None
-    body = _oriented(f.body) if f.width == 2 else None
-    if f.width == 2 and f.rng is None and body is not None:
-        return FactEq(body, TOP)
-    if f.width == 2 and isinstance(f.rng, RApp) and body is not None:
-        rng = _oriented(f.rng)
-        if rng is not None:
-            return FactLe(rng, body)
+    if f.width == 2:
+        # binary applications over levels 1 and 2, either way round
+        body = _first(f.body, 1)
+        if body is None or body[1] != 2:
+            return None
+        if f.rng is None:
+            return FactEq(body[0], TOP)
+        rng = _first(f.rng, 1) if isinstance(f.rng, RApp) else None
+        if rng is None or rng[1] != 2:
+            return None
+        return FactLe(rng[0], body[0])
     if f.width == 1 and _flat(f.body) == (1, 1):
         if f.rng is None:
             return FactLe(ID, f.body.rel)

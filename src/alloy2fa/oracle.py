@@ -97,10 +97,6 @@ class Space:
         self._right = np.asarray(pr, dtype=np.intp)
         self.cache = {}
 
-    @property
-    def atoms(self):
-        return self.elements[:self.atom_count]
-
     def __repr__(self):
         return "Space(%d elements, %d atoms)" % (self.n, self.atom_count)
 
@@ -209,15 +205,17 @@ def describe_model(m: FiniteModel) -> str:
     return " ".join(parts)
 
 
-def _extents(vocab, atoms, placement):
+def _placed(vocab, atoms, placement, rel_names):
+    """Signature extents of a placement of the atoms, and the possible
+    tuples of each named relation, in rel_names order."""
     subs = {s: vocab.subtree(s) for s in vocab.sigs}
-    return {s: frozenset(a for a, p in zip(atoms, placement) if p in subs[s])
-            for s in vocab.sigs}
-
-
-def _possible(vocab, sig_ext, rel):
-    cols = vocab.rels[rel]
-    return list(itertools.product(*(sorted(sig_ext[c]) for c in cols)))
+    sig_ext = {s: frozenset(a for a, p in zip(atoms, placement)
+                            if p in subs[s])
+               for s in vocab.sigs}
+    poss = [list(itertools.product(*(sorted(sig_ext[c])
+                                     for c in vocab.rels[r])))
+            for r in rel_names]
+    return sig_ext, poss
 
 
 def model_count(vocab, n_atoms, rel_names):
@@ -225,20 +223,17 @@ def model_count(vocab, n_atoms, rel_names):
     atoms = tuple("a%d" % i for i in range(n_atoms))
     total = 0
     for placement in itertools.product(vocab.placements(), repeat=n_atoms):
-        sig_ext = _extents(vocab, atoms, placement)
-        combos = 1
-        for r in rel_names:
-            combos <<= len(_possible(vocab, sig_ext, r))
-        total += combos
+        poss = _placed(vocab, atoms, placement, rel_names)[1]
+        total += 1 << sum(len(p) for p in poss)
     return total
+
 
 def iter_models(vocab, n_atoms, rel_names):
     """Every model: all placements of atoms into signatures, crossed with
     all extents of the named relations (others stay empty)."""
     atoms = tuple("a%d" % i for i in range(n_atoms))
     for placement in itertools.product(vocab.placements(), repeat=n_atoms):
-        sig_ext = _extents(vocab, atoms, placement)
-        poss = [_possible(vocab, sig_ext, r) for r in rel_names]
+        sig_ext, poss = _placed(vocab, atoms, placement, rel_names)
         for masks in itertools.product(*(range(1 << len(p)) for p in poss)):
             rels = {}
             for r, p, mask in zip(rel_names, poss, masks):
@@ -251,11 +246,9 @@ def sample_model(vocab, n_atoms, rel_names, rng):
     atoms = tuple("a%d" % i for i in range(n_atoms))
     opts = vocab.placements()
     placement = [rng.choice(opts) for _ in atoms]
-    sig_ext = _extents(vocab, atoms, placement)
-    rels = {}
-    for r in rel_names:
-        rels[r] = frozenset(t for t in _possible(vocab, sig_ext, r)
-                            if rng.random() < 0.5)
+    sig_ext, poss = _placed(vocab, atoms, placement, rel_names)
+    rels = {r: frozenset(t for t in p if rng.random() < 0.5)
+            for r, p in zip(rel_names, poss)}
     return FiniteModel(atoms, sig_ext, rels)
 
 
@@ -713,38 +706,26 @@ def check_equiv(source, fact: FAFact, vocab: Vocab, bound=3,
         w = max(w, len(vocab.rels[r]) - 1)
     sizes = list(range(0 if include_empty else 1, bound + 1))
 
-    def against(model, checked):
+    total = sum(model_count(vocab, n, rel_names) for n in sizes)
+    exhaustive = total <= max_exhaustive
+    if exhaustive:
+        models = (m for n in sizes for m in iter_models(vocab, n, rel_names))
+    else:
+        rng = random.Random(seed)
+        models = (sample_model(vocab, rng.choice(sizes), rel_names, rng)
+                  for _ in range(samples))
+    checked = 0
+    for checked, model in enumerate(models, 1):
         space = get_tuple_space(model.atoms, w)
         interp = interp_from_model(model, space)
         cache = {}
         s = _source_truth(source, model, space, interp, cache)
         f = _fact_truth(fact, space, interp, cache, "carrier")
         if s != f:
-            return Verdict("FAIL", checked,
-                           counterexample=model,
+            return Verdict("FAIL", checked, counterexample=model,
                            detail="source %s, fact %s on %s"
                                   % (s, f, describe_model(model)))
-        return None
-
-    total = sum(model_count(vocab, n, rel_names) for n in sizes)
-    checked = 0
-    if total <= max_exhaustive:
-        for n in sizes:
-            for model in iter_models(vocab, n, rel_names):
-                checked += 1
-                bad = against(model, checked)
-                if bad is not None:
-                    return bad
-        return Verdict("PASS", checked)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        n = rng.choice(sizes)
-        model = sample_model(vocab, n, rel_names, rng)
-        checked += 1
-        bad = against(model, checked)
-        if bad is not None:
-            return bad
-    return Verdict("SAMPLED", checked)
+    return Verdict("PASS" if exhaustive else "SAMPLED", checked)
 
 
 # ---------------------------------------------------------------------------

@@ -268,11 +268,12 @@ def _flat(app: RApp) -> tuple:
     return app.lhs + app.rhs
 
 
-def _rot_app(app: RApp, k: int) -> RApp:
-    """Cycle the application's items right by k, rotating the relation."""
+def _rotated(app: RApp, item, last=False) -> RApp:
+    """The application's items cycled, its relation rotated with them,
+    until item is its first item, or its last."""
     items = _flat(app)
     m = len(items)
-    k %= m
+    k = -(items.index(item) + last) % m  # steps to the right
     if k == 0:
         return app
     rel = app.rel
@@ -280,18 +281,6 @@ def _rot_app(app: RApp, k: int) -> RApp:
         rel = rotate(rel, m)
     items = items[-k:] + items[:-k]
     return RApp(items[:1], rel, items[1:])
-
-
-def to_end(app: RApp, item) -> RApp:
-    """The application rotated so that item is its last item."""
-    items = _flat(app)
-    return _rot_app(app, (len(items) - 1 - items.index(item)) % len(items))
-
-
-def to_front(app: RApp, item) -> RApp:
-    """The application rotated so that item is its first item."""
-    items = _flat(app)
-    return _rot_app(app, (len(items) - items.index(item)) % len(items))
 
 
 def compose_apps(p: RApp, q: RApp) -> RApp:
@@ -306,13 +295,13 @@ def compose_apps(p: RApp, q: RApp) -> RApp:
 def absorb_diagonal(d: RApp, q: RApp) -> RApp:
     """a (X) a  &&  a (R) ys  as one application  a ((X & id).R) ys; the
     meet with id pins the composition's middle element to a."""
-    q = to_front(q, d.lhs[0])
+    q = _rotated(q, d.lhs[0])
     return RApp(q.lhs, Comp(Meet(d.rel, ID), q.rel), q.rhs)
 
 
 def project_out(p: RApp, item) -> RApp:
     """p with the column of item cut:  xs (R) (ys,w)  to  xs (R.cut) ys."""
-    p = to_end(p, item)
+    p = _rotated(p, item, last=True)
     return RApp(p.lhs, Comp(p.rel, cut(len(p.rhs))), p.rhs[:-1])
 
 
@@ -431,7 +420,7 @@ def _r_compose(t, depth):
     if len(apps) != 2:
         return None
     (i, p), (j, q) = apps
-    p, q = to_end(p, lvl), to_front(q, lvl)
+    p, q = _rotated(p, lvl, last=True), _rotated(q, lvl)
     if len(p.rhs) > 1 and len(q.rhs) > 1:  # both wide: no shortcut
         return None
     rest = [x for k, x in enumerate(leaves) if k not in (i, j)]
@@ -557,7 +546,7 @@ def _lift_rules(params: tuple):
         if nx and ny:
             if nx > 1 or ny > 1:
                 return None
-            t2 = to_front(t, MARK_CX)
+            t2 = _rotated(t, MARK_CX)
             core = sandwich(sel(t2.lhs, MARK_CX), t2.rel,
                             sel(t2.rhs, MARK_CY))
             return RApp(lframe, core, rframe)

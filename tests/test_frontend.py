@@ -247,6 +247,8 @@ class TestParseErrors:
         ("sig A { // x", "got 'end of input' at line 1, column 13"),
         ("sig A {} assert { some A -- y",
          "got 'end of input' at line 1, column 30"),
+        ("sig A {}\nfoo",
+         "expected a paragraph .* got 'foo' at line 2, column 1"),
     ]
 
     @pytest.mark.parametrize("text,needle", CASES)
@@ -428,6 +430,13 @@ class TestDesugar:
                            match="recursive.* at line 1, column 26"):
             desugar(parse(src))
 
+    def test_undeclared_predicates_are_rejected(self):
+        src = "sig A {}\nassert { undeclaredp[A] }"
+        with pytest.raises(DesugarError,
+                           match="call to undeclared predicate "
+                                 "'undeclaredp' at line 2, column 10"):
+            desugar(parse(src))
+
     def test_invocation_arity_is_checked(self):
         src = ("sig A { r : A } pred p[x : A] { some x.r } "
                "assert { p[r, r] }")
@@ -498,6 +507,9 @@ class TestPretty:
             "lone sig B {} sig A { r : B -> some B } "
             "fact { all x : A | ~(x.r) in (B -> B).~r }",
             "sig A { r : A, } assert { r in iden + (none -> none) }",
+            # printed unlabelled, and one name per quantifier
+            "sig A {} fact Named { some A }",
+            "sig A { r : A } fact { some x, y : A | x -> y in r }",
         ]
         for src in sources:
             m = parse(src)

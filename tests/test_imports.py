@@ -1,8 +1,9 @@
-"""No source or test module imports a name it never reads or holds a
-line longer than 79 characters, no source module calls `id()` or
-imports below module level, only `terms` reads the dataclass field
-layout of the node classes, and every module-level name in src is read
-somewhere outside its own definition.
+"""No source or test module imports a name it never reads, holds a
+line longer than 79 characters or puts a top-level function or class
+fewer than two blank lines after the statement before it, no source
+module calls `id()` or imports below module level, only `terms` reads
+the dataclass field layout of the node classes, and every module-level
+name in src is read somewhere outside its own definition.
 
 No linter ships with the toolchain, so these are `ast` and text scans:
 a name bound by an import (other than ``from __future__``) must occur
@@ -168,4 +169,33 @@ def test_every_module_level_name_in_src_is_read():
                          + sorted(ROOT.glob("perfbench/*.py"))))
     found = {p.relative_to(ROOT).as_posix(): unread_names(p.read_text(), read)
              for p in SRC}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def crowded_definitions(source: str) -> list:
+    """Line numbers of the top-level functions and classes, each at its
+    first decorator if it has one, that stand fewer than two blank lines
+    after the previous top-level statement; comments may sit between."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    out = []
+    for prev, stmt in zip(tree.body, tree.body[1:]):
+        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+            continue
+        first = min([stmt.lineno] + [d.lineno for d in stmt.decorator_list])
+        between = lines[prev.end_lineno:first - 1]
+        if sum(not line.strip() for line in between) < 2:
+            out.append(first)
+    return out
+
+
+def test_top_level_definitions_stand_two_blank_lines_apart():
+    assert crowded_definitions(
+        '"""doc"""\ndef f():\n    pass\n\n\ndef g():\n    pass\n# c\n\n'
+        "@d\nclass C:\n    pass\n\n# c\n\nx = 1\n\n\n\nclass D:\n"
+        "    pass\n") == [2, 10]
+    assert FILES
+    found = {p.relative_to(ROOT).as_posix(): crowded_definitions(
+        p.read_text()) for p in FILES}
     assert {k: v for k, v in found.items() if v} == {}

@@ -501,6 +501,16 @@ def _near_gate(width):
     return below, next(k for k in range(below, GATE + 2) if size(k) > GATE)
 
 
+def university_vocab():
+    """The running example's model-building vocabulary."""
+    with open(os.path.join(os.path.dirname(__file__), "data",
+                           "university.als")) as fh:
+        table = symbol_table(parse(fh.read()))
+    return Vocab({name: SigInfo(name, parent, table.sig_abstract[name])
+                  for name, parent in table.sig_parent.items()},
+                 dict(table.rel_cols))
+
+
 class TestVectorShapes:
     """Vector-shaped values and the gather kernel evaluate every term
     and fact as the dense evaluator does."""
@@ -551,12 +561,7 @@ class TestVectorShapes:
                                              monkeypatch):
         # hash every matrix of space.cache before each model of one
         # check_equiv on the running example and once more after it
-        with open(os.path.join(os.path.dirname(__file__), "data",
-                               "university.als")) as fh:
-            table = symbol_table(parse(fh.read()))
-        vocab = Vocab({name: SigInfo(name, parent, table.sig_abstract[name])
-                       for name, parent in table.sig_parent.items()},
-                      dict(table.rel_cols))
+        vocab = university_vocab()
         ((_, form, fact),) = [run for run in golden_translations[config]
                               if run[0].startswith("university:")]
         hashes, spaces = {}, []
@@ -830,6 +835,34 @@ class TestChecker:
         v = check_equiv(FSome(ARel("t")), fact, gv, bound=3,
                         max_exhaustive=50, samples=120, seed=3)
         assert v.status == "SAMPLED" and v.checked == 120
+
+    def test_sampled_fail_names_the_first_differing_sample(self):
+        # TOP = BOT is false on every non-empty model, so the verdict is
+        # the first sample on which seed 4's formula holds
+        gv, form = gen_vocab(), gen_formula(4)
+        v = check_equiv(form, FactEq(TOP, BOT), gv, bound=2,
+                        max_exhaustive=0, samples=50, seed=4)
+        # the stream: one size, then one model, per sample
+        rng = random.Random(4)
+        rels = sorted(mentioned_rels(form) & set(gv.rels))
+        for k in range(1, 51):
+            model = sample_model(gv, rng.choice([1, 2]), rels, rng)
+            if eval_alloy(form, model):
+                break
+        assert k > 1
+        assert v.status == "FAIL" and v.checked == k
+        assert v.counterexample == model
+
+    @pytest.mark.parametrize("config, settings, status, checked", [
+        ("mech", dict(bound=2, max_exhaustive=0, samples=6), "SAMPLED", 6),
+        ("short", dict(bound=2), "PASS", 44)])
+    def test_benchmark_settings_check_the_running_example(
+            self, config, settings, status, checked, golden_translations):
+        # perfbench's university oracle settings and model counts
+        ((_, form, fact),) = [run for run in golden_translations[config]
+                              if run[0].startswith("university:")]
+        v = check_equiv(form, fact, university_vocab(), **settings)
+        assert (v.status, v.checked) == (status, checked), v.detail
 
     def test_empty_model_stays_excluded_by_default(self):
         fact = FactLe(TOP, Comp(Comp(TOP, Phi("A")), TOP))

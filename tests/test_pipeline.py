@@ -1,5 +1,7 @@
 """Variable-elimination pipeline: rule shapes, invariants, preservation."""
 
+import itertools
+
 import pytest
 
 from conftest import TRANSLATORS, model_assert
@@ -24,7 +26,7 @@ from alloy2fa.pipeline import (
     _DISCHARGE_RULES,
     _FRAME_RULES,
     _NORMALIZE_RULES,
-    _rot_app,
+    _rotated,
     eliminate,
     fact_of,
     free_var_levels,
@@ -479,10 +481,13 @@ class TestClosureLifting:
                     for c in m.atoms:
                         env = {1: a, 2: b, 3: c}
                         want = eval_rl(base, space, interp, env)
-                        for k in (1, 2, 3):
-                            got = eval_rl(_rot_app(base, k), space,
-                                          interp, env)
+                        for item, last in itertools.product(
+                                (1, 2, 3), (False, True)):
+                            rot = _rotated(base, item, last)
+                            got = eval_rl(rot, space, interp, env)
                             assert got == want
+                            end = rot.rhs[-1] if last else rot.lhs[0]
+                            assert end == item
 
     def test_pointwise_coincidence_parametric(self):
         # (x,y) in *(u->u) for every binding of u, x, y
@@ -521,6 +526,29 @@ class TestClosureLifting:
             "assert { %s }\n" % body)
         v = check_equiv(form, translate(form, arities), gen_vocab(), bound=2)
         assert v.status == "PASS", v.detail
+
+    # Closure lifting gets stuck on these in both translators: a literal
+    # in the operand, a join witness under a disjunction, a witness seen
+    # only on a diagonal, and a nested closure with a parameter. A
+    # change that mends one moves it to PARAMETRIC_CLOSURES.
+    @pytest.mark.xfail(strict=True, raises=TranslateError,
+                       reason="closure lifting got stuck")
+    @pytest.mark.parametrize("name, translate", TRANSLATORS,
+                             ids=[n for n, _ in TRANSLATORS])
+    @pytest.mark.parametrize("body", [
+        pytest.param(body, id=key) for key, body in (
+            ("literal-1", "iden in *(A -> none) :> univ"),
+            ("literal-2", "*iden = r . *(univ -> univ)"),
+            ("disjunction", "all v0 : B | all v1 : A | s in *((v0 + B) . t)"),
+            ("diagonal", "r in *((A & B) . (B -> s))"),
+            ("nested", "all v0 : A | r in *(r . s . *((v0 <: r) . s))"))])
+    def test_stuck_closures_translate_and_certify(self, body, name,
+                                                  translate):
+        form, arities = model_assert(
+            "sig A { r : B, t : B -> A } sig B { s : A }\n"
+            "assert { %s }\n" % body)
+        v = check_equiv(form, translate(form, arities), gen_vocab(), bound=2)
+        assert v, v.detail
 
     def test_definition_rules_leave_lifted_applications_whole(self):
         # (1,2) (id x id) (1,3) relates the pair (1,2) to the pair (1,3):

@@ -120,6 +120,11 @@ CASES = [
     ("inequation-normalize", FACT_RULES, FactLe(Compl(R), Compl(S))),
     ("inequation-normalize", FACT_RULES, FactLe(TOP, Conv(S))),
     ("inequation-normalize", FACT_RULES, FactLe(Conv(R), BOT)),
+    # the branches for an absent range, and a binder trimmed to nothing
+    ("forall-absorb-implication", LOGIC_RULES,
+     RAll(1, None, RImp(in_a(1), in_a(1)))),
+    ("forall-fuse", LOGIC_RULES, RAll(1, in_a(1), RAll(1, None, in_a(2)))),
+    ("binder-trim", LOGIC_RULES, REx(1, RAll(1, in_a(1), in_a(1)))),
 ]
 
 
