@@ -18,6 +18,7 @@ markers a1..ak then lead the tuples of an endorelation that is starred.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Optional
 
 from .expand import expand_form, expand_membership
@@ -341,7 +342,10 @@ def _rebuild(kind, leaves: list):
     return cur
 
 
+@functools.lru_cache(maxsize=1 << 14)
 def _count(f, lvl: int) -> int:
+    """Uses of item lvl in the applications of f, memoized per interned
+    formula and item: rules ask again about the same subformulas."""
     if isinstance(f, RApp):
         return _flat(f).count(lvl)
     return sum(_count(c, lvl) for _, c in children(f))

@@ -13,13 +13,16 @@ whole-term snapshot in the `RunState`, which also caps the number of
 firings of one run; a term too deep to walk is a `BudgetError` too.
 
 Rules must be pure: a rule's result depends on its term and its depth
-and on nothing else, and terms are immutable.
-The engine relies on that to remember, per bank, every subterm a
-traversal found free of redexes at given depths (the clean-subterm
-memo on `RunState`, in the manner of Stratego's and Maude's memoized
-traversals), keyed by the hash-consed node.  A later `step` skips such
-a subterm, so a firing costs the path it rebuilt and the new subterm,
-not the whole term; it picks the position, rule and bank a rescan picks.
+and on nothing else, and terms are immutable.  The `RunState` compiles
+each bank once per run into a `_Plan`, which holds a table from node
+class to the rules offered to it, filled on first sight of the class,
+and the clean-subterm memo: every subterm a traversal found free of the
+bank's redexes at given depths, keyed by the hash-consed node (in the
+manner of Stratego's and Maude's memoized traversals).  A later `step`
+skips such a subterm, so a firing costs the path it rebuilt and the new
+subterm, not the whole term; it picks the position, rule and bank a
+rescan picks.  A bank none of whose kinds touches `FAExpr` returns at
+an FA node without entering it: FA terms hold only FA terms.
 
 Rules see one depth, the number of levels bound on the path to their
 position: `RAll` and `REx` raise it by their width, and the marker
@@ -34,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List
 
-from .terms import RAll, REx, children, with_child
+from .terms import FAExpr, RAll, REx, children, with_child
 
 
 class StrategyError(Exception):
@@ -63,49 +66,71 @@ class TraceStep:
     after: object
 
 
+class _Plan(dict):
+    """A bank compiled for one run: node class -> the rules offered to
+    it, or None where no rule can fire at the node or below it; and the
+    bank's clean-subterm memo, {(node, depth)}."""
+
+    def __init__(self, bank):
+        self.bank, self.clean = bank, set()
+        kinds = [k for r in bank for k in
+                 (r.kind if isinstance(r.kind, tuple) else (r.kind,))]
+        self.fa = any(issubclass(k, FAExpr) or issubclass(FAExpr, k)
+                      for k in kinds)
+
+    def __missing__(self, cls):
+        skip = not self.fa and issubclass(cls, FAExpr)
+        self[cls] = rules = None if skip else tuple(
+            r for r in self.bank if issubclass(cls, r.kind))
+        return rules
+
+
 @dataclass
 class RunState:
     budget: int = 10000
     steps: int = 0
     trace: List[TraceStep] = field(default_factory=list)
-    # the bank's rules -> {(node, depth) free of its redexes}
-    clean: dict = field(default_factory=dict, repr=False)
+    plans: dict = field(default_factory=dict, repr=False)  # rules -> _Plan
+    last: tuple = field(default=((), ()), repr=False)  # (banks, plans)
 
 
-def _once(t, bank, depth: int, clean: set):
+def _once(t, plan: _Plan, depth: int):
     """(rewritten t, rule) at the bank's leftmost-innermost redex, or None.
 
     Both slots of a quantifier (range and body) lie inside its scope.
-    A subterm found free of redexes is entered in `clean` and skipped
-    the next time.
+    A subterm found free of redexes is entered in the plan's clean set
+    and skipped the next time.
     """
+    rules = plan[type(t)]
+    if rules is None:
+        return None
     key = (t, depth)
-    if key in clean:
+    if key in plan.clean:
         return None
     inner = depth + t.width if isinstance(t, (RAll, REx)) else depth
     for name, v in children(t):
-        hit = _once(v, bank, inner, clean)
+        hit = _once(v, plan, inner)
         if hit is not None:
             return with_child(t, name, hit[0]), hit[1]
-    for rule in bank:
-        if not isinstance(t, rule.kind):
-            continue
+    for rule in rules:
         res = rule.fn(t, depth)
         if res is not None:
             if res == t:
                 raise StrategyError(
                     "rule %s returned its input unchanged" % rule.name)
             return res, rule
-    clean.add(key)
+    plan.clean.add(key)
     return None
 
 
 def step(t, banks, state: RunState):
     """Fire the first bank with a redex once; None when no bank has one."""
+    if state.last[0] is not banks:
+        state.last = banks, [state.plans.setdefault(tuple(b), _Plan(b))
+                             for b in banks]
     try:
-        for bank in banks:
-            clean = state.clean.setdefault(tuple(bank), set())
-            hit = _once(t, bank, 0, clean)
+        for plan in state.last[1]:
+            hit = _once(t, plan, 0)
             if hit is not None:
                 break
         else:

@@ -5,15 +5,22 @@ hex digits of sha256 over `fact_text` and the width stamp, joined by a
 newline. A refactor of the rewrite engine or of either translator must
 keep every entry; a change that means to alter the facts records new
 digests and says why.
+
+`data/golden_traces.json` pins the rewrite engine's firings on the same
+corpus, closure lifting's included: per translator, the number of steps
+and a sha256 over (rule, before, after) of every firing in order, each
+term by a digest of its class and fields. An engine optimization must
+keep both; the facts alone would not show a changed firing order.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
 
 import pytest
 
-from alloy2fa.terms import fact_text
+from alloy2fa.terms import Interned, Node, fact_text
 
 HERE = os.path.dirname(__file__)
 
@@ -39,3 +46,36 @@ def test_facts_match_the_recorded_digests(config, golden,
         assert fact_digest(fact) == want[key], (
             "%s: first differing input is %s: %s (width %d)"
             % (config, key, fact_text(fact), fact.width))
+
+
+def term_digest(t, memo: dict) -> str:
+    """sha256 over a term's class name and fields, each subterm by its own
+    digest; memo holds the digests of the interned terms seen so far."""
+    got = memo.get(t) if isinstance(t, Interned) else None
+    if got is None:
+        parts = [type(t).__name__]
+        for f in dataclasses.fields(t):
+            v = getattr(t, f.name)
+            parts.append(term_digest(v, memo) if isinstance(v, Node)
+                         else repr(v))
+        got = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+        if isinstance(t, Interned):
+            memo[t] = got
+    return got
+
+
+def trace_digest(steps) -> dict:
+    """The step count and the sha256 over every firing in order."""
+    memo, h = {}, hashlib.sha256()
+    for s in steps:
+        h.update(("%s\n%s\n%s\n" % (s.rule, term_digest(s.before, memo),
+                                      term_digest(s.after, memo))).encode())
+    return {"steps": len(steps), "sha256": h.hexdigest()}
+
+
+@pytest.mark.parametrize("config", ["mech", "short"])
+def test_firings_match_the_recorded_digest(config, golden_runs):
+    with open(os.path.join(HERE, "data", "golden_traces.json")) as fh:
+        want = json.load(fh)[config]
+    steps = [s for run in golden_runs[config] for s in run[3]]
+    assert trace_digest(steps) == want

@@ -2,8 +2,9 @@
 line longer than 79 characters or puts a top-level function or class
 fewer than two blank lines after the statement before it, no source
 module calls `id()` or imports below module level, only `terms` reads
-the dataclass field layout of the node classes, and every module-level
-name in src is read somewhere outside its own definition.
+the dataclass field layout of the node classes, every module-level
+name in src is read somewhere outside its own definition, and no
+source module memoizes without a finite bound.
 
 No linter ships with the toolchain, so these are `ast` and text scans:
 a name bound by an import (other than ``from __future__``) must occur
@@ -14,7 +15,10 @@ between source modules instead of resolving it.  Code outside `terms`
 walks or rebuilds a node through `terms.children`, `map_children` and
 `with_child`, so the field layout is stated in one module.  A name
 that only its own definition reads (say, a recursive helper nothing
-calls) is vocabulary that nothing uses.
+calls) is vocabulary that nothing uses.  Terms are interned for the
+life of the process, so a memo keyed by terms must state a finite
+`maxsize`: `functools.cache` and `lru_cache(maxsize=None)` grow with
+everything ever built, and a bare `lru_cache` hides its bound.
 """
 
 import ast
@@ -198,4 +202,46 @@ def test_top_level_definitions_stand_two_blank_lines_apart():
     assert FILES
     found = {p.relative_to(ROOT).as_posix(): crowded_definitions(
         p.read_text()) for p in FILES}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def unbounded_memos(source: str) -> list:
+    """Line numbers of each `functools.cache` and each `lru_cache` that
+    states no maxsize or states None, by attribute or imported name."""
+    tree = ast.parse(source)
+    imported = {a.asname or a.name: a.name for n in ast.walk(tree)
+                if isinstance(n, ast.ImportFrom) and n.module == "functools"
+                for a in n.names}
+
+    def memo(n):
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) \
+                and n.value.id == "functools":
+            return n.attr
+        return imported.get(n.id) if isinstance(n, ast.Name) else None
+
+    bounded = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call) and memo(n.func) == "lru_cache":
+            size = n.args[:1] + [k.value for k in n.keywords
+                                 if k.arg == "maxsize"]
+            if size and not (isinstance(size[0], ast.Constant)
+                             and size[0].value is None):
+                bounded.add(n.func)
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if memo(n) in ("cache", "lru_cache") and n not in bounded)
+
+
+def test_every_source_memo_is_bounded():
+    assert unbounded_memos(
+        "import functools\nfrom functools import lru_cache as lc, cache\n"
+        "@functools.lru_cache(maxsize=64)\ndef f(x):\n    return x\n"
+        "@functools.lru_cache(maxsize=None)\ndef g(x):\n    return x\n"
+        "@lc(None)\ndef h(x):\n    return x\n"
+        "@cache\ndef k(x):\n    return x\n"
+        "@functools.lru_cache\ndef m(x):\n    return x\n"
+        "n = functools.cache(len)\no = lc(8)(len)\n") == [
+            6, 9, 12, 15, 18]
+    assert SRC
+    found = {p.relative_to(ROOT).as_posix(): unbounded_memos(p.read_text())
+             for p in SRC}
     assert {k: v for k, v in found.items() if v} == {}

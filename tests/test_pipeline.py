@@ -1,6 +1,7 @@
 """Variable-elimination pipeline: rule shapes, invariants, preservation."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -26,6 +27,8 @@ from alloy2fa.pipeline import (
     _DISCHARGE_RULES,
     _FRAME_RULES,
     _NORMALIZE_RULES,
+    _count,
+    _flat,
     _rotated,
     eliminate,
     fact_of,
@@ -74,6 +77,7 @@ from alloy2fa.terms import (
     RApp,
     REx,
     RImp,
+    RLFormula,
     RMark,
     RNot,
     ROr,
@@ -174,6 +178,36 @@ def test_the_elimination_loop_builds_no_universal(golden_runs):
                     loop += 1
                     assert not leaves_one(s.after), (name, key, s.rule)
     assert loop > 5000
+
+
+def test_memoized_level_counts_equal_a_recount(golden_runs):
+    """`_count` remembers its answer per interned formula and item; on
+    every RL subformula of every golden trace step it agrees with a
+    recount of the items of the subformula's applications, at every
+    level up to one past the deepest it uses."""
+    uses = {}  # RL formula -> Counter of its applications' items, in
+    # the order a walk from each trace step first meets it, inner first
+
+    def recount(f):
+        if f not in uses:
+            uses[f] = (Counter(_flat(f)) if isinstance(f, RApp) else
+                       sum((recount(c) for _, c in children(f)), Counter()))
+        return uses[f]
+
+    for runs in golden_runs.values():
+        for _, _, _, steps in runs:
+            for s in steps:
+                for t in (s.before, s.after):
+                    if isinstance(t, RLFormula):
+                        recount(t)
+    _count.cache_clear()
+    checked = 0
+    for f, table in uses.items():
+        top = max([i for i in table if isinstance(i, int)], default=0)
+        for lvl in range(1, top + 2):
+            assert _count(f, lvl) == table[lvl], (rl_text(f), lvl)
+            checked += 1
+    assert len(uses) > 100000 and checked > len(uses)
 
 
 class TestUniform:

@@ -4,12 +4,13 @@ import time
 
 import pytest
 
+from alloy2fa import strategy
 from alloy2fa.strategy import (
     BudgetError, Rule, RunState, StrategyError, rewrite, step,
 )
 from alloy2fa.terms import (
-    RTRUE, Comp, Conv, Join, Meet, Phi, RAll, RAnd, RApp, REx, RMark, RNot,
-    RTrue, Rel, fa_text, subterms,
+    RTRUE, Comp, Conv, FAExpr, Join, Meet, Phi, RAll, RAnd, RApp, REx,
+    RMark, RNot, RTrue, Rel, fa_text, subterms,
 )
 
 
@@ -256,3 +257,53 @@ class TestCleanSubtermMemo:
         assert out == RAll(1, None, RAll(1, None,
                                          RApp((1,), Conv(Rel("r")), (1,))))
         assert seen == [2]
+
+
+class TestFASkip:
+    """A bank with no rule of an FA kind returns at an FA term at once;
+    a bank with one walks the term as before."""
+
+    @staticmethod
+    def formula(deep):
+        """RNot over an application whose relation joins 100 relations
+        and, as its rightmost leaf seven Join levels down, deep."""
+        rel = balanced_join([Rel("r%d" % i) for i in range(100)] + [deep])
+        return RNot(RApp((1,), rel, (2,)))
+
+    def test_a_bank_without_fa_kinds_enters_no_fa_term(self, monkeypatch):
+        visits = []
+        real = strategy._once
+
+        def counted(t, plan, depth):
+            visits.append(t)
+            return real(t, plan, depth)
+
+        monkeypatch.setattr(strategy, "_once", counted)
+        f = self.formula(Conv(Conv(Rel("deep"))))
+        bank = [Rule("negation-probe", RNot, lambda t, depth: None)]
+        assert step(f, (bank,), RunState()) is None
+        # the walk reaches the relation and returns there
+        assert visits == [f, f.f, f.f.rel]
+        visits.clear()
+        out = step(f, (bank, [DROP_CONV]), RunState())
+        assert out == self.formula(Rel("deep"))
+        assert len(visits) > 201
+
+    @pytest.mark.parametrize("kind", [Conv, (RNot, Conv), FAExpr])
+    def test_a_bank_with_an_fa_kind_finds_a_deep_redex(self, kind):
+        f = self.formula(Conv(Conv(Rel("deep"))))
+        state = RunState()
+        out = step(f, ([Rule("drop", kind, drop_conv)],), state)
+        assert out == self.formula(Rel("deep"))
+        assert [s.rule for s in state.trace] == ["drop"]
+
+    def test_a_rule_of_kind_object_is_offered_fa_nodes(self):
+        seen = []
+
+        def probe(t, depth):
+            seen.append(t)
+
+        f = self.formula(Rel("deep"))
+        step(f, ([Rule("probe", object, probe)],), RunState())
+        fa = [t for t in seen if isinstance(t, FAExpr)]
+        assert len(fa) == 201 and seen[-2:] == [f.f, f]

@@ -338,6 +338,16 @@ class TestNodeModel:
                 if names_node(hints[f.name]))
             assert cls._slots == want, cls
 
+    def test_fa_terms_hold_only_fa_terms(self):
+        # the rewrite engine returns at an FA node for a bank with no rule
+        # of an FA kind; an FA class with an RL slot would hide its redexes
+        fa = [c for c in node_classes() if issubclass(c, terms.FAExpr)]
+        assert Comp in fa and len(fa) >= 18
+        for cls in fa:
+            hints = typing.get_type_hints(cls)
+            for name, many in cls._slots:
+                assert not many and hints[name] is terms.FAExpr, (cls, name)
+
 
 class TestTraversal:
     def test_data_fields_are_not_children(self):
