@@ -93,9 +93,9 @@ def _pair_rule(name: str, kind, fn) -> Rule:
     """
 
     def go(t, depth):
-        leaves = _leaves(kind, t.l)
-        split = len(leaves)
-        leaves += _leaves(kind, t.r)
+        left = _leaves(kind, t.l)
+        split = len(left)
+        leaves = left + _leaves(kind, t.r)
         for i in range(split):
             for j in range(split, len(leaves)):
                 for a, b in ((leaves[i], leaves[j]), (leaves[j], leaves[i])):

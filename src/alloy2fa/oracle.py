@@ -3,6 +3,9 @@
 A translation is certified by comparing the truth of its source formula
 against the truth of the produced fact over every finite model up to a
 size bound (or over a seeded sample when the extent count explodes).
+Renaming the atoms of a model keeps both truths, so the exhaustive check
+evaluates one model per orbit of the atom permutations (``iter_orbits``)
+and counts the whole orbit as checked.
 
 Relational terms are evaluated as boolean matrices over a finite carrier.
 A matrix has shape (1|n, 1|n) and stands for its broadcast to n x n: a
@@ -34,6 +37,7 @@ Atoms must be strings; every tuple element is a nested pair of them.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -171,13 +175,6 @@ class Vocab:
     sigs: dict  # name -> SigInfo
     rels: dict  # name -> tuple of column signature names, owner first
 
-    def subtree(self, name):
-        out = {name}
-        for s in self.sigs.values():
-            if s.parent == name:
-                out |= self.subtree(s.name)
-        return out
-
     def placements(self):
         """Where a single atom may live: any non-abstract signature."""
         opts = [s.name for s in self.sigs.values() if not s.abstract]
@@ -206,16 +203,27 @@ def describe_model(m: FiniteModel) -> str:
 
 
 def _placed(vocab, atoms, placement, rel_names):
-    """Signature extents of a placement of the atoms, and the possible
-    tuples of each named relation, in rel_names order."""
-    subs = {s: vocab.subtree(s) for s in vocab.sigs}
-    sig_ext = {s: frozenset(a for a, p in zip(atoms, placement)
-                            if p in subs[s])
-               for s in vocab.sigs}
+    """Signature extents of a placement of the atoms (an atom is in its
+    signature and every ancestor), and the possible tuples of each named
+    relation, in rel_names order."""
+    ext = {s: set() for s in vocab.sigs}
+    for a, p in zip(atoms, placement):
+        while p is not None:
+            ext[p].add(a)
+            p = vocab.sigs[p].parent
+    sig_ext = {s: frozenset(e) for s, e in ext.items()}
     poss = [list(itertools.product(*(sorted(sig_ext[c])
                                      for c in vocab.rels[r])))
             for r in rel_names]
     return sig_ext, poss
+
+
+def _model(atoms, sig_ext, rel_names, poss, masks):
+    """The model whose extent of each relation holds the possible tuples
+    its mask selects."""
+    return FiniteModel(atoms, sig_ext, {
+        r: frozenset(t for b, t in enumerate(p) if mask >> b & 1)
+        for r, p, mask in zip(rel_names, poss, masks)})
 
 
 def model_count(vocab, n_atoms, rel_names):
@@ -235,11 +243,51 @@ def iter_models(vocab, n_atoms, rel_names):
     for placement in itertools.product(vocab.placements(), repeat=n_atoms):
         sig_ext, poss = _placed(vocab, atoms, placement, rel_names)
         for masks in itertools.product(*(range(1 << len(p)) for p in poss)):
-            rels = {}
-            for r, p, mask in zip(rel_names, poss, masks):
-                rels[r] = frozenset(t for b, t in enumerate(p)
-                                    if mask >> b & 1)
-            yield FiniteModel(atoms, sig_ext, rels)
+            yield _model(atoms, sig_ext, rel_names, poss, masks)
+
+
+def iter_orbits(vocab, n_atoms, rel_names):
+    """(model, orbit size) for each orbit of iter_models's stream under
+    renamings of the atoms; the model is the orbit's first in the stream.
+
+    A renaming maps a model to one with the same verdict, so checking one
+    model per orbit covers them all (the symmetry breaking of Kodkod and
+    of Shlyakhter's lex-leader predicates). The stream orders models by
+    (placement index tuple, extent mask tuple). A renaming that changes a
+    sorted placement yields a later one, so the first models of the
+    orbits are the models of sorted placements that no renaming in the
+    placement's stabiliser maps to a smaller mask tuple. The orbit size
+    is n! over the number of those renamings that fix the model.
+    """
+    atoms = tuple("a%d" % i for i in range(n_atoms))
+    opts = vocab.placements()
+    perms = list(itertools.permutations(range(n_atoms)))[1:]
+    size = math.factorial(n_atoms)
+    for idx in itertools.combinations_with_replacement(range(len(opts)),
+                                                       n_atoms):
+        placement = [opts[i] for i in idx]
+        sig_ext, poss = _placed(vocab, atoms, placement, rel_names)
+        # per renaming that keeps the placement and per relation, the
+        # bit each possible tuple's bit moves to
+        maps = []
+        for g in perms:
+            if any(idx[g[i]] != idx[i] for i in range(n_atoms)):
+                continue
+            ren = {atoms[i]: atoms[g[i]] for i in range(n_atoms)}
+            maps.append([[p.index(tuple(ren[a] for a in t)) for t in p]
+                         for p in poss])
+        for masks in itertools.product(*(range(1 << len(p)) for p in poss)):
+            fixed = 1
+            for g_maps in maps:
+                img = tuple(sum(1 << j for b, j in enumerate(m)
+                                if mask >> b & 1)
+                            for mask, m in zip(masks, g_maps))
+                if img < masks:
+                    break
+                fixed += img == masks
+            else:
+                yield (_model(atoms, sig_ext, rel_names, poss, masks),
+                       size // fixed)
 
 
 def sample_model(vocab, n_atoms, rel_names, rng):
@@ -660,7 +708,7 @@ def _fact_truth(fact, space, interp, cache, frame):
 @dataclass
 class Verdict:
     status: str  # "PASS", "FAIL" or "SAMPLED" (a pass by sampling)
-    checked: int
+    checked: int  # models covered, up to and including a counterexample
     counterexample: Optional[FiniteModel] = None
     detail: str = ""
 
@@ -695,6 +743,12 @@ def check_equiv(source, fact: FAFact, vocab: Vocab, bound=3,
     max_exhaustive the check is exhaustive, beyond it a seeded sample of
     ``samples`` models is drawn and a passing verdict says SAMPLED.
 
+    The exhaustive check evaluates one model per atom-permutation orbit,
+    the orbit's first in ``iter_models`` order, so a FAIL names the same
+    first counterexample as a walk over every model would. ``checked`` is
+    the number of models covered: the sum of the orbit sizes evaluated,
+    which on a PASS is the full model count.
+
     The source may be a core Alloy formula, an RL formula (quantifiers
     ranging over the same bounded carrier the fact uses) or another fact.
     """
@@ -709,13 +763,14 @@ def check_equiv(source, fact: FAFact, vocab: Vocab, bound=3,
     total = sum(model_count(vocab, n, rel_names) for n in sizes)
     exhaustive = total <= max_exhaustive
     if exhaustive:
-        models = (m for n in sizes for m in iter_models(vocab, n, rel_names))
+        models = (mk for n in sizes for mk in iter_orbits(vocab, n, rel_names))
     else:
         rng = random.Random(seed)
-        models = (sample_model(vocab, rng.choice(sizes), rel_names, rng)
+        models = ((sample_model(vocab, rng.choice(sizes), rel_names, rng), 1)
                   for _ in range(samples))
     checked = 0
-    for checked, model in enumerate(models, 1):
+    for model, covered in models:
+        checked += covered
         space = get_tuple_space(model.atoms, w)
         interp = interp_from_model(model, space)
         cache = {}

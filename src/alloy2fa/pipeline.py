@@ -323,7 +323,10 @@ def _plain(app: RApp) -> bool:
     return len(app.lhs) == 1 and MARK_X not in items and MARK_Y not in items
 
 
-def _leaves(kind, t) -> list:
+@functools.lru_cache(maxsize=1 << 14)
+def _leaves(kind, t) -> tuple:
+    """The leaves of t's spine of kind nodes, left to right, memoized per
+    interned spine: every rule that reads a spine flattens it again."""
     out, todo = [], [t]
     while todo:
         cur = todo.pop()
@@ -332,7 +335,7 @@ def _leaves(kind, t) -> list:
             todo.append(cur.l)
         else:
             out.append(cur)
-    return out
+    return tuple(out)
 
 
 def _rebuild(kind, leaves: list):

@@ -6,6 +6,7 @@ against them, so change them only with a written justification.
 """
 
 import hashlib
+import itertools
 import os
 import random
 
@@ -29,8 +30,8 @@ from alloy2fa.oracle import (
     FiniteModel, SigInfo, SizingError, Space, Vocab,
     check_equiv, describe_model, eval_aexpr, eval_alloy, eval_fa, eval_rl,
     fact_holds, gen_formula, gen_vocab, get_tuple_space, infer_width,
-    interp_from_model, iter_models, mentioned_rels, model_count, nest,
-    pair_space, sample_model, tuple_space,
+    interp_from_model, iter_models, iter_orbits, mentioned_rels,
+    model_count, nest, pair_space, sample_model, tuple_space,
 )
 
 
@@ -582,7 +583,10 @@ class TestVectorShapes:
         v = check_equiv(form, fact, vocab, **settings)
         for space in set(spaces):
             check(space)
-        assert v.status != "FAIL" and v.checked == len(spaces)
+        # the sampled check evaluates its 6 samples, the exhaustive one
+        # the first model of each of the 28 orbits of its 44 models
+        assert v.status != "FAIL"
+        assert len(spaces) == {"mech": 6, "short": 28}[config]
         assert len(hashes) > 10
 
 
@@ -891,6 +895,99 @@ class TestChecker:
             "s"}
         assert mentioned_rels(FactLe(Rel("a"), Comp(Rel("b"), TOP))) == {
             "a", "b"}
+
+
+def _renamed(m, g):
+    """The model m with atom i renamed to atom g[i]."""
+    ren = {a: m.atoms[j] for a, j in zip(m.atoms, g)}
+    return FiniteModel(
+        m.atoms,
+        {s: frozenset(ren[a] for a in ext) for s, ext in m.sigs.items()},
+        {r: frozenset(tuple(ren[a] for a in t) for t in ext)
+         for r, ext in m.rels.items()})
+
+
+def _model_key(m):
+    return tuple(sorted(m.sigs.items())), tuple(sorted(m.rels.items()))
+
+
+def full_stream_check(source, fact, vocab, bound, include_empty=False):
+    """check_equiv's exhaustive branch as it was before the orbit stream,
+    as the reference: every iter_models model in order, each one counted.
+    (status, checked, counterexample)."""
+    names = mentioned_rels(source) | mentioned_rels(fact)
+    rel_names = sorted(n for n in names if n in vocab.rels)
+    w = max(fact.width, infer_width(fact))
+    for r in rel_names:
+        w = max(w, len(vocab.rels[r]) - 1)
+    checked = 0
+    for n in range(0 if include_empty else 1, bound + 1):
+        for model in iter_models(vocab, n, rel_names):
+            checked += 1
+            space = get_tuple_space(model.atoms, w)
+            interp = interp_from_model(model, space)
+            cache = {}
+            s = oracle._source_truth(source, model, space, interp, cache)
+            f = oracle._fact_truth(fact, space, interp, cache, "carrier")
+            if s != f:
+                return "FAIL", checked, model
+    return "PASS", checked, None
+
+
+class TestOrbits:
+    """iter_orbits yields each atom-renaming orbit of the iter_models
+    stream once, as its first model in the stream, with its size, and
+    check_equiv's verdicts over it are those over every model."""
+
+    @pytest.mark.parametrize("n", range(4))
+    @pytest.mark.parametrize("vocab", ["university", "gen"])
+    def test_orbits_partition_the_stream(self, vocab, n):
+        if vocab == "university":
+            vocab = university_vocab()
+            rels = sorted(vocab.rels)
+        else:
+            vocab, rels = gen_vocab(), ["r", "s"]
+        stream = list(iter_models(vocab, n, rels))
+        place = {_model_key(m): i for i, m in enumerate(stream)}
+        assert len(place) == len(stream)
+        orbits = {}  # first stream index -> the orbit's stream indices
+        for m in stream:
+            orbit = {place[_model_key(_renamed(m, g))]
+                     for g in itertools.permutations(range(n))}
+            orbits.setdefault(min(orbit), orbit)
+        got = [(place[_model_key(m)], size)
+               for m, size in iter_orbits(vocab, n, rels)]
+        assert got == [(first, len(orbit))
+                       for first, orbit in sorted(orbits.items())]
+        assert sum(size for _, size in got) == model_count(vocab, n, rels)
+
+    @pytest.mark.parametrize("config", ["mech", "short"])
+    def test_full_and_reduced_verdicts_agree_at_two_atoms(
+            self, config, golden_translations):
+        # each seed's formula against a wrong fact and the next seed's
+        # fact: the same status and counterexample, and on a PASS the
+        # same count of models
+        runs = [(form, fact) for key, form, fact in golden_translations[config]
+                if key.startswith("seed")]
+        assert len(runs) == 60
+        vocab, statuses = gen_vocab(), []
+        for i, (form, _) in enumerate(runs):
+            for fact in (FactEq(TOP, BOT), runs[(i + 1) % len(runs)][1]):
+                status, checked, cex = full_stream_check(form, fact, vocab, 2)
+                v = check_equiv(form, fact, vocab, bound=2)
+                assert (v.status, v.counterexample) == (status, cex), i
+                assert status == "FAIL" or v.checked == checked, i
+                statuses.append(status)
+        assert (statuses.count("FAIL"), statuses.count("PASS")) == (100, 20)
+
+    def test_running_example_is_certified_at_three_atoms(
+            self, golden_translations):
+        # the shortcut fact of the running example's assert, exhaustively
+        # over every model of 1-3 atoms: 195 orbits cover the 841 models
+        ((_, form, fact),) = [run for run in golden_translations["short"]
+                              if run[0].startswith("university:")]
+        v = check_equiv(form, fact, university_vocab(), bound=3)
+        assert (v.status, v.checked) == ("PASS", 841), v.detail
 
 
 class TestGenerator:

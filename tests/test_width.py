@@ -6,39 +6,70 @@ while a prover reads every fact of a problem in one fork algebra whose
 universe holds every pairing. The two agree only if no fact's truth
 depends on the width it is read at (ROADMAP item 8). Each fact is read
 at w = max(its width stamp, `infer_width`) and at w + 1 on every model
-of 1 and 2 atoms over the relations it mentions.
+of 1 and 2 atoms over the relations it mentions; a scaling fact over k
+relations has 2^k such models, so it is read on the family of them that
+`scaling_models` builds.
 """
 
 import os
 
 import pytest
 
+from conftest import SCALING_K, scaling_text
 from alloy2fa.decls import declaration_facts
 from alloy2fa.frontend import parse, symbol_table
 from alloy2fa.oracle import (
-    SigInfo, Vocab, describe_model, fact_holds, gen_vocab, infer_width,
-    iter_models, mentioned_rels,
+    FiniteModel, SigInfo, Vocab, describe_model, fact_holds, gen_vocab,
+    infer_width, iter_models, iter_orbits, mentioned_rels,
 )
 
 HERE = os.path.dirname(__file__)
 
 with open(os.path.join(HERE, "data", "university.als")) as fh:
     TABLE = symbol_table(parse(fh.read()))
-UNIVERSITY = Vocab(
-    sigs={name: SigInfo(name, parent, TABLE.sig_abstract[name])
-          for name, parent in TABLE.sig_parent.items()},
-    rels=dict(TABLE.rel_cols))
+
+
+def vocab_of(table) -> Vocab:
+    """The model-building vocabulary of a symbol table."""
+    return Vocab(
+        sigs={name: SigInfo(name, parent, table.sig_abstract[name])
+              for name, parent in table.sig_parent.items()},
+        rels=dict(table.rel_cols))
+
+
+UNIVERSITY = vocab_of(TABLE)
 DECLARED = declaration_facts(TABLE)
 
 
-def unstable_models(fact, vocab) -> list:
-    """The models of 1 and 2 atoms on which the fact's truth at its width
-    differs from its truth at the next width."""
+def unstable_models(fact, vocab, models=None) -> list:
+    """The models (by default every model of 1 and 2 atoms) on which the
+    fact's truth at its width differs from its truth at the next width."""
     w = max(fact.width, infer_width(fact))
-    rels = sorted(mentioned_rels(fact) & set(vocab.rels))
-    return [describe_model(m) for n in (1, 2)
-            for m in iter_models(vocab, n, rels)
+    if models is None:
+        rels = sorted(mentioned_rels(fact) & set(vocab.rels))
+        models = (m for n in (1, 2) for m in iter_models(vocab, n, rels))
+    return [describe_model(m) for m in models
             if fact_holds(fact, m, w) != fact_holds(fact, m, w + 1)]
+
+
+def scaling_models(vocab, rels) -> list:
+    """Models of 1 and 2 atoms for k relations A -> B, whose 2^k extents
+    cannot all be read: on one placement per renaming orbit, no relation,
+    every relation, each relation alone and all but each relation hold
+    the A -> B pairs. A renamed model has the same truths."""
+    out = []
+    for n in (1, 2):
+        for m, _ in iter_orbits(vocab, n, []):
+            pairs = frozenset((a, b) for a in m.sigs["A"]
+                              for b in m.sigs["B"])
+            ons = [set()]
+            if pairs:
+                ons += [set(rels)] + [{r} for r in rels] + [
+                    set(rels) - {r} for r in rels]
+            out += [FiniteModel(m.atoms, m.sigs, {
+                r: pairs if r in on else frozenset() for r in rels})
+                for on in ons]
+    return out
 
 
 @pytest.mark.parametrize("index", [
@@ -62,3 +93,25 @@ def test_translated_facts_are_width_stable(config, golden_translations):
     for key, fact in runs:
         vocab = UNIVERSITY if key.startswith("university:") else gen_vocab()
         assert unstable_models(fact, vocab) == [], key
+
+
+@pytest.mark.parametrize("config", ["mech", "short"])
+def test_scaling_facts_are_width_stable(config, golden_translations):
+    """Both translators' facts of the k = 32 and 64 scaling asserts
+    (width 3 or less), on the models of `scaling_models`.
+
+    The nested n = 10 and 20 facts stay out: they have width 11 and 21,
+    and a tuple carrier of 2 atoms at width 22 holds 2^23 - 2 elements.
+    """
+    runs = {key: fact for key, _, fact in golden_translations[config]
+            if key.startswith("scaling:")}
+    assert sorted(runs) == ["scaling:k%d" % k for k in SCALING_K]
+    for k in SCALING_K:
+        vocab = vocab_of(symbol_table(parse(scaling_text(k))))
+        fact = runs["scaling:k%d" % k]
+        assert max(fact.width, infer_width(fact)) <= 3
+        rels = sorted(mentioned_rels(fact))
+        assert len(rels) == k
+        models = scaling_models(vocab, rels)
+        assert len(models) == 4 + 2 + 2 * k
+        assert unstable_models(fact, vocab, models) == [], k
