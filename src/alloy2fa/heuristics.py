@@ -10,6 +10,11 @@ formula already is a closed inclusion or equation, the fact is read off
 directly and no frames are built at all; such facts quantify over plain
 elements and stay as small as the inputs that produced them.
 
+`SHORTCUT` configures the one driver of `pipeline`: simplification as
+its pre-pass, `drop_vars` as its read-off, and the simplification banks
+in front of the mechanical ones as its elimination loop;
+`translate_h_with_trace` and `translate_form_h` are bound to it.
+
 Logical and definition rules are sound pointwise over any carrier, so
 every rewrite step preserves truth on every finite model, not just on
 the full pair closure.  Whole translations are certified against the
@@ -24,26 +29,26 @@ eliminate the join witnesses, a closure operand's only levels.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Optional
 
-from .expand import expand_form
 from .pipeline import (
     DEFINITION_RULES,
-    MECHANICAL_BANKS,
+    MECHANICAL,
+    Translator,
     _count,
     _first,
     _flat,
     _leaves,
     _rebuild,
-    eliminate,
-    star_lifter,
+    translate_form,
+    translate_with_trace,
 )
-from .strategy import Rule, RunState, rewrite
+from .strategy import Rule
 from .terms import (
     BOT,
     ID,
     TOP,
-    AlloyForm,
     Bot,
     Comp,
     Compl,
@@ -234,12 +239,6 @@ LOGIC_RULES = [
     Rule("binder-trim", (RAll, REx), _r_binder_trim),
 ]
 
-# The mechanical loop runs after normalization and no loop rule removes an
-# implication again, so the loop runs without the two implication builders.
-_LOOP_LOGIC = [r for r in LOGIC_RULES
-               if r.name not in ("negation-to-implication",
-                                 "forall-absorb-implication")]
-
 
 # ---------------------------------------------------------------------------
 # algebraic rules on relational terms
@@ -395,15 +394,7 @@ FACT_RULES = [Rule("inequation-normalize", FactLe, _r_fact_norm)]
 
 
 # ---------------------------------------------------------------------------
-# the drivers
-
-# An RL formula holds no fact, so the pre-pass runs without FACT_RULES.
-_SIMPLIFY = (LOGIC_RULES, DEFINITION_RULES, ALGEBRA_RULES)
-
-# The elimination banks: the simplification rules first, then the
-# mechanical ones.
-SHORTCUT_BANKS = ((_LOOP_LOGIC, DEFINITION_RULES, ALGEBRA_RULES)
-                  + MECHANICAL_BANKS)
+# the shortcut translator
 
 
 def drop_vars(f: RLFormula) -> Optional[FAFact]:
@@ -437,21 +428,20 @@ def drop_vars(f: RLFormula) -> Optional[FAFact]:
     return None
 
 
-def translate_h_with_trace(f: RLFormula):
-    """Variable elimination with the shortcut rules; same facts semantics
-    as the plain pipeline, usually far smaller terms.  Returns the fact
-    and the rewrite trace: (fact, trace)."""
-    state = RunState()
-    g = rewrite(f, _SIMPLIFY, state)
-    fact = drop_vars(g)
-    if fact is None:
-        # an equation at an ALGEBRA_RULES fixpoint: no post-pass rule fits
-        return eliminate(g, SHORTCUT_BANKS, state), state.trace
-    return rewrite(fact, (ALGEBRA_RULES, FACT_RULES), state), state.trace
+# The pre-pass runs without FACT_RULES: an RL formula holds no fact.  The
+# elimination loop runs the simplification rules in front of the
+# mechanical ones, but without the two implication builders:
+# normalization removed every implication, and no loop rule may build
+# one again.
+SHORTCUT = Translator(
+    banks=([r for r in LOGIC_RULES
+            if r.name not in ("negation-to-implication",
+                              "forall-absorb-implication")],
+           DEFINITION_RULES, ALGEBRA_RULES) + MECHANICAL.banks,
+    pre=(LOGIC_RULES, DEFINITION_RULES, ALGEBRA_RULES),
+    read_off=drop_vars,
+    post=(ALGEBRA_RULES, FACT_RULES))
 
-
-def translate_form_h(f: AlloyForm, rel_arity) -> FAFact:
-    """Expand a core formula and eliminate variables the shortcut way."""
-    rl = expand_form(f, rel_arity, closure=star_lifter(rel_arity))
-    return translate_h_with_trace(rl)[0]
-
+translate_h_with_trace = functools.partial(translate_with_trace,
+                                           translator=SHORTCUT)
+translate_form_h = functools.partial(translate_form, translator=SHORTCUT)

@@ -1,12 +1,14 @@
 """Variable elimination: quantified relational formulas to point-free facts.
 
-The driver, `eliminate`, rewrites a closed formula with the
-normalization bank to existential shape, wraps it under the marker pair,
-then calls `strategy.rewrite` with a tuple of prioritized rule banks
-until a single `x REL y` application survives; that application is read
-off as an equation between variable-free terms.  Levels never need
-renaming along the way: every rule either discharges the innermost level
-of the enclosing block or leaves binders untouched.
+The driver, `translate_with_trace`, runs a `Translator`: a pre-pass of
+rule banks and a read-off, then the elimination loop.  The loop
+rewrites a closed formula with the normalization bank to existential
+shape, wraps it under the marker pair, then calls `strategy.rewrite`
+with the translator's prioritized banks until a single `x REL y`
+application survives; that application is read off as an equation
+between variable-free terms.  Levels never need renaming along the way:
+every rule either discharges the innermost level of the enclosing block
+or leaves binders untouched.
 
 Closure operands take a separate route.  Their membership formula is
 expanded with a private marker pair cx/cy and their free variables as
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Optional
+from typing import Callable, Optional
 
 from .expand import expand_form, expand_membership
 from .strategy import Rule, RunState, rewrite
@@ -220,45 +222,50 @@ def fact_of(f: RLFormula) -> Optional[FAFact]:
 # ---------------------------------------------------------------------------
 # the driver
 
-# The paper's mechanical elimination, in priority order; the shortcut
-# translator runs the same driver with its own banks in front of these.
-# The frame and discharge rules read the depth as the number of
-# existential levels on the path.  That is exact because these banks
-# run only after normalization, which leaves no universal, and no loop
-# rule builds one.
-MECHANICAL_BANKS = (_COMBINE_RULES, _DISCHARGE_RULES, _FRAME_RULES)
+
+@dataclasses.dataclass(frozen=True)
+class Translator:
+    """Rule banks configuring the driver: `pre` rewrites first, and a
+    fact `read_off` finds in the result is rewritten with `post`;
+    otherwise the elimination loop runs `banks` in priority order."""
+
+    banks: tuple
+    pre: tuple = ()
+    read_off: Optional[Callable] = None  # RL formula -> fact or None
+    post: tuple = ()
 
 
-def eliminate(f: RLFormula, banks, state: RunState) -> FAFact:
-    """Eliminate all variables from a closed formula with the given banks.
+# The paper's mechanical elimination.  The frame and discharge rules read
+# the depth as the number of existential levels on the path.  That is
+# exact because the loop runs only after normalization, which leaves no
+# universal, and no loop rule builds one.
+MECHANICAL = Translator((_COMBINE_RULES, _DISCHARGE_RULES, _FRAME_RULES))
 
-    Rewrites with the normalization bank, wraps the result in the marker
-    wrapper `RMark`, rewrites with the banks to a fixpoint and reads the
-    fact off it.  The fact's width is the deepest level nesting of the
-    normalized formula; it carries no label.
-    """
-    g = rewrite(f, (_NORMALIZE_RULES,), state)
+
+def translate_with_trace(f: RLFormula, translator=MECHANICAL):
+    """Eliminate all variables from a closed formula; returns the fact
+    and the rewrite trace: (fact, trace).  A fact of the loop is stamped
+    with the deepest level nesting of the normalized formula."""
+    state = RunState()
+    g = rewrite(f, translator.pre, state)
+    fact = translator.read_off(g) if translator.read_off else None
+    if fact is not None:
+        return rewrite(fact, translator.post, state), state.trace
+    g = rewrite(g, (_NORMALIZE_RULES,), state)
     width = max(1, nesting(g))
-    out = rewrite(RMark(g), banks, state)
+    out = rewrite(RMark(g), translator.banks, state)
     fact = fact_of(out)
     if fact is None:
         raise TranslateError(
             "variable elimination got stuck at: %s" % rl_text(out),
             state.trace)
-    return dataclasses.replace(fact, width=width)
+    return dataclasses.replace(fact, width=width), state.trace
 
 
-def translate_with_trace(f: RLFormula):
-    """Eliminate all variables from a closed formula with the mechanical
-    banks; returns the fact and the rewrite trace: (fact, trace)."""
-    state = RunState()
-    return eliminate(f, MECHANICAL_BANKS, state), state.trace
-
-
-def translate_form(f: AlloyForm, rel_arity) -> FAFact:
+def translate_form(f: AlloyForm, rel_arity, translator=MECHANICAL) -> FAFact:
     """Expand a core formula (closures included) and eliminate variables."""
     rl = expand_form(f, rel_arity, closure=star_lifter(rel_arity))
-    return translate_with_trace(rl)[0]
+    return translate_with_trace(rl, translator)[0]
 
 
 # ---------------------------------------------------------------------------

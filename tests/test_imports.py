@@ -3,8 +3,9 @@ line longer than 79 characters or puts a top-level function or class
 fewer than two blank lines after the statement before it, no source
 module calls `id()` or imports below module level, only `terms` reads
 the dataclass field layout of the node classes, every module-level
-name in src is read somewhere outside its own definition, and no
-source module memoizes without a finite bound.
+name in src is read somewhere outside its own definition, no source
+module memoizes without a finite bound, and only the translation driver
+and closure lifting build a rewrite run state.
 
 No linter ships with the toolchain, so these are `ast` and text scans:
 a name bound by an import (other than ``from __future__``) must occur
@@ -18,7 +19,10 @@ that only its own definition reads (say, a recursive helper nothing
 calls) is vocabulary that nothing uses.  Terms are interned for the
 life of the process, so a memo keyed by terms must state a finite
 `maxsize`: `functools.cache` and `lru_cache(maxsize=None)` grow with
-everything ever built, and a bare `lru_cache` hides its bound.
+everything ever built, and a bare `lru_cache` hides its bound.  Every
+translation runs through the one driver, `pipeline.translate_with_trace`,
+configured by a `Translator` value; a function that builds its own
+`RunState` would be a second driver.
 """
 
 import ast
@@ -245,3 +249,31 @@ def test_every_source_memo_is_bounded():
     found = {p.relative_to(ROOT).as_posix(): unbounded_memos(p.read_text())
              for p in SRC}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def run_state_builders(source: str) -> list:
+    """The names of the top-level functions and classes that call
+    `RunState`, by name or attribute; `<module>` for a call in any other
+    module-level statement."""
+    out = set()
+    for stmt in ast.parse(source).body:
+        for n in ast.walk(stmt):
+            if isinstance(n, ast.Call) and "RunState" in (
+                    getattr(n.func, "id", None),
+                    getattr(n.func, "attr", None)):
+                out.add(getattr(stmt, "name", "<module>"))
+    return sorted(out)
+
+
+def test_only_the_driver_and_closure_lifting_build_a_run_state():
+    assert run_state_builders(
+        "from s import RunState\ndef f():\n    return RunState()\n"
+        "class C:\n    def g(self):\n        return s.RunState(budget=1)\n"
+        "x = RunState\nS = [RunState()]\ndef h(RunState):\n    pass\n"
+        "def k():\n    return RunState.budget\n") == ["<module>", "C", "f"]
+    assert SRC
+    found = {p.relative_to(ROOT).as_posix(): run_state_builders(
+        p.read_text()) for p in SRC}
+    assert {k: v for k, v in found.items() if v} == {
+        "src/alloy2fa/pipeline.py": ["translate_closure",
+                                     "translate_with_trace"]}

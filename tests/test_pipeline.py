@@ -7,6 +7,8 @@ import pytest
 
 from conftest import TRANSLATORS, model_assert
 
+from alloy2fa import pipeline
+from alloy2fa.heuristics import SHORTCUT
 from alloy2fa.oracle import (
     SigInfo,
     Vocab,
@@ -21,7 +23,7 @@ from alloy2fa.oracle import (
 )
 from alloy2fa.pipeline import (
     DEFINITION_RULES,
-    MECHANICAL_BANKS,
+    MECHANICAL,
     TranslateError,
     _COMBINE_RULES,
     _DISCHARGE_RULES,
@@ -30,7 +32,6 @@ from alloy2fa.pipeline import (
     _count,
     _flat,
     _rotated,
-    eliminate,
     fact_of,
     free_var_levels,
     nesting,
@@ -392,11 +393,19 @@ class TestTranslate:
         fact, _ = translate_with_trace(RAll(2, None, app(1, Rel("r"), 2)))
         assert (fact.label, fact.width) == ("", 2)
 
-    def test_budget_exhaustion(self):
+    @pytest.mark.parametrize("translator, budget",
+                             [(MECHANICAL, 3), (SHORTCUT, 0)],
+                             ids=["mech", "short"])
+    def test_budget_exhaustion(self, monkeypatch, translator, budget):
+        """The mechanical translation of f fires 7 steps and the shortcut
+        one 1, so a budget of 3 stops the first and a budget of 0 the
+        second."""
         f = RAll(1, None, REx(1, RAnd(app(1, Rel("r"), 2),
                                       app(1, Rel("s"), 2))))
+        monkeypatch.setattr(pipeline, "RunState",
+                            lambda: RunState(budget=budget))
         with pytest.raises(BudgetError):
-            eliminate(f, MECHANICAL_BANKS, RunState(budget=3))
+            translate_with_trace(f, translator)
 
     def test_open_formula_diagnostic(self):
         with pytest.raises(TranslateError) as err:
