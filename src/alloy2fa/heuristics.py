@@ -17,9 +17,10 @@ in front of the mechanical ones as its elimination loop;
 
 Logical and definition rules are sound pointwise over any carrier, so
 every rewrite step preserves truth on every finite model, not just on
-the full pair closure.  Whole translations are certified against the
-finite-model oracle; single steps are checked on their own only for the
-rules that no corpus translation fires.
+the full pair closure.  The algebraic and fact rules are the equations
+of `EQUATIONS`, each law-checked on the pair closure under random
+interpretations, so on every redex; whole translations are certified
+against the finite-model oracle.
 
 The definition rules are defined in `pipeline`, beside the rotations
 they build on, because closure lifting runs them too: there they
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 from typing import Optional
 
 from .pipeline import (
@@ -48,8 +50,9 @@ from .strategy import Rule
 from .terms import (
     BOT,
     ID,
+    PI1,
+    PI2,
     TOP,
-    Bot,
     Comp,
     Compl,
     Conv,
@@ -63,8 +66,6 @@ from .terms import (
     Meet,
     NComp,
     Phi,
-    Pi1,
-    Pi2,
     Prod,
     RAll,
     RAnd,
@@ -77,7 +78,9 @@ from .terms import (
     ROr,
     Rot,
     RTrue,
-    Top,
+    Var,
+    instantiate,
+    match,
 )
 
 
@@ -241,79 +244,88 @@ LOGIC_RULES = [
 
 
 # ---------------------------------------------------------------------------
-# algebraic rules on relational terms
+# algebraic rules on relational terms, stated as equations
 
 
-_join_pair = _lattice_pair(Bot, Top)
-_meet_lattice = _lattice_pair(Top, Bot)
+def _by_rule(rows) -> dict:
+    """{rule name: [(lhs, rhs), ...]} of (rule name, lhs, rhs) rows."""
+    table = {}
+    for name, lhs, rhs in rows:
+        table.setdefault(name, []).append((lhs, rhs))
+    return table
 
 
-def _meet_pair(a, b):
-    res = _meet_lattice(a, b)
-    if res is not None:
-        return res
-    if isinstance(b, Id) and isinstance(a, Phi):
-        return a
-    if (isinstance(a, Comp) and isinstance(a.l, Conv)
-            and isinstance(a.l.e, Pi1) and isinstance(b, Comp)
-            and isinstance(b.l, Conv) and isinstance(b.l.e, Pi2)):
-        return Fork(a.r, b.r)
-    return None
+X, Y, Z, W, P = Var("X"), Var("Y"), Var("Z"), Var("W"), Var("P", Phi)
+
+# One row per equation, a rule's rows in the order they are tried, as
+# in egg's rewrite lists.  A pair rule's left sides are nodes of its kind.
+EQUATIONS = _by_rule([
+    ("meet-pair", Meet(X, TOP), X),
+    ("meet-pair", Meet(X, BOT), BOT),
+    ("meet-pair", Meet(X, X), X),
+    ("meet-pair", Meet(P, ID), P),
+    ("meet-pair", Meet(Comp(Conv(PI1), X), Comp(Conv(PI2), Y)), Fork(X, Y)),
+    ("join-pair", Join(X, BOT), X),
+    ("join-pair", Join(X, TOP), TOP),
+    ("join-pair", Join(X, X), X),
+    ("converse-collapse", Conv(Conv(X)), X),
+    ("converse-collapse", Conv(ID), ID),
+    ("converse-collapse", Conv(TOP), TOP),
+    ("converse-collapse", Conv(BOT), BOT),
+    ("converse-distribute", Conv(Comp(X, Y)), Comp(Conv(Y), Conv(X))),
+    ("converse-distribute", Conv(Meet(X, Y)), Meet(Conv(X), Conv(Y))),
+    ("converse-distribute", Conv(Join(X, Y)), Join(Conv(X), Conv(Y))),
+    ("complement-collapse", Compl(Compl(X)), X),
+    ("complement-collapse", Compl(Conv(Compl(X))), Conv(X)),
+    ("complement-collapse", Compl(TOP), BOT),
+    ("complement-collapse", Compl(BOT), TOP),
+    ("complement-distribute", Compl(Meet(X, Y)), Join(Compl(X), Compl(Y))),
+    ("complement-distribute", Compl(Join(X, Y)), Meet(Compl(X), Compl(Y))),
+    ("complement-distribute", Compl(Comp(X, Y)), Ldiv(Conv(X), Compl(Y))),
+    ("complement-distribute", Compl(Ldiv(X, Y)), Comp(Conv(X), Compl(Y))),
+    ("composition-unit", Comp(X, ID), X),
+    ("composition-unit", Comp(ID, X), X),
+    ("composition-unit", Comp(BOT, X), BOT),
+    ("composition-unit", Comp(X, BOT), BOT),
+    ("residual-units", Ldiv(BOT, X), TOP),
+    ("residual-units", Ldiv(X, TOP), TOP),
+    ("residual-units", Ldiv(ID, X), X),
+    ("fork-converse-meet", Comp(Conv(Fork(X, Y)), Fork(Z, W)),
+     Meet(Comp(Conv(X), Z), Comp(Conv(Y), W))),
+    # (id nabla T) . X  duplicates X over both components
+    ("fork-absorbs-composition", Comp(Fork(ID, TOP), X),
+     Fork(X, Comp(TOP, X))),
+    ("product-intro", Fork(Comp(X, PI1), Comp(Y, PI2)), Prod(X, Y)),
+    # each fact holds exactly when its rewrite does
+    ("inequation-normalize", FactLe(Compl(X), Compl(Y)), FactLe(Y, X)),
+    ("inequation-normalize", FactLe(TOP, Conv(X)), FactLe(TOP, X)),
+    ("inequation-normalize", FactLe(Conv(X), BOT), FactLe(X, BOT)),
+    ("inequation-normalize", FactLe(X, Ldiv(Y, Z)), FactLe(Comp(Y, X), Z)),
+])
 
 
-def _r_conv_collapse(t, depth):
-    if isinstance(t.e, Conv):
-        return t.e.e
-    if isinstance(t.e, (Id, Top, Bot)):
-        return t.e
-    return None
+def _solver(name: str, pair=False):
+    """Memoized rewriting by EQUATIONS[name]: the rhs of the first whose
+    lhs matches the redex, or None.  A pair rule's solver matches two
+    leaves against each lhs's operands; spine scans repeat their pairs."""
+    table = [((lhs.l, lhs.r) if pair else (lhs,), rhs)
+             for lhs, rhs in EQUATIONS[name]]
+
+    @functools.lru_cache(maxsize=1 << 14)
+    def solve(*ts):
+        for pats, rhs in table:
+            env = {}
+            if all(map(match, pats, ts, itertools.repeat(env))):
+                return instantiate(rhs, env)
+        return None
+
+    return solve
 
 
-def _r_conv_distribute(t, depth):
-    e = t.e
-    if isinstance(e, Comp):
-        return Comp(Conv(e.r), Conv(e.l))
-    if isinstance(e, Meet):
-        return Meet(Conv(e.l), Conv(e.r))
-    if isinstance(e, Join):
-        return Join(Conv(e.l), Conv(e.r))
-    return None
-
-
-def _r_compl_collapse(t, depth):
-    e = t.e
-    if isinstance(e, Compl):
-        return e.e
-    if isinstance(e, Conv) and isinstance(e.e, Compl):
-        return Conv(e.e.e)
-    if isinstance(e, Top):
-        return BOT
-    if isinstance(e, Bot):
-        return TOP
-    return None
-
-
-def _r_compl_distribute(t, depth):
-    e = t.e
-    if isinstance(e, Meet):
-        return Join(Compl(e.l), Compl(e.r))
-    if isinstance(e, Join):
-        return Meet(Compl(e.l), Compl(e.r))
-    if isinstance(e, Comp):
-        return Ldiv(Conv(e.l), Compl(e.r))
-    if isinstance(e, Ldiv):
-        return Comp(Conv(e.l), Compl(e.r))
-    return None
-
-
-def _r_comp_unit(t, depth):
-    if isinstance(t.r, Id):
-        return t.l
-    if isinstance(t.l, Id):
-        return t.r
-    if isinstance(t.l, Bot) or isinstance(t.r, Bot):
-        return BOT
-    return None
+def _equation_rule(name: str) -> Rule:
+    """The node rule of EQUATIONS[name]; it ignores the depth."""
+    solve = _solver(name)
+    return Rule(name, type(EQUATIONS[name][0][0]), lambda t, depth: solve(t))
 
 
 def _r_ncomp_unit(t, depth):
@@ -329,68 +341,23 @@ def _r_rot_cycle(t, depth):
     return cur if k == t.n else None
 
 
-def _r_residual_units(t, depth):
-    if isinstance(t.l, Bot) or isinstance(t.r, Top):
-        return TOP
-    if isinstance(t.l, Id):
-        return t.r
-    return None
-
-
-def _r_fork_meet(t, depth):
-    # (R nabla S)~ . (A nabla B)  =  R~.A & S~.B
-    if (isinstance(t.l, Conv) and isinstance(t.l.e, Fork)
-            and isinstance(t.r, Fork)):
-        f, g = t.l.e, t.r
-        return Meet(Comp(Conv(f.l), g.l), Comp(Conv(f.r), g.r))
-    return None
-
-
-def _r_fork_comp(t, depth):
-    # (id nabla T) . R  duplicates R over both components
-    if (isinstance(t.l, Fork) and isinstance(t.l.l, Id)
-            and isinstance(t.l.r, Top)):
-        return Fork(t.r, Comp(TOP, t.r))
-    return None
-
-
-def _r_prod_intro(t, depth):
-    if (isinstance(t.l, Comp) and isinstance(t.l.r, Pi1)
-            and isinstance(t.r, Comp) and isinstance(t.r.r, Pi2)):
-        return Prod(t.l.l, t.r.l)
-    return None
-
-
 ALGEBRA_RULES = [
-    _pair_rule("meet-pair", Meet, _meet_pair),
-    _pair_rule("join-pair", Join, _join_pair),
-    Rule("converse-collapse", Conv, _r_conv_collapse),
-    Rule("converse-distribute", Conv, _r_conv_distribute),
-    Rule("complement-collapse", Compl, _r_compl_collapse),
-    Rule("complement-distribute", Compl, _r_compl_distribute),
-    Rule("composition-unit", Comp, _r_comp_unit),
+    _pair_rule("meet-pair", Meet, _solver("meet-pair", pair=True)),
+    _pair_rule("join-pair", Join, _solver("join-pair", pair=True)),
+    _equation_rule("converse-collapse"),
+    _equation_rule("converse-distribute"),
+    _equation_rule("complement-collapse"),
+    _equation_rule("complement-distribute"),
+    _equation_rule("composition-unit"),
     Rule("wide-composition-unit", NComp, _r_ncomp_unit),
     Rule("rotation-cycle", Rot, _r_rot_cycle),
-    Rule("residual-units", Ldiv, _r_residual_units),
-    Rule("fork-converse-meet", Comp, _r_fork_meet),
-    Rule("fork-absorbs-composition", Comp, _r_fork_comp),
-    Rule("product-intro", Fork, _r_prod_intro),
+    _equation_rule("residual-units"),
+    _equation_rule("fork-converse-meet"),
+    _equation_rule("fork-absorbs-composition"),
+    _equation_rule("product-intro"),
 ]
 
-
-def _r_fact_norm(t, depth):
-    if isinstance(t.lhs, Compl) and isinstance(t.rhs, Compl):
-        return FactLe(t.rhs.e, t.lhs.e)
-    if isinstance(t.lhs, Top) and isinstance(t.rhs, Conv):
-        return FactLe(TOP, t.rhs.e)
-    if isinstance(t.lhs, Conv) and isinstance(t.rhs, Bot):
-        return FactLe(t.lhs.e, BOT)
-    if isinstance(t.rhs, Ldiv):
-        return FactLe(Comp(t.rhs.l, t.lhs), t.rhs.r)
-    return None
-
-
-FACT_RULES = [Rule("inequation-normalize", FactLe, _r_fact_norm)]
+FACT_RULES = [_equation_rule("inequation-normalize")]
 
 
 # ---------------------------------------------------------------------------

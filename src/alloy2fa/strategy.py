@@ -1,13 +1,13 @@
 """Rewrite engine: prioritized rule banks, leftmost-innermost.
 
-A rule is a named partial function on one node class, its `kind` (or
-a tuple of classes).  The engine checks the class and offers a rule
-only the nodes of its kind, so the rule tests only the shape below the
-root.  A rule either fails (None) or returns a *different* term.  A
-bank is a list of rules, and a rewrite runs over a tuple of banks in
-priority order.  `step` fires once: the first bank with a redex
-anywhere in the term wins, at that bank's leftmost-innermost redex,
-where the bank's first matching rule fires.
+A rule is a named partial function on one node class, its `kind` (or a
+tuple of classes); it may be built from equations.  The engine checks
+the class and offers a rule only the nodes of its kind, so the rule
+tests only the shape below the root.  A rule either fails (None) or
+returns a *different* term.  A bank is a list of rules, and a rewrite
+runs over a tuple of banks in priority order.  `step` fires once: the
+first bank with a redex anywhere in the term wins, at that bank's
+leftmost-innermost redex, where the bank's first matching rule fires.
 `rewrite` repeats `step` to a fixpoint.  Every firing is recorded as a
 whole-term snapshot in the `RunState`, which also caps the number of
 firings of one run; a term too deep to walk is a `BudgetError` too.

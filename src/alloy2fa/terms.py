@@ -256,6 +256,13 @@ class Rot(FAExpr):
     n: int
 
 
+class Var(FAExpr):
+    """Pattern variable of an equation; it matches the terms of `kind`."""
+
+    name: str
+    kind: type = FAExpr
+
+
 TOP = Top()
 BOT = Bot()
 ID = Id()
@@ -263,6 +270,32 @@ PI1 = Pi1()
 PI2 = Pi2()
 
 _FA_LEAVES = (Rel, Phi, Top, Bot, Id, Pi1, Pi2)
+
+
+def match(p, t, env: dict) -> bool:
+    """Whether pattern p matches term t, binding p's variables in env (a
+    repeated variable to one interned term).  The fields that equality
+    ignores, a fact's label and width, match anything."""
+    if type(p) is not type(t):
+        return (type(p) is Var and isinstance(t, p.kind)
+                and env.setdefault(p, t) is t)
+    if not isinstance(p, Node):
+        return p == t
+    for name, f in p.__dataclass_fields__.items():
+        if f.compare and not match(getattr(p, name), getattr(t, name), env):
+            return False
+    return True
+
+
+def instantiate(p, env: dict):
+    """Pattern p with its variables replaced by their bindings in env,
+    rebuilt positionally like `with_child`."""
+    if isinstance(p, Var):
+        return env[p]
+    if not isinstance(p, Node):
+        return p
+    return type(p)(*[instantiate(getattr(p, name), env)
+                     for name in p.__dataclass_fields__])
 
 
 def projX(n: int, i: int) -> FAExpr:

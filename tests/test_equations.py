@@ -1,0 +1,126 @@
+"""Every equation of `heuristics.EQUATIONS` is a law of the matrix
+semantics, not only on the redexes the corpus reaches.
+
+Each pattern variable becomes a fresh relation constant, a `Phi`
+variable a fresh coreflexive, and both sides are evaluated on the pair
+closure of two atoms (38 elements) under seeded random
+interpretations: an equation between FA terms must give equal matrices,
+an equivalence between inclusions equal truth values.  A failure is a
+soundness bug in the rule that states the equation.  Near misses of
+the real equations fail the same check, so it is not vacuous; the
+residual near miss needs a few hundred interpretations to be refuted
+on every seed, hence INTERPRETATIONS.
+"""
+
+import numpy as np
+import pytest
+
+from alloy2fa.heuristics import ALGEBRA_RULES, EQUATIONS, FACT_RULES
+from alloy2fa.oracle import eval_fa, pair_space, witness_rows
+from alloy2fa.terms import (
+    ID,
+    TOP,
+    Comp,
+    Compl,
+    FactLe,
+    Fork,
+    Ldiv,
+    Meet,
+    Phi,
+    Rel,
+    Var,
+    fa_text,
+    instantiate,
+    subterms,
+)
+
+SPACE = pair_space(("a", "b"), 2)
+ALL_ROWS = np.ones(SPACE.n, dtype=bool)
+# empty, a few pairs, dense, all but a few pairs, full: on 1,444 pairs,
+# an inclusion between two relations of one middling density is never
+# true, and the fact equivalences would compare false with false
+DENSITIES = (0.0, 0.002, 0.35, 0.998, 1.0)
+INTERPRETATIONS = 300
+HAND_RULES = {"rotation-cycle", "wide-composition-unit"}
+# the law pairs up two existential witnesses, so the sampled relations
+# keep their rows below the carrier's top layer, as in
+# test_oracle.py::TestAlgebraAxioms::test_fork_converse_law
+WITNESS_ROWS_ONLY = {"fork-converse-meet"}
+CASES = [(name, i, lhs, rhs) for name, eqs in EQUATIONS.items()
+         for i, (lhs, rhs) in enumerate(eqs)]
+X, Y, Z = Var("X"), Var("Y"), Var("Z")
+
+
+def ground(lhs, rhs):
+    """Both sides with each variable replaced by a constant of its own
+    name: a `Phi` for a variable of kind `Phi`, else a `Rel`."""
+    env = {v: Phi(v.name) if v.kind is Phi else Rel(v.name)
+           for side in (lhs, rhs) for v in subterms(side)
+           if isinstance(v, Var)}
+    return instantiate(lhs, env), instantiate(rhs, env)
+
+
+def random_interp(rng, terms, rows):
+    """Random relations for the constants of terms, only on the given
+    rows and coreflexive for the `Phi` constants.  Each draws its
+    density from DENSITIES."""
+    n, out = SPACE.n, {}
+    consts = {c for t in terms for c in subterms(t)
+              if isinstance(c, (Phi, Rel))}
+    for c in sorted(consts, key=fa_text):
+        m = (rng.random((n, n)) < rng.choice(DENSITIES)) & rows[:, None]
+        if isinstance(c, Phi):
+            out["sig", c.sig] = m & np.eye(n, dtype=bool)
+        else:
+            out["rel", c.name] = m
+    return out
+
+
+def denotation(t, interp):
+    if isinstance(t, FactLe):
+        lhs, rhs = (eval_fa(s, SPACE, interp) for s in (t.lhs, t.rhs))
+        return bool((~lhs | rhs).all())
+    return eval_fa(t, SPACE, interp)
+
+
+def holds(lhs, rhs, rows, seed: int) -> bool:
+    """Whether both sides agree under INTERPRETATIONS seeded random
+    interpretations with the given rows."""
+    lhs, rhs = ground(lhs, rhs)
+    rng = np.random.default_rng(seed)
+    for _ in range(INTERPRETATIONS):
+        interp = random_interp(rng, (lhs, rhs), rows)
+        if not np.array_equal(denotation(lhs, interp),
+                              denotation(rhs, interp)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("seed", range(len(CASES)),
+                         ids=["%s-%d" % c[:2] for c in CASES])
+def test_equation_holds_on_random_interpretations(seed):
+    name, _, lhs, rhs = CASES[seed]
+    rows = witness_rows(SPACE) if name in WITNESS_ROWS_ONLY else ALL_ROWS
+    assert holds(lhs, rhs, rows, seed)
+
+
+def test_fork_converse_meet_fails_beyond_the_witness_rows():
+    (lhs, rhs), = EQUATIONS["fork-converse-meet"]
+    assert not holds(lhs, rhs, ALL_ROWS, 0)
+
+
+@pytest.mark.parametrize("lhs, rhs", [
+    (Compl(Comp(X, Y)), Ldiv(X, Compl(Y))),
+    (Comp(Fork(TOP, ID), X), Fork(X, Comp(TOP, X))),
+    (Meet(X, ID), X),
+    (FactLe(X, Ldiv(Y, Z)), FactLe(Comp(X, Y), Z)),
+], ids=["converse-dropped", "fork-swapped", "kind-dropped", "comp-swapped"])
+def test_the_check_refutes_a_wrong_equation(lhs, rhs):
+    assert not holds(lhs, rhs, ALL_ROWS, 0)
+
+
+def test_every_rule_but_the_hand_ones_is_in_the_table():
+    names = [r.name for r in ALGEBRA_RULES + FACT_RULES]
+    assert HAND_RULES <= set(names)
+    assert set(names) - HAND_RULES == set(EQUATIONS)
+    assert len(CASES) == 37

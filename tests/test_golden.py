@@ -11,16 +11,45 @@ corpus, closure lifting's included: per translator, the number of steps
 and a sha256 over (rule, before, after) of every firing in order, each
 term by a digest of its class and fields. An engine optimization must
 keep both; the facts alone would not show a changed firing order.
+Its `algebra` entry pins the algebra and fact rules on seeded random
+terms, which reach the branches no corpus translation fires: the step
+count and a sha256 over the rule and the rendered result of every
+firing.
 """
 
 import dataclasses
 import hashlib
 import json
 import os
+import random
 
 import pytest
 
-from alloy2fa.terms import Interned, Node, fact_text
+from alloy2fa.heuristics import ALGEBRA_RULES, FACT_RULES
+from alloy2fa.strategy import RunState, rewrite
+from alloy2fa.terms import (
+    BOT,
+    ID,
+    PI1,
+    PI2,
+    TOP,
+    Comp,
+    Compl,
+    Conv,
+    FactLe,
+    FAFact,
+    Fork,
+    Interned,
+    Join,
+    Ldiv,
+    Meet,
+    Node,
+    Phi,
+    Prod,
+    Rel,
+    fa_text,
+    fact_text,
+)
 
 HERE = os.path.dirname(__file__)
 
@@ -79,3 +108,40 @@ def test_firings_match_the_recorded_digest(config, golden_runs):
         want = json.load(fh)[config]
     steps = [s for run in golden_runs[config] for s in run[3]]
     assert trace_digest(steps) == want
+
+
+LEAVES = (Rel("r"), Rel("s"), Phi("A"), ID, TOP, BOT, PI1, PI2)
+OPERATORS = ((Conv, 1), (Compl, 1), (Join, 2), (Meet, 2), (Comp, 2),
+             (Fork, 2), (Prod, 2), (Ldiv, 2))
+
+
+def random_term(rng, depth):
+    """A random FA term of depth at most `depth` over LEAVES."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(LEAVES)
+    op, arity = rng.choice(OPERATORS)
+    return op(*[random_term(rng, depth - 1) for _ in range(arity)])
+
+
+def algebra_firings():
+    """Every firing that rewrites 3,000 random terms of depth at most 4
+    to their fixpoints under ALGEBRA_RULES, then 1,000 random inclusions
+    under FACT_RULES."""
+    rng, state = random.Random(0), RunState(budget=10 ** 6)
+    for _ in range(3000):
+        rewrite(random_term(rng, 4), (ALGEBRA_RULES,), state)
+    for _ in range(1000):
+        fact = FactLe(random_term(rng, 3), random_term(rng, 3))
+        rewrite(fact, (FACT_RULES,), state)
+    return state.trace
+
+
+def test_algebra_firings_match_the_recorded_digest():
+    with open(os.path.join(HERE, "data", "golden_traces.json")) as fh:
+        want = json.load(fh)["algebra"]
+    steps, h = algebra_firings(), hashlib.sha256()
+    for s in steps:
+        text = (fact_text if isinstance(s.after, FAFact) else fa_text)(
+            s.after)
+        h.update(("%s\n%s\n" % (s.rule, text)).encode())
+    assert {"steps": len(steps), "sha256": h.hexdigest()} == want

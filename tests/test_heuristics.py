@@ -9,11 +9,10 @@ from alloy2fa.heuristics import (
     ALGEBRA_RULES,
     LOGIC_RULES,
     _and_pair,
-    _join_pair,
     _leaves,
-    _meet_pair,
     _or_pair,
     _rebuild,
+    _solver,
     drop_vars,
     translate_h_with_trace,
 )
@@ -22,7 +21,10 @@ from alloy2fa.strategy import Rule, RunState, rewrite
 from alloy2fa.terms import (
     BOT,
     ID,
+    PI1,
+    PI2,
     TOP,
+    Comp,
     Conv,
     FactEq,
     FactLe,
@@ -168,7 +170,8 @@ def random_spine(rng, kind, pool, n):
 
 
 FORMULA_POOL = [app(1, R, 1), app(1, S, 1), app(1, R, 2), RTrue(), RFalse()]
-TERM_POOL = [R, S, Conv(R), TOP, BOT, ID, Phi("A")]
+TERM_POOL = [R, S, Conv(R), TOP, BOT, ID, Phi("A"), Comp(Conv(PI1), R),
+             Comp(Conv(PI2), S)]
 
 
 class TestPairScan:
@@ -178,8 +181,10 @@ class TestPairScan:
     @pytest.mark.parametrize("name, kind, fn, bank, pool", [
         ("conjunction-pair", RAnd, _and_pair, LOGIC_RULES, FORMULA_POOL),
         ("disjunction-pair", ROr, _or_pair, LOGIC_RULES, FORMULA_POOL),
-        ("meet-pair", Meet, _meet_pair, ALGEBRA_RULES, TERM_POOL),
-        ("join-pair", Join, _join_pair, ALGEBRA_RULES, TERM_POOL),
+        ("meet-pair", Meet, _solver("meet-pair", pair=True), ALGEBRA_RULES,
+         TERM_POOL),
+        ("join-pair", Join, _solver("join-pair", pair=True), ALGEBRA_RULES,
+         TERM_POOL),
     ], ids=["conjunction", "disjunction", "meet", "join"])
     def test_same_rewrites_as_the_all_pairs_scan(self, name, kind, fn, bank,
                                                  pool):

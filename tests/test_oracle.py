@@ -600,8 +600,9 @@ def _random_interp(space, rng, names, density=0.35):
 class TestAlgebraAxioms:
     """Spot checks of the defining laws over the pair closure.
 
-    The full exhaustive suite lives in the acceptance tests; these pin
-    the matrix semantics itself against randomly sampled relations.
+    These pin the matrix semantics itself against randomly sampled
+    relations; the equations of the rewrite rules are law-checked on
+    the same carrier in test_equations.py.
     """
 
     def setup_method(self, _):

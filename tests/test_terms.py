@@ -13,11 +13,11 @@ from alloy2fa.terms import (
     AVar, ADiff, ADomRes, ARanRes, AInter,
     ArityError, Comp, Compl, Conv, FAll, FAnd, FEq, FIn, FNot, FOr,
     FPredCall, FSome, FactEq, FactLe, Fork, Ldiv, Meet, NComp,
-    Phi, Prod, Rel, Rot, Star,
+    Phi, Prod, Rel, Rot, Star, Var,
     BOT, ID, PI1, PI2, TOP,
     RAll, RAnd, RApp, REx, RImp, RMark, RNot, RTrue, RFalse,
     arity_of, children, cut, fa_op_count,
-    fa_text, fact_text, is_core, map_children, ncomp,
+    fa_text, fact_text, instantiate, is_core, map_children, match, ncomp,
     projX, rl_text, rotate, unbind, unfold,
 )
 
@@ -368,7 +368,8 @@ class TestTraversal:
         assert list(children(RMark(body))) == [("body", body)]
 
     def test_every_field_is_classified(self):
-        data = {"str", "int", "tuple", "Pos"}
+        # "type" is the class a pattern variable (`Var.kind`) matches
+        data = {"str", "int", "tuple", "Pos", "type"}
         known = terms._CHILD | terms._CHILDREN | data
         for name in dir(terms):
             cls = getattr(terms, name)
@@ -391,6 +392,40 @@ class TestTraversal:
         swapped = map_children(
             call, lambda c: ASig("B") if c == ASig("A") else c)
         assert swapped.args == (ASig("B"), AVar("x"))
+
+
+class TestPatterns:
+    X, Y, P = Var("X"), Var("Y"), Var("P", Phi)
+
+    def test_variables_bind_subterms(self):
+        env = {}
+        t = Comp(Conv(Rel("r")), Meet(ID, TOP))
+        assert match(Comp(Conv(self.X), self.Y), t, env)
+        assert env == {self.X: Rel("r"), self.Y: Meet(ID, TOP)}
+        assert instantiate(Comp(self.Y, self.X), env) == Comp(
+            Meet(ID, TOP), Rel("r"))
+
+    def test_a_repeated_variable_meets_one_term(self):
+        assert match(Meet(self.X, self.X), Meet(Rel("r"), Rel("r")), {})
+        assert not match(Meet(self.X, self.X), Meet(Rel("r"), Rel("s")), {})
+
+    def test_kind_restricts_the_match(self):
+        assert match(Meet(self.P, ID), Meet(Phi("A"), ID), {})
+        assert not match(Meet(self.P, ID), Meet(Rel("r"), ID), {})
+        assert not match(self.X, RTrue(), {})
+
+    def test_data_fields_must_be_equal(self):
+        assert match(NComp(self.X, ID, 3), NComp(Rel("t", 3), ID, 3), {})
+        assert not match(NComp(self.X, ID, 3), NComp(Rel("t", 4), ID, 4), {})
+        assert not match(Conv(Rel("r")), Conv(Rel("s")), {})
+
+    def test_fact_label_and_width_match_anything(self):
+        env = {}
+        fact = FactLe(Compl(Rel("r")), TOP, label="f", width=3)
+        assert match(FactLe(Compl(self.X), TOP), fact, env)
+        out = instantiate(FactLe(TOP, self.X), env)
+        assert out == FactLe(TOP, Rel("r"))
+        assert (out.label, out.width) == ("", 0)
 
 
 class TestRLHelpers:
