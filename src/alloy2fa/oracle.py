@@ -7,14 +7,17 @@ Renaming the atoms of a model keeps both truths, so the exhaustive check
 evaluates one model per orbit of the atom permutations (``iter_orbits``)
 and counts the whole orbit as checked.
 
-Relational terms are evaluated as boolean matrices over a finite carrier.
-A matrix has shape (1|n, 1|n) and stands for its broadcast to n x n: a
-vector (a relation TOP;X, whose rows are all equal) keeps one row, and
-TOP, BOT and unknown names are (1, 1). A 1 stands for n >= 1 equal rows
-or columns, so on the empty carrier every shape is (0, 0). Union, meet,
-complement and converse keep the shapes by broadcasting, composition has
-cases for them (``_mm``); fork, product, closure and ``eval_fa`` use the
-full layout. Two kinds of carrier cover the different jobs:
+Relational terms are evaluated as boolean matrices over a finite carrier,
+a batch of models at once. A value has shape (B|1, 1|n, 1|n) and stands
+for its broadcast to B models of n x n: a vector (a relation TOP;X,
+whose rows are all equal) keeps one row, TOP, BOT and unknown names are
+(1, 1, 1), and a value every model shares, as a constant term's, keeps
+one model. A 1 stands for n >= 1 equal rows or columns, so on the empty
+carrier every matrix is 0 x 0. Union, meet, complement and converse keep
+the shapes by broadcasting, composition has cases for them (``_mm``);
+fork, product, closure and ``eval_fa`` use the full layout.
+``check_equiv`` batches its model stream by carrier (``_truths``). Two
+kinds of carrier cover the different jobs:
 
 * ``tuple_space(atoms, width)``: the atoms plus every right-nested tuple
   of atoms up to the given width. Translation checks live here, because
@@ -36,6 +39,7 @@ Atoms must be strings; every tuple element is a nested pair of them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -344,14 +348,23 @@ def interp_from_model(model: FiniteModel, space: Space) -> dict:
 # cost as much as the product at n = 62 and a fifth of it at 256.
 _RESTRICT_INNER = 128
 
+# Most boolean entries, B models times n x n, in one check_equiv batch; a
+# model over a larger carrier is a batch of its own. At 2^18 the 28
+# models of a 62-element carrier made one batch that took 40% longer and
+# 2.5 times the memory. Below 2 (_RESTRICT_INNER + 1)^2, so every carrier
+# above the gate has one-model batches.
+_BATCH_CELLS = 1 << 15
+
 
 def _mm(a, b):
-    """Boolean product a;b of two matrices of shape (1|n, 1|n).
+    """Boolean product a;b of two values of shape (B|1, 1|n, 1|n), or of
+    one model's (1|n, 1|n) matrices, as which a one-model batch composes.
 
     a;b holds at (u, v) iff some inner index w has u a w and w b v. An
     inner dimension of 1 means the operand does not vary with w; as the
     carrier has some w (n >= 1), a;b is then a row test of a times a
-    column test of b. Above an inner dimension of _RESTRICT_INNER:
+    column test of b. For matrices above an inner dimension of
+    _RESTRICT_INNER:
 
     * where every row u of a holds at most one entry w(u), row u of a;b
       is row w(u) of b, or empty with row u of a: a gather of rows, exact
@@ -366,14 +379,17 @@ def _mm(a, b):
       also keeps the peak RSS from rising.
 
     The gate sits where these pay on unstructured operands, from the
-    kernel's own cost, not from any carrier size of a workload. The
-    int32 counts and float32 sums are exact well past any carrier here.
+    kernel's own cost, not from any carrier size of a workload; batches
+    of several models stay below it (_BATCH_CELLS). The int32 counts and
+    float32 sums are exact well past any carrier here.
     """
-    if a.shape[1] == 1:
-        return a & b.any(0, keepdims=True)
-    if b.shape[0] == 1:
-        return a.any(1, keepdims=True) & b
-    if a.shape[1] > _RESTRICT_INNER:
+    if a.ndim == 3 and len(a) == len(b) == 1:
+        return _mm(a[0], b[0])[None]
+    if a.shape[-1] == 1:
+        return a & b.any(-2, keepdims=True)
+    if b.shape[-2] == 1:
+        return a.any(-1, keepdims=True) & b
+    if a.ndim == 2 and a.shape[1] > _RESTRICT_INNER:
         rows = a.sum(1, dtype=np.int32)
         if rows.max() <= 1:
             return b.take(a.argmax(1), axis=0) & rows.astype(bool)[:, None]
@@ -388,93 +404,129 @@ def _mm(a, b):
 
 
 def _full(m, n):
-    """A matrix value in its n x n layout (a read-only view if broadcast)."""
-    return m if m.shape == (n, n) else np.broadcast_to(m, (n, n))
+    """A value in its (B|1, n, n) layout (a read-only view if broadcast)."""
+    shape = m.shape[:1] + (n, n)
+    return m if m.shape == shape else np.broadcast_to(m, shape)
 
 
 def eval_fa(e: FAExpr, space: Space, interp: dict):
     """Fresh n x n boolean matrix of a variable-free term over the carrier.
 
-    Unknown relation and signature names denote the empty relation.
-    Subterms free of relation symbols are cached on the space itself and
-    shared across models.
+    interp maps ("rel", name) and ("sig", name) to n x n extents, as
+    ``interp_from_model`` builds them. Unknown relation and signature
+    names denote the empty relation. Subterms free of relation symbols
+    are cached on the space itself and shared across models.
     """
-    return np.array(_full(_eval2(e, space, interp, {})[0], space.n))
+    return np.array(_full(_value(e, space, interp, {})[0], space.n)[0])
 
 
-def _eval2(e, space, interp, cache):
-    """(matrix, constant?) of a term; cache maps a node to it for one model,
-    and space.cache a constant node for every model over the space."""
-    hit = cache.get(e) or space.cache.get(e)
+@functools.lru_cache(maxsize=1 << 12)
+def _post_order(root):
+    """(node, operands, constant?, dead) of each distinct node under root,
+    after its operands, left first, by an explicit stack that no depth
+    overflows. Constant nodes have no relation or signature under them;
+    dead lists the operands, not constant, that no later node reads.
+    NComp and Rot have their unfolding as their operand."""
+    order, const, todo = [], {}, [(root, None)]
+    while todo:
+        e, ops = todo.pop()
+        if ops is not None:
+            const[e] = (not isinstance(e, (Rel, Phi))
+                        and all(const[c] for c in ops))
+            order.append((e, ops, const[e]))
+        elif e not in const:
+            const[e] = None
+            ops = ((unfold(e),) if isinstance(e, (NComp, Rot))
+                   else tuple(c for _, c in children(e)))
+            todo.append((e, ops))
+            todo.extend((c, None) for c in reversed(ops) if c not in const)
+    last = {c: e for e, ops, _ in order for c in ops}
+    return tuple((e, ops, k, tuple(c for c in ops
+                                   if last[c] is e and not const[c]))
+                 for e, ops, k in order)
+
+
+def _value(root, space, interp, cache):
+    """(value, constant?) of a term on a batch of models over one carrier.
+
+    interp maps each extent key to the batch's n x n extents stacked as
+    (B, n, n), or to one model's (n, n). cache maps a node to its (value,
+    constant?) for this batch, space.cache a constant node for every
+    model; a value below the root leaves cache after its last use.
+    """
+    hit = cache.get(root) or space.cache.get(root)
     if hit is not None:
         return hit
+    for e, ops, const, dead in _post_order(root):
+        if e in cache:
+            continue
+        hit = space.cache.get(e) if const else None
+        if hit is None:
+            hit = (_node(e, [cache[c][0] for c in ops], space, interp), const)
+            if const:
+                space.cache[e] = hit
+        cache[e] = hit
+        for c in dead:
+            cache.pop(c, None)
+    return cache[root]
+
+
+def _node(e, args, space, interp):
+    """The value of one node from the values of its operands."""
     n = space.n
-    const = not isinstance(e, (Rel, Phi))
-    if not const:
+    if isinstance(e, Comp):
+        return _mm(*args)
+    if isinstance(e, Meet):
+        return args[0] & args[1]
+    if isinstance(e, Join):
+        return args[0] | args[1]
+    if isinstance(e, Compl):
+        return ~args[0]
+    if isinstance(e, Conv):
+        return args[0].transpose(0, 2, 1)
+    if isinstance(e, (NComp, Rot)):
+        return args[0]
+    if isinstance(e, Ldiv):
+        # u (L\R) v  iff  for all w: w L u implies w R v
+        return ~_mm(args[0].transpose(0, 2, 1), ~args[1])
+    if isinstance(e, (Rel, Phi)):
         key = ("rel", e.name) if isinstance(e, Rel) else ("sig", e.sig)
         m = interp.get(key)
-        m = np.zeros((min(n, 1),) * 2, dtype=bool) if m is None else m
-    elif isinstance(e, (Top, Bot)):
-        m = np.full((min(n, 1),) * 2, isinstance(e, Top))
-    elif isinstance(e, Id):
-        m = np.eye(n, dtype=bool)
-    elif isinstance(e, (Pi1, Pi2)):
-        m = np.zeros((n, n), dtype=bool)
-        m[space._left if isinstance(e, Pi1) else space._right,
+        if m is not None:
+            return m if m.ndim == 3 else m[None]
+    if isinstance(e, (Top, Bot, Rel, Phi)):
+        return np.full((1,) + (min(n, 1),) * 2, isinstance(e, Top))
+    if isinstance(e, Id):
+        return np.eye(n, dtype=bool)[None]
+    if isinstance(e, (Pi1, Pi2)):
+        m = np.zeros((1, n, n), dtype=bool)
+        m[0, space._left if isinstance(e, Pi1) else space._right,
           space._pairs] = True
-    elif isinstance(e, (Join, Meet, Comp, Ldiv)):
-        l, cl = _eval2(e.l, space, interp, cache)
-        r, cr = _eval2(e.r, space, interp, cache)
-        const = cl and cr
-        if isinstance(e, Join):
-            m = l | r
-        elif isinstance(e, Meet):
-            m = l & r
-        elif isinstance(e, Comp):
-            m = _mm(l, r)
-        else:
-            # u (L\R) v  iff  for all w: w L u implies w R v
-            m = ~_mm(l.T, ~r)
-    elif isinstance(e, Conv):
-        sub, const = _eval2(e.e, space, interp, cache)
-        m = sub.T
-    elif isinstance(e, Compl):
-        sub, const = _eval2(e.e, space, interp, cache)
-        m = ~sub
-    elif isinstance(e, Fork):
-        l, cl = _eval2(e.l, space, interp, cache)
-        r, cr = _eval2(e.r, space, interp, cache)
-        const = cl and cr
-        m = np.zeros((n, n), dtype=bool)
-        m[space._pairs] = (_full(l, n)[space._left]
-                           & _full(r, n)[space._right])
-    elif isinstance(e, Prod):
-        l, cl = _eval2(e.l, space, interp, cache)
-        r, cr = _eval2(e.r, space, interp, cache)
-        const = cl and cr
-        # one axis at a time: 2-D np.ix_ indexing costs several times more
-        left, right = space._left, space._right
-        rows = np.zeros((len(left), n), dtype=bool)
-        rows[:, space._pairs] = (_full(l, n)[left][:, left]
-                                 & _full(r, n)[right][:, right])
-        m = np.zeros((n, n), dtype=bool)
-        m[space._pairs] = rows
-    elif isinstance(e, (NComp, Rot)):
-        m, const = _eval2(unfold(e), space, interp, cache)
-    elif isinstance(e, Star):
-        sub, const = _eval2(e.e, space, interp, cache)
-        m = np.eye(n, dtype=bool) | sub
+        return m
+    if isinstance(e, Star):
+        m = np.eye(n, dtype=bool) | args[0]
         while True:
             nxt = _mm(m, m) | m
             if np.array_equal(nxt, m):
-                break
+                return m
             m = nxt
-    else:
+    if not isinstance(e, (Fork, Prod)):
         raise TypeError("cannot evaluate %r" % (e,))
-    cache[e] = (m, const)
-    if const:
-        space.cache[e] = cache[e]
-    return m, const
+    l, r = args
+    batch = max(len(l), len(r))
+    left, right, pairs = space._left, space._right, space._pairs
+    if isinstance(e, Fork):
+        m = np.zeros((batch, n, n), dtype=bool)
+        m[:, pairs] = _full(l, n)[:, left] & _full(r, n)[:, right]
+        return m
+    # a product, one axis at a time: 2-D np.ix_ indexing costs several
+    # times more
+    rows = np.zeros((batch, len(left), n), dtype=bool)
+    rows[:, :, pairs] = (_full(l, n)[:, left][:, :, left]
+                         & _full(r, n)[:, right][:, :, right])
+    m = np.zeros((batch, n, n), dtype=bool)
+    m[:, pairs] = rows
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +665,8 @@ def _rl(f, space, interp, env, nl, cache):
         rv = _side_index(f.rhs, env, space)
         if lv is None or rv is None:
             return False
-        m = _eval2(f.rel, space, interp, cache)[0]
-        return bool(_full(m, space.n)[lv, rv])
+        m = _value(f.rel, space, interp, cache)[0]
+        return bool(_full(m, space.n)[0, lv, rv])
     raise TypeError("not an RL formula: %r" % (f,))
 
 
@@ -687,18 +739,19 @@ def fact_holds(fact: FAFact, model: FiniteModel, width=None,
     w = max(width or 1, getattr(fact, "width", 0) or 1, infer_width(fact))
     space = get_tuple_space(model.atoms, w)
     interp = interp_from_model(model, space)
-    return _fact_truth(fact, space, interp, {}, frame)
+    return bool(_fact_truth(fact, space, interp, {}, frame)[0])
 
 
 def _fact_truth(fact, space, interp, cache, frame):
-    a = _eval2(fact.lhs, space, interp, cache)[0]
-    b = _eval2(fact.rhs, space, interp, cache)[0]
+    """Truth of a fact on each model of a batch, shape (B|1,)."""
+    a = _value(fact.lhs, space, interp, cache)[0]
+    b = _value(fact.rhs, space, interp, cache)[0]
     if frame == "atoms":
         k = space.atom_count
-        a, b = a[:k, :k], b[:k, :k]
+        a, b = a[:, :k, :k], b[:, :k, :k]
     if isinstance(fact, FactEq):
-        return bool((a == b).all())
-    return bool((~a | b).all())
+        return (a == b).all((1, 2))
+    return (~a | b).all((1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -722,14 +775,48 @@ def mentioned_rels(x) -> set:
     return {t.name for t in _distinct(x) if isinstance(t, (ARel, Rel))}
 
 
-def _source_truth(source, model, space, interp, cache):
+def _source_truth(source, models, space, interps, batch, cache):
+    """Truth of the source on each model of a batch over one carrier."""
     if isinstance(source, AlloyForm):
-        return eval_alloy(source, model)
+        return [eval_alloy(source, m) for m in models]
     if isinstance(source, RLFormula):
-        return _rl(source, space, interp, {}, 1, cache)
+        return [_rl(source, space, itp, {}, 1, {}) for itp in interps]
     if isinstance(source, FAFact):
-        return _fact_truth(source, space, interp, cache, "carrier")
+        return _fact_truth(source, space, batch, cache, "carrier")
     raise TypeError("cannot evaluate source %r" % (source,))
+
+
+def _truths(source, fact, models, width):
+    """(model, covered, source truth, fact truth) along the model stream,
+    in order. The stream is read in chunks, each cut before one carrier's
+    batch would pass _BATCH_CELLS; the models of a chunk over one carrier
+    are one batch, whose extents are stacked for one evaluation of each
+    fact."""
+    models = iter(models)
+    while True:
+        chunk, groups = [], {}
+        for model, covered in models:
+            space = get_tuple_space(model.atoms, width)
+            idx = groups.setdefault(space, [])
+            idx.append(len(chunk))
+            chunk.append((model, covered))
+            if (len(idx) + 1) * space.n ** 2 > _BATCH_CELLS:
+                break
+        if not chunk:
+            return
+        for space, idx in groups.items():
+            ms = [chunk[i][0] for i in idx]
+            interps = [interp_from_model(m, space) for m in ms]
+            batch = interps[0] if len(idx) == 1 else {
+                key: np.stack([itp[key] for itp in interps])
+                for key in interps[0]}
+            cache = {}
+            truths = (np.broadcast_to(t, len(idx)).tolist() for t in (
+                _source_truth(source, ms, space, interps, batch, cache),
+                _fact_truth(fact, space, batch, cache, "carrier")))
+            for i, s, f in zip(idx, *truths):
+                chunk[i] += (s, f)
+        yield from chunk
 
 
 def check_equiv(source, fact: FAFact, vocab: Vocab, bound=3,
@@ -747,7 +834,9 @@ def check_equiv(source, fact: FAFact, vocab: Vocab, bound=3,
     the orbit's first in ``iter_models`` order, so a FAIL names the same
     first counterexample as a walk over every model would. ``checked`` is
     the number of models covered: the sum of the orbit sizes evaluated,
-    which on a PASS is the full model count.
+    which on a PASS is the full model count. The stream is evaluated in
+    batches per carrier (``_truths``) and scanned in order, so the
+    verdict is the one a walk over one model at a time gives.
 
     The source may be a core Alloy formula, an RL formula (quantifiers
     ranging over the same bounded carrier the fact uses) or another fact.
@@ -769,13 +858,8 @@ def check_equiv(source, fact: FAFact, vocab: Vocab, bound=3,
         models = ((sample_model(vocab, rng.choice(sizes), rel_names, rng), 1)
                   for _ in range(samples))
     checked = 0
-    for model, covered in models:
+    for model, covered, s, f in _truths(source, fact, models, w):
         checked += covered
-        space = get_tuple_space(model.atoms, w)
-        interp = interp_from_model(model, space)
-        cache = {}
-        s = _source_truth(source, model, space, interp, cache)
-        f = _fact_truth(fact, space, interp, cache, "carrier")
         if s != f:
             return Verdict("FAIL", checked, counterexample=model,
                            detail="source %s, fact %s on %s"

@@ -374,7 +374,9 @@ _INFIX = {Join: " + ", Meet: " & ", Comp: " . ", Fork: " nabla ",
 
 
 def fa_text(e: FAExpr) -> str:
-    """Compact one-line rendering, fully parenthesized at compound nodes."""
+    """Compact one-line rendering, fully parenthesized at compound nodes.
+    A pattern variable is its name after a `?`, so no relation reads
+    like it."""
     if isinstance(e, Rel):
         return e.name
     if isinstance(e, Phi):
@@ -399,13 +401,15 @@ def fa_text(e: FAExpr) -> str:
         return "(%s .%d %s)" % (fa_text(e.l), e.n, fa_text(e.r))
     if isinstance(e, Rot):
         return "rot%d(%s)" % (e.n, fa_text(e.e))
+    if isinstance(e, Var):
+        return "?" + e.name
     return "(%s%s%s)" % (fa_text(e.l), _INFIX[type(e)], fa_text(e.r))
 
 
 def _atom_text(e: FAExpr) -> str:
     t = fa_text(e)
-    return (t if isinstance(e, _FA_LEAVES) or t.startswith("(")
-            else "(" + t + ")")
+    atom = isinstance(e, _FA_LEAVES) or type(e) is Var
+    return t if atom or t.startswith("(") else "(" + t + ")"
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from alloy2fa.terms import (
     TOP,
     Comp,
     Compl,
+    FAFact,
     FactLe,
     Fork,
     Ldiv,
@@ -30,6 +31,7 @@ from alloy2fa.terms import (
     Rel,
     Var,
     fa_text,
+    fact_text,
     instantiate,
     subterms,
 )
@@ -117,6 +119,25 @@ def test_fork_converse_meet_fails_beyond_the_witness_rows():
 ], ids=["converse-dropped", "fork-swapped", "kind-dropped", "comp-swapped"])
 def test_the_check_refutes_a_wrong_equation(lhs, rhs):
     assert not holds(lhs, rhs, ALL_ROWS, 0)
+
+
+@pytest.mark.parametrize("seed", range(len(CASES)),
+                         ids=["%s-%d" % c[:2] for c in CASES])
+def test_both_sides_render_with_their_variables(seed):
+    # a variable reads as ?name: grounding each to a relation of its name
+    # drops only the ?, and renaming one variable changes every side it
+    # occurs in
+    _, _, lhs, rhs = CASES[seed]
+    for side in (lhs, rhs):
+        render = fact_text if isinstance(side, FAFact) else fa_text
+        text = render(side)
+        env = {v: v for v in subterms(side) if isinstance(v, Var)}
+        grounded = instantiate(side, {v: Rel(v.name) for v in env})
+        assert render(grounded) == text.replace("?", "")
+        for v in env:
+            assert "?" + v.name in text
+            renamed = instantiate(side, {**env, v: Var(v.name + "2")})
+            assert render(renamed) != text
 
 
 def test_every_rule_but_the_hand_ones_is_in_the_table():

@@ -22,8 +22,8 @@ from alloy2fa.terms import (
     FactEq, FactLe, Fork, Join, Ldiv, Meet, NComp, Phi, Pi1, Pi2, Prod,
     Rel, Rot, Star, Top, Bot, Id,
     BOT, ID, PI1, PI2, TOP,
-    RAll, RAnd, RApp, REx, RImp, RMark, arity_of, children, cut, is_core,
-    ncomp, projX, rotate, subterms, unfold,
+    RAll, RAnd, RApp, REx, RImp, RLFormula, RMark, arity_of, children, cut,
+    is_core, ncomp, projX, rotate, subterms, unfold, with_child,
 )
 from alloy2fa.frontend import parse, symbol_table
 from alloy2fa.oracle import (
@@ -214,6 +214,18 @@ class TestMatrixSemantics:
         model, sp, interp = trio
         assert not eval_fa(Rel("nope"), sp, interp).any()
         assert not eval_fa(Phi("nope"), sp, interp).any()
+
+    def test_a_2000_deep_term_evaluates(self):
+        # the evaluator walks its term with an explicit stack: 1,000
+        # complements and 1,000 converses of r are r again
+        model = FiniteModel(("a", "b"), {}, {"r": frozenset({("a", "b")})})
+        sp = tuple_space(model.atoms, 1)
+        interp = interp_from_model(model, sp)
+        e = Rel("r")
+        for i in range(2000):
+            e = Conv(e) if i % 2 else Compl(e)
+        assert np.array_equal(eval_fa(e, sp, interp),
+                              eval_fa(Rel("r"), sp, interp))
 
     def test_model_cache_survives_freed_temporaries(self):
         # one eval_rl call shares one per-model cache across all four
@@ -546,6 +558,24 @@ class TestVectorShapes:
         for frame in ("carrier", "atoms"):
             assert fact_holds(fact, model, frame=frame) == dense_fact(
                 fact, space, interp, frame)
+
+    @settings(max_examples=150, deadline=None)
+    @given(term=fa_terms | st.builds(Rot, fa_terms, st.just(3))
+           | st.builds(NComp, fa_terms, fa_terms, st.just(3)),
+           n=st.sampled_from(sorted(SHAPE_SPACES)), b=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_a_batch_evaluates_as_its_models_alone(self, term, n, b, seed):
+        # b stacked interpretations against each one on its own; above
+        # GATE a batch of several takes the unrestricted product
+        space = SHAPE_SPACES[n]
+        rng = np.random.default_rng(seed)
+        interps = [_shape_interp(space, rng) for _ in range(b)]
+        batch = {key: np.stack([itp[key] for itp in interps])
+                 for key in interps[0]}
+        m = oracle._value(term, space, batch, {})[0]
+        assert m.ndim == 3 and m.shape[0] in (1, b)
+        for one, itp in zip(np.broadcast_to(m, (b, n, n)), interps):
+            assert np.array_equal(one, eval_fa(term, space, itp))
 
     def test_empty_carrier_has_empty_vectors(self):
         # TOP and BOT are (1, 1) only on a non-empty carrier
@@ -912,27 +942,165 @@ def _model_key(m):
     return tuple(sorted(m.sigs.items())), tuple(sorted(m.rels.items()))
 
 
-def full_stream_check(source, fact, vocab, bound, include_empty=False):
-    """check_equiv's exhaustive branch as it was before the orbit stream,
-    as the reference: every iter_models model in order, each one counted.
-    (status, checked, counterexample)."""
+def reference_truth(x, model, width):
+    """Truth of a source or fact on one model, through the one-model
+    entry points, over the carrier of check_equiv's width."""
+    if isinstance(x, (FactEq, FactLe)):
+        return fact_holds(x, model, width=width)
+    space = get_tuple_space(model.atoms, width)
+    if isinstance(x, RLFormula):
+        return eval_rl(x, space, interp_from_model(model, space))
+    return eval_alloy(x, model)
+
+
+def sequential_check(source, fact, vocab, bound=3, include_empty=False,
+                     max_exhaustive=1 << 14, samples=4096, seed=0,
+                     full=False):
+    """check_equiv's verdict one model at a time, as the reference: its
+    model stream and the loop over it as they were before models were
+    batched, each truth read through the one-model entry points. With
+    full, the stream is every iter_models model, each counted once, as
+    before the orbit stream. (status, checked, counterexample, detail)."""
     names = mentioned_rels(source) | mentioned_rels(fact)
     rel_names = sorted(n for n in names if n in vocab.rels)
-    w = max(fact.width, infer_width(fact))
+    w = max(max(x.width, infer_width(x)) for x in (source, fact)
+            if isinstance(x, (FactEq, FactLe)))
     for r in rel_names:
         w = max(w, len(vocab.rels[r]) - 1)
+    sizes = list(range(0 if include_empty else 1, bound + 1))
+    total = sum(model_count(vocab, n, rel_names) for n in sizes)
+    exhaustive = full or total <= max_exhaustive
+    if full:
+        models = ((m, 1) for n in sizes for m in iter_models(vocab, n,
+                                                             rel_names))
+    elif exhaustive:
+        models = (mk for n in sizes for mk in iter_orbits(vocab, n, rel_names))
+    else:
+        rng = random.Random(seed)
+        models = ((sample_model(vocab, rng.choice(sizes), rel_names, rng), 1)
+                  for _ in range(samples))
     checked = 0
-    for n in range(0 if include_empty else 1, bound + 1):
-        for model in iter_models(vocab, n, rel_names):
-            checked += 1
-            space = get_tuple_space(model.atoms, w)
-            interp = interp_from_model(model, space)
-            cache = {}
-            s = oracle._source_truth(source, model, space, interp, cache)
-            f = oracle._fact_truth(fact, space, interp, cache, "carrier")
-            if s != f:
-                return "FAIL", checked, model
-    return "PASS", checked, None
+    for model, covered in models:
+        checked += covered
+        s = reference_truth(source, model, w)
+        f = reference_truth(fact, model, w)
+        if s != f:
+            return ("FAIL", checked, model, "source %s, fact %s on %s"
+                    % (s, f, describe_model(model)))
+    return "PASS" if exhaustive else "SAMPLED", checked, None, ""
+
+
+def _drop_conjunct(t):
+    """t with its first meet in pre-order replaced by the meet's left
+    operand, or None without a meet."""
+    if isinstance(t, Meet):
+        return t.l
+    for name, c in children(t):
+        d = _drop_conjunct(c)
+        if d is not None:
+            return with_child(t, name, d)
+    return None
+
+
+class TestBatchedVerdicts:
+    """check_equiv evaluates its stream in ordered chunks, one batch per
+    carrier in each; status, checked, counterexample and detail are the
+    sequential reference loop's."""
+
+    def _agree(self, source, fact, vocab, **kw):
+        v = check_equiv(source, fact, vocab, **kw)
+        assert (v.status, v.checked, v.counterexample, v.detail) == \
+            sequential_check(source, fact, vocab, **kw)
+        return v
+
+    @pytest.mark.parametrize("config", ["mech", "short"])
+    def test_generated_formulas_and_wrong_facts(self, config,
+                                                golden_translations):
+        # each seed's fact, its inclusion swapped and a conjunct dropped,
+        # exhaustive and sampled at 2 atoms
+        runs = [(form, fact) for key, form, fact in golden_translations[config]
+                if key.startswith("seed")]
+        assert len(runs) == 60
+        vocab, statuses = gen_vocab(), []
+        for i, (form, fact) in enumerate(runs):
+            wrong = [FactLe(fact.rhs, fact.lhs, width=fact.width),
+                     _drop_conjunct(fact)]
+            for f in [fact] + [w for w in wrong if w is not None]:
+                for kw in ({}, dict(max_exhaustive=0, samples=30, seed=i)):
+                    statuses.append(self._agree(form, f, vocab, bound=2,
+                                                **kw).status)
+        assert statuses.count("FAIL") > 40
+        assert statuses.count("PASS") >= 60
+        assert statuses.count("SAMPLED") >= 60
+
+    def _batches(self, monkeypatch):
+        # the models of each batch evaluated, in order: the extents built
+        # since the last fact evaluation
+        batches = [[]]
+        real_interp, real_truth = oracle.interp_from_model, oracle._fact_truth
+
+        def interp(model, space):
+            batches[-1].append(model)
+            return real_interp(model, space)
+
+        def truth(*args):
+            batches.append([])
+            return real_truth(*args)
+
+        monkeypatch.setattr(oracle, "interp_from_model", interp)
+        monkeypatch.setattr(oracle, "_fact_truth", truth)
+        return batches
+
+    def test_a_fail_inside_a_mixed_batch(self, monkeypatch):
+        # seed 4's formula against TOP = BOT: all 50 samples fit in one
+        # chunk, batched by atom count, and the counterexample is not
+        # the first model of its batch
+        batches = self._batches(monkeypatch)
+        gv, form = gen_vocab(), gen_formula(4)
+        kw = dict(bound=2, max_exhaustive=0, samples=50, seed=4)
+        v = check_equiv(form, FactEq(TOP, BOT), gv, **kw)
+        batches = [b for b in batches if b]
+        assert self._agree(form, FactEq(TOP, BOT), gv, **kw) == v
+        assert v.status == "FAIL" and v.checked > 1
+        assert sorted({len(m.atoms) for m in b} for b in batches) == [
+            {1}, {2}]
+        assert sum(map(len, batches)) == 50
+        (batch,) = [b for b in batches if v.counterexample in b]
+        assert batch.index(v.counterexample) > 0
+
+    def test_batches_stay_under_the_cap(self, monkeypatch,
+                                        golden_translations):
+        # the running example's mechanical fact at 2 atoms: a 510-element
+        # carrier, so every 2-atom model is a batch of its own
+        batches = self._batches(monkeypatch)
+        ((_, form, fact),) = [run for run in golden_translations["mech"]
+                              if run[0].startswith("university:")]
+        kw = dict(bound=2, max_exhaustive=0, samples=6)
+        v = check_equiv(form, fact, university_vocab(), **kw)
+        batches = [b for b in batches if b]
+        assert self._agree(form, fact, university_vocab(), **kw) == v
+        assert v.status == "SAMPLED" and sum(map(len, batches)) == 6
+        assert all(len(b) == 1 for b in batches
+                   if len(b[0].atoms) == 2)
+
+    def test_include_empty(self):
+        vocab = Vocab({"A": SigInfo("A"), "B": SigInfo("B")},
+                      {"r": ("A", "B")})
+        some_a = FSome(ASig("A"))
+        fact = FactLe(TOP, Comp(Comp(TOP, Phi("A")), TOP))
+        for f in (fact, FactEq(TOP, BOT), FactLe(Rel("r"), TOP)):
+            for kw in ({}, dict(max_exhaustive=0, samples=40)):
+                self._agree(some_a, f, vocab, bound=2, include_empty=True,
+                            **kw)
+
+    def test_rl_and_fact_sources(self):
+        # an RL source is evaluated per model, a fact source in the batch
+        vocab = gen_vocab()
+        loop = FactLe(TOP, Comp(Comp(TOP, Meet(Rel("r"), ID)), TOP))
+        for source in (REx(1, RApp((1,), Rel("r"), (1,))),
+                       FactLe(TOP, Comp(TOP, Comp(Rel("r"), TOP))), loop):
+            for kw in ({}, dict(max_exhaustive=0, samples=40)):
+                self._agree(source, loop, vocab, bound=2, **kw)
 
 
 class TestOrbits:
@@ -974,7 +1142,8 @@ class TestOrbits:
         vocab, statuses = gen_vocab(), []
         for i, (form, _) in enumerate(runs):
             for fact in (FactEq(TOP, BOT), runs[(i + 1) % len(runs)][1]):
-                status, checked, cex = full_stream_check(form, fact, vocab, 2)
+                status, checked, cex, _ = sequential_check(
+                    form, fact, vocab, 2, full=True)
                 v = check_equiv(form, fact, vocab, bound=2)
                 assert (v.status, v.counterexample) == (status, cex), i
                 assert status == "FAIL" or v.checked == checked, i
