@@ -88,7 +88,7 @@ from .terms import (
 # flattened spines: pair rules modulo associativity and commutativity
 
 
-def _pair_rule(name: str, kind, fn) -> Rule:
+def _pair_rule(name: str, kind, fn, marks=None) -> Rule:
     """Try a binary identity on the leaf pairs of a flattened spine.
 
     The identity is tried on a pair (i, j), i < j, as fn(leaf i, leaf j)
@@ -98,23 +98,51 @@ def _pair_rule(name: str, kind, fn) -> Rule:
     bank found no redex in either child, so no pair of leaves within one
     side matches, and only the pairs that straddle `t.l` and `t.r` are
     scanned.  Their first match is the first match of all pairs.
+
+    With marks, fn is the lattice identity of `_lattice_pair` whose
+    unit and zero are the classes marks, and the first straddling match
+    is found through an index (`_indexed`) instead of the scan.
     """
+    find = _scan if marks is None else functools.partial(_indexed, marks)
 
     def go(t, depth):
-        left = _leaves(kind, t.l)
-        split = len(left)
-        leaves = left + _leaves(kind, t.r)
-        for i in range(split):
-            for j in range(split, len(leaves)):
-                for a, b in ((leaves[i], leaves[j]), (leaves[j], leaves[i])):
-                    res = fn(a, b)
-                    if res is None:
-                        continue
-                    rest = [x for k, x in enumerate(leaves) if k not in (i, j)]
-                    return _rebuild(kind, [res] + rest)
-        return None
+        left, right = _leaves(kind, t.l), _leaves(kind, t.r)
+        hit = find(fn, left, right)
+        if hit is None:
+            return None
+        i, j, res = hit
+        return _rebuild(kind, [res, *left[:i], *left[i + 1:], *right[:j],
+                               *right[j + 1:]])
 
     return Rule(name, kind, go)
+
+
+def _scan(fn, left, right):
+    """(i, j, result) of the first pair (left[i], right[j]) in (i, j)
+    order on which fn(left[i], right[j]) or else fn(right[j], left[i])
+    succeeds; None when none does."""
+    for i, a in enumerate(left):
+        for j, b in enumerate(right):
+            res = fn(a, b)
+            if res is None:
+                res = fn(b, a)
+            if res is not None:
+                return i, j, res
+    return None
+
+
+def _indexed(marks, fn, left, right):
+    """`_scan` for a lattice identity fn whose unit and zero are the
+    classes marks, in O(|left| + |right|): such an fn matches a pair
+    exactly when one leaf is a mark or the two are one interned term."""
+    n = len(right)
+    first = {b: j for j, b in reversed(tuple(enumerate(right)))}
+    mark = next((j for j, b in enumerate(right) if isinstance(b, marks)), n)
+    for i, a in enumerate(left):
+        j = 0 if isinstance(a, marks) else min(mark, first.get(a, n))
+        if j < n:
+            return i, j, _scan(fn, (a,), (right[j],))[2]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +255,8 @@ def _r_binder_trim(t, depth):
 
 
 LOGIC_RULES = [
-    _pair_rule("conjunction-pair", RAnd, _and_pair),
-    _pair_rule("disjunction-pair", ROr, _or_pair),
+    _pair_rule("conjunction-pair", RAnd, _and_pair, (RTrue, RFalse)),
+    _pair_rule("disjunction-pair", ROr, _or_pair, (RFalse, RTrue)),
     Rule("double-negation", RNot, _r_not_not),
     Rule("negated-literal", RNot, _r_not_literal),
     Rule("negation-over-and", RNot, _push_not(RAnd, ROr)),

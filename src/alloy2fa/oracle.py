@@ -232,12 +232,15 @@ def _model(atoms, sig_ext, rel_names, poss, masks):
 
 def model_count(vocab, n_atoms, rel_names):
     """Exact number of models iter_models would yield."""
+    return sum(_placement_counts(vocab, n_atoms, rel_names))
+
+
+def _placement_counts(vocab, n_atoms, rel_names):
+    """The number of models of each placement, in iter_models order."""
     atoms = tuple("a%d" % i for i in range(n_atoms))
-    total = 0
     for placement in itertools.product(vocab.placements(), repeat=n_atoms):
         poss = _placed(vocab, atoms, placement, rel_names)[1]
-        total += 1 << sum(len(p) for p in poss)
-    return total
+        yield 1 << sum(len(p) for p in poss)
 
 
 def iter_models(vocab, n_atoms, rel_names):
@@ -849,8 +852,9 @@ def check_equiv(source, fact: FAFact, vocab: Vocab, bound=3,
         w = max(w, len(vocab.rels[r]) - 1)
     sizes = list(range(0 if include_empty else 1, bound + 1))
 
-    total = sum(model_count(vocab, n, rel_names) for n in sizes)
-    exhaustive = total <= max_exhaustive
+    # the running count stops at the first total above max_exhaustive
+    counts = (c for n in sizes for c in _placement_counts(vocab, n, rel_names))
+    exhaustive = all(t <= max_exhaustive for t in itertools.accumulate(counts))
     if exhaustive:
         models = (mk for n in sizes for mk in iter_orbits(vocab, n, rel_names))
     else:

@@ -21,15 +21,21 @@ bank's redexes at given depths, keyed by the hash-consed node (in the
 manner of Stratego's and Maude's memoized traversals).  A later `step`
 skips such a subterm, so a firing costs the path it rebuilt and the new
 subterm, not the whole term; it picks the position, rule and bank a
-rescan picks.  A bank none of whose kinds touches `FAExpr` returns at
-an FA node without entering it: FA terms hold only FA terms.
+rescan picks.  The plan of a bank none of whose kinds touches `FAExpr`
+maps every FA class to None: FA terms hold only FA terms.
+
+The walk reads a node's child slots directly, by the slot names `terms`
+records per class (`_kids`).  A parent passes over a child whose class
+the plan maps to None or whose (node, depth) is clean without calling
+the walk on it, and `step` does the same at the root; so the walk is
+called only on nodes the bank has not yet found clean.  A rebuilt node
+is looked up in the intern table by `terms.with_child`.
 
 Rules see one depth, the number of levels bound on the path to their
 position: `RAll` and `REx` raise it by their width, and the marker
-wrapper `RMark` binds none.
-Terms of all three languages (RL formulas, FA expressions, facts) share
-the generic traversal `terms.children`; item tuples inside applications
-are opaque to it.
+wrapper `RMark` binds none.  Terms of all three languages (RL formulas,
+FA expressions, facts) share the slot layout of `terms`; item tuples
+inside applications are data to it.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List
 
-from .terms import FAExpr, RAll, REx, children, with_child
+from .terms import FAExpr, RAll, REx, with_child
 
 
 class StrategyError(Exception):
@@ -67,9 +73,10 @@ class TraceStep:
 
 
 class _Plan(dict):
-    """A bank compiled for one run: node class -> the rules offered to
-    it, or None where no rule can fire at the node or below it; and the
-    bank's clean-subterm memo, {(node, depth)}."""
+    """A bank compiled for one run: node class -> (the rules offered to
+    it, its child slot names, whether it binds levels), or None where
+    no rule can fire at the node or below it; and the bank's
+    clean-subterm memo, {(node, depth)}."""
 
     def __init__(self, bank):
         self.bank, self.clean = bank, set()
@@ -80,9 +87,10 @@ class _Plan(dict):
 
     def __missing__(self, cls):
         skip = not self.fa and issubclass(cls, FAExpr)
-        self[cls] = rules = None if skip else tuple(
-            r for r in self.bank if issubclass(cls, r.kind))
-        return rules
+        self[cls] = entry = None if skip else (
+            tuple(r for r in self.bank if issubclass(cls, r.kind)),
+            cls._kids, issubclass(cls, (RAll, REx)))
+        return entry
 
 
 @dataclass
@@ -94,22 +102,26 @@ class RunState:
     last: tuple = field(default=((), ()), repr=False)  # (banks, plans)
 
 
-def _once(t, plan: _Plan, depth: int):
+def _once(t, entry, plan: _Plan, depth: int):
     """(rewritten t, rule) at the bank's leftmost-innermost redex, or None.
 
-    Both slots of a quantifier (range and body) lie inside its scope.
-    A subterm found free of redexes is entered in the plan's clean set
-    and skipped the next time.
+    t is a node the walk must enter: entry = plan[type(t)] is not None
+    and (t, depth) is not clean.  A child that the plan skips or the
+    clean set holds is passed over without a call.  Both slots of a
+    quantifier (range and body) lie inside its scope.  A subterm found
+    free of redexes is entered in the clean set.
     """
-    rules = plan[type(t)]
-    if rules is None:
-        return None
-    key = (t, depth)
-    if key in plan.clean:
-        return None
-    inner = depth + t.width if isinstance(t, (RAll, REx)) else depth
-    for name, v in children(t):
-        hit = _once(v, plan, inner)
+    rules, kids, binds = entry
+    inner = depth + t.width if binds else depth
+    clean = plan.clean
+    for name in kids:
+        v = getattr(t, name)
+        if v is None:
+            continue
+        e = plan[type(v)]
+        if e is None or (v, inner) in clean:
+            continue
+        hit = _once(v, e, plan, inner)
         if hit is not None:
             return with_child(t, name, hit[0]), hit[1]
     for rule in rules:
@@ -119,7 +131,7 @@ def _once(t, plan: _Plan, depth: int):
                 raise StrategyError(
                     "rule %s returned its input unchanged" % rule.name)
             return res, rule
-    plan.clean.add(key)
+    clean.add((t, depth))
     return None
 
 
@@ -130,7 +142,10 @@ def step(t, banks, state: RunState):
                              for b in banks]
     try:
         for plan in state.last[1]:
-            hit = _once(t, plan, 0)
+            entry = plan[type(t)]
+            if entry is None or (t, 0) in plan.clean:
+                continue
+            hit = _once(t, entry, plan, 0)
             if hit is not None:
                 break
         else:

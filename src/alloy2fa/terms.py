@@ -50,7 +50,10 @@ class Node:
 
     Each subclass becomes a frozen dataclass with the dataclass options
     of its class statement and its bases (`class C(Node, eq=False)`),
-    and records `_slots`: (field name, holds a tuple) per child slot.
+    and records `_slots`: (field name, holds a tuple) per child slot;
+    `_kids`: the names of the slots that hold one subterm, the ones the
+    rewrite engine reads (no term it rewrites has a tuple slot); and
+    `_fields`: every field name, in order.
     """
 
     _options: dict = {}
@@ -58,9 +61,11 @@ class Node:
     def __init_subclass__(cls, **options):
         cls._options = {**cls._options, **options}
         dataclass(cls, frozen=True, **cls._options)
+        cls._fields = tuple(f.name for f in dataclasses.fields(cls))
         cls._slots = tuple(
             (f.name, f.type in _CHILDREN) for f in dataclasses.fields(cls)
             if f.type in _CHILD or f.type in _CHILDREN)
+        cls._kids = tuple(name for name, many in cls._slots if not many)
 
 
 def children(t):
@@ -110,9 +115,12 @@ def map_children(t, fn):
 def with_child(t, name, v):
     """The node with its field `name` set to v, rebuilt positionally (the
     rewrite engine's hot path): FA terms, RL formulas and facts only,
-    whose classes take every field in order."""
-    return type(t)(*[v if f == name else getattr(t, f)
-                     for f in t.__dataclass_fields__])
+    whose classes take every field in order.  An interned node that
+    exists is looked up directly; a new or non-interned one is built."""
+    cls = type(t)
+    key = (cls, *[v if f == name else getattr(t, f) for f in cls._fields])
+    out = _INTERNED.get(key)
+    return cls(*key[1:]) if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -348,20 +356,32 @@ def cut(n: int) -> FAExpr:
 
 
 def unfold(e: FAExpr) -> FAExpr:
-    """Expand rotation and n-ary composition into the base vocabulary."""
-    if isinstance(e, NComp):
-        inner = unfold(e.r)
-        for _ in range(e.n - 2):
-            inner = Prod(ID, inner)
-        return Comp(unfold(e.l), inner)
-    if isinstance(e, Rot):
-        m = e.n - 1
-        chain = projX(m, m - 1) if m >= 2 else ID
-        for i in range(m - 2, 0, -1):
-            chain = Fork(projX(m, i), chain)
-        chain = Fork(unfold(e.e), chain)
-        return Comp(projX(m, m), Conv(chain))
-    return map_children(e, unfold)
+    """Expand rotation and n-ary composition into the base vocabulary.
+    The call's memo unfolds each subterm the hash-consed term shares
+    once."""
+    memo = {}
+
+    def go(e):
+        out = memo.get(e)
+        if out is not None:
+            return out
+        if isinstance(e, NComp):
+            out = go(e.r)
+            for _ in range(e.n - 2):
+                out = Prod(ID, out)
+            out = Comp(go(e.l), out)
+        elif isinstance(e, Rot):
+            m = e.n - 1
+            chain = projX(m, m - 1) if m >= 2 else ID
+            for i in range(m - 2, 0, -1):
+                chain = Fork(projX(m, i), chain)
+            out = Comp(projX(m, m), Conv(Fork(go(e.e), chain)))
+        else:
+            out = map_children(e, go)
+        memo[e] = out
+        return out
+
+    return go(e)
 
 
 def fa_op_count(e: FAExpr) -> int:

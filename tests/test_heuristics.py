@@ -9,9 +9,11 @@ from alloy2fa.heuristics import (
     ALGEBRA_RULES,
     LOGIC_RULES,
     _and_pair,
+    _indexed,
     _leaves,
     _or_pair,
     _rebuild,
+    _scan,
     _solver,
     drop_vars,
     translate_h_with_trace,
@@ -172,6 +174,45 @@ def random_spine(rng, kind, pool, n):
 FORMULA_POOL = [app(1, R, 1), app(1, S, 1), app(1, R, 2), RTrue(), RFalse()]
 TERM_POOL = [R, S, Conv(R), TOP, BOT, ID, Phi("A"), Comp(Conv(PI1), R),
              Comp(Conv(PI2), S)]
+
+
+class TestLatticeIndex:
+    """The lattice rules find their first straddling pair through an
+    index; on any two sides, with or without matches within one side,
+    it is the scan's first pair, and fn is tried on it as the scan
+    tries it."""
+
+    @pytest.mark.parametrize("fn, marks", [(_and_pair, (RTrue, RFalse)),
+                                           (_or_pair, (RFalse, RTrue))],
+                             ids=["conjunction", "disjunction"])
+    def test_same_first_pair_and_calls_as_the_scan(self, fn, marks):
+        rng = random.Random(repr(marks))
+        # a prefix of the pool holds the units only when it is long
+        pool = [app(1, R, 1), app(1, S, 1), app(1, R, 2), app(2, S, 1),
+                app(1, R, 3), RNot(app(1, R, 1)), RTrue(), RFalse()]
+        hits = misses = 0
+        for _ in range(400):
+            left, right = ([rng.choice(pool[:rng.randint(1, len(pool))])
+                            for _ in range(rng.randint(1, 6))]
+                           for _ in range(2))
+            calls = {"scan": [], "index": []}
+
+            def logged(key):
+                def pair(a, b):
+                    calls[key].append((a, b))
+                    return fn(a, b)
+                return pair
+
+            want = _scan(logged("scan"), left, right)
+            got = _indexed(marks, logged("index"), left, right)
+            assert got == want
+            tried = calls["index"]
+            assert len(tried) == (0 if want is None else
+                                  1 if len(calls["scan"]) % 2 else 2)
+            assert tried == calls["scan"][len(calls["scan"]) - len(tried):]
+            hits += want is not None
+            misses += want is None
+        assert hits > 100 and misses > 50
 
 
 class TestPairScan:

@@ -13,8 +13,9 @@ as a loaded name somewhere in the same module.  Terms are hash-consed,
 so a cache keys by the term itself; an `id()` key would alias once its
 object is freed.  An import inside a function hides an import cycle
 between source modules instead of resolving it.  Code outside `terms`
-walks or rebuilds a node through `terms.children`, `map_children` and
-`with_child`, so the field layout is stated in one module.  A name
+walks or rebuilds a node through `terms.children`, `map_children`,
+`with_child` and the per-class slot names `terms` records, so the field
+layout is stated in one module.  A name
 that only its own definition reads (say, a recursive helper nothing
 calls) is vocabulary that nothing uses.  Terms are interned for the
 life of the process, so a memo keyed by terms must state a finite

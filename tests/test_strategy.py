@@ -1,5 +1,7 @@
 """Engine discipline: positions, bank priority, traces, budgets."""
 
+import dataclasses
+import random
 import time
 
 import pytest
@@ -9,8 +11,9 @@ from alloy2fa.strategy import (
     BudgetError, Rule, RunState, StrategyError, rewrite, step,
 )
 from alloy2fa.terms import (
-    RTRUE, Comp, Conv, FAExpr, Join, Meet, Phi, RAll, RAnd, RApp, REx,
-    RMark, RNot, RTrue, Rel, fa_text, subterms,
+    BOT, RFALSE, RTRUE, TOP, Comp, Compl, Conv, FAExpr, Join, Meet,
+    Node, Phi, RAll, RAnd, RApp, REx, RFalse, RImp, RMark, RNot, ROr, RTrue,
+    Rel, fa_text, subterms,
 )
 
 
@@ -274,16 +277,17 @@ class TestFASkip:
         visits = []
         real = strategy._once
 
-        def counted(t, plan, depth):
+        def counted(t, entry, plan, depth):
             visits.append(t)
-            return real(t, plan, depth)
+            return real(t, entry, plan, depth)
 
         monkeypatch.setattr(strategy, "_once", counted)
         f = self.formula(Conv(Conv(Rel("deep"))))
         bank = [Rule("negation-probe", RNot, lambda t, depth: None)]
         assert step(f, (bank,), RunState()) is None
-        # the walk reaches the relation and returns there
-        assert visits == [f, f.f, f.f.rel]
+        # the walk enters the application and passes over its relation
+        # without entering it, so nothing at or below f.f.rel
+        assert visits == [f, f.f]
         visits.clear()
         out = step(f, (bank, [DROP_CONV]), RunState())
         assert out == self.formula(Rel("deep"))
@@ -307,3 +311,154 @@ class TestFASkip:
         step(f, ([Rule("probe", object, probe)],), RunState())
         fa = [t for t in seen if isinstance(t, FAExpr)]
         assert len(fa) == 201 and seen[-2:] == [f.f, f]
+
+
+def reference_step(t, banks):
+    """One firing as the module docstring defines it, with no memo, plan
+    or skip: the first bank with a redex, at its leftmost-innermost one,
+    by the bank's first rule whose kind admits the node; (term, rule
+    name)."""
+
+    def walk(t, bank, depth):
+        inner = depth + t.width if isinstance(t, (RAll, REx)) else depth
+        for f in dataclasses.fields(t):
+            v = getattr(t, f.name)
+            hit = walk(v, bank, inner) if isinstance(v, Node) else None
+            if hit is not None:
+                return dataclasses.replace(t, **{f.name: hit[0]}), hit[1]
+        for rule in bank:
+            res = rule.fn(t, depth) if isinstance(t, rule.kind) else None
+            if res is not None:
+                return res, rule.name
+        return None
+
+    return next(filter(None, (walk(t, bank, 0) for bank in banks)), None)
+
+
+def random_fa(rng, size):
+    """An FA term over few leaves, so twins and units recur."""
+    if size <= 1 or rng.random() < 0.2:
+        return rng.choice([Rel("r"), Rel("s"), TOP, BOT])
+    op = rng.choice([Join, Meet, Comp, Conv, Conv, Compl])
+    if op in (Conv, Compl):
+        return op(random_fa(rng, size - 1))
+    k = rng.randrange(1, size)
+    return op(random_fa(rng, k), random_fa(rng, size - k))
+
+
+# applications that recur at different depths, where the rules that
+# read the depth treat them differently
+SHARED_APPS = [RApp((1,), TOP, (1,)), RApp((1,), Rel("r"), (2,)),
+               RApp((2,), Join(Rel("s"), Rel("s")), (1,))]
+
+
+def random_rl(rng, size, depth):
+    """An RL formula under depth levels whose applications read levels
+    up to one past the binders above them."""
+    if size <= 1 or rng.random() < 0.15:
+        if rng.random() < 0.3:
+            return rng.choice([RTRUE, RFALSE] + SHARED_APPS)
+        top = depth + 1 if rng.random() < 0.15 else depth
+        side = lambda: tuple(rng.randint(1, top)
+                             for _ in range(rng.randint(1, 2)))
+        return RApp(side(), random_fa(rng, rng.randint(1, 6)), side())
+    op = rng.choice([RNot, RNot, RAnd, ROr, RImp, RAll, REx, RMark])
+    if op is RNot:
+        return RNot(random_rl(rng, size - 1, depth))
+    if op is RMark:
+        return RMark(random_rl(rng, size - 1, depth))
+    if op in (RAll, REx):
+        w = rng.randint(1, 2)
+        body = random_rl(rng, size - 1, depth + w)
+        if op is REx:
+            return REx(w, body)
+        rng_ = random_rl(rng, 2, depth + w) if rng.random() < 0.5 else None
+        return RAll(w, rng_, body)
+    k = rng.randrange(1, size)
+    return op(random_rl(rng, k, depth), random_rl(rng, size - k, depth))
+
+
+def _unit_pair(t, depth):
+    """x & true, x || false, and their mirror images."""
+    unit = RTrue if isinstance(t, RAnd) else RFalse
+    if isinstance(t.r, unit):
+        return t.l
+    return t.r if isinstance(t.l, unit) else None
+
+
+def _top_app(t, depth):
+    """An application of TOP two binders down holds (reads the depth)."""
+    return RTRUE if depth >= 2 and t.rel is TOP else None
+
+
+def _free_level(t, depth):
+    """An application reading a level no binder above it binds is false
+    (reads the depth)."""
+    return RFALSE if max(t.lhs + t.rhs) > depth else None
+
+
+def _trivial_binder(t, depth):
+    return t.body if isinstance(t.body, (RTrue, RFalse)) else None
+
+
+def _lattice_unit(t, depth):
+    unit = TOP if isinstance(t, Meet) else BOT
+    return t.l if t.r is unit else None
+
+
+# no FA kind; a tuple kind; two rules that read the depth
+LOGIC = [
+    Rule("double-negation", RNot,
+         lambda t, depth: t.f.f if isinstance(t.f, RNot) else None),
+    Rule("unit-pair", (RAnd, ROr), _unit_pair),
+    Rule("top-app", RApp, _top_app),
+    Rule("free-level", RApp, _free_level),
+    Rule("trivial-binder", (RAll, REx), _trivial_binder),
+]
+# FA kinds, one of them a tuple
+ALGEBRA = [COLLAPSE, DROP_CONV,
+           Rule("lattice-unit", (Meet, Join), _lattice_unit)]
+
+
+def _complement_twice(t, depth):
+    if isinstance(t, Compl) and isinstance(t.e, Compl):
+        return t.e.e
+    return None
+
+
+def _imp_true(t, depth):
+    return RTRUE if isinstance(t, RImp) and t.r is RTRUE else None
+
+
+# rules of kind object, offered every node of every language
+ANY = [Rule("complement-twice", object, _complement_twice),
+       Rule("imp-true", object, _imp_true)]
+
+
+class TestReferenceWalker:
+    """The engine's plans, clean-subterm memo and skips change its cost,
+    never its firings: on random formulas its trace is the naive walk's,
+    step by step, across banks that share one run state."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_traces_equal_the_naive_walk(self, seed):
+        rng = random.Random(seed)
+        fired = {}
+        for _ in range(100):
+            t = RAll(1, None, random_rl(rng, rng.randint(4, 24), 1))
+            state = RunState()
+            for banks in ((LOGIC,), (ALGEBRA, LOGIC), (LOGIC, ALGEBRA, ANY),
+                          (ANY, ALGEBRA)):
+                start = len(state.trace)
+                out = rewrite(t, banks, state)
+                want = []
+                while (hit := reference_step(t, banks)) is not None:
+                    want.append((hit[1], t, hit[0]))
+                    t = hit[0]
+                assert out is t
+                assert [(s.rule, s.before, s.after)
+                        for s in state.trace[start:]] == want
+                for rule, _, _ in want:
+                    fired[rule] = fired.get(rule, 0) + 1
+        names = {r.name for r in LOGIC + ALGEBRA + ANY}
+        assert set(fired) == names and sum(fired.values()) > 150
