@@ -44,6 +44,7 @@ from .terms import (
     RTRUE,
     Rel,
     Star,
+    _guarded,
     arity_of,
 )
 
@@ -53,8 +54,10 @@ class ExpandError(Exception):
 
 
 def expand_form(f, rel_arity, closure=None):
-    """Expand a closed core formula; see expand_membership for closure."""
-    return _form(f, rel_arity, closure, 0, {})
+    """Expand a closed core formula; see expand_membership for closure.
+    A formula too deep for the interpreter stack is an ExpandError."""
+    return _guarded(lambda g: _form(g, rel_arity, closure, 0, {}), f,
+                    ExpandError)
 
 
 def _form(f, rel_arity, closure, nl, env):

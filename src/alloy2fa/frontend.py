@@ -33,10 +33,13 @@ asserts and rewrites every convenience form down to the core
 (membership, counting some, negation, conjunction, ranged all), which
 is what the translation pipeline consumes.
 
-The walks recurse once or more per operator. On a chain too long for
-the interpreter stack the parser fails at the token it stopped on, and
-`_guarded` makes name resolution and desugaring fail at the first
-position the input holds.
+Name resolution, `free_vars` and the pretty printer fold by the
+explicit stack of `terms.fold`, so no depth overflows them. The parser
+and desugaring recurse once or more per operator, and the arity check
+once per expression operator. On a chain too long for the interpreter
+stack the parser fails at the token it stopped on, and `_guarded` makes
+desugaring and the arity check fail at the first position the input
+holds.
 """
 
 import dataclasses
@@ -49,7 +52,8 @@ from .terms import (
     AConv, ADiff, ADomRes, AIden, AInter, AJoin, ANone, AProd, ARanRes,
     ARel, ASig, AStar, AUnion, AUniv, AVar, AlloyExpr, AlloyForm,
     ArityError, FAll, FAnd, FEq, FImp, FIn, FLone, FNot, FOr, FPredCall,
-    FSome, FSomeQ, arity_of, at_pos, children, map_children, subterms,
+    FSome, FSomeQ, _guarded, arity_of, at_pos, fold, map_children,
+    with_children,
 )
 
 
@@ -517,41 +521,26 @@ def _resolve(model: AlloyModel) -> AlloyModel:
                                  "%r%s" % (c, f.name, at_pos(f)))
     _check_forest(model)
 
-    def fix(x):
+    def fix(x, v):
         if isinstance(x, ARel):
             if x.name in signames:
                 return ASig(x.name, pos=x.pos)
             if x.name not in fieldnames:
                 raise ParseError("unknown identifier %r%s"
                                  % (x.name, at_pos(x)))
-            return x
-        return map_children(x, fix)
-
-    def resolved(x):
-        return _guarded(fix, x, ParseError)
+        return with_children(x, v)
 
     return dataclasses.replace(
         model,
-        facts=tuple(resolved(f) for f in model.facts),
+        facts=tuple(fold(f, fix) for f in model.facts),
         preds=tuple(
             dataclasses.replace(p, params=tuple(
-                (n, resolved(r)) for n, r in p.params),
-                body=resolved(p.body)) for p in model.preds),
+                (n, fold(r, fix)) for n, r in p.params),
+                body=fold(p.body, fix)) for p in model.preds),
         asserts=tuple(
             dataclasses.replace(a, params=tuple(
-                (n, resolved(r)) for n, r in a.params),
-                form=resolved(a.form)) for a in model.asserts))
-
-
-def _guarded(fn, x, error):
-    """fn(x), or an error of class error at the first position x holds
-    when x is nested too deeply for fn (say, 1,000 conjuncts)."""
-    try:
-        return fn(x)
-    except RecursionError:
-        first = min((t for t in subterms(x) if t.pos),
-                    key=lambda t: t.pos, default=None)
-        raise error("input nested too deeply%s" % at_pos(first)) from None
+                (n, fold(r, fix)) for n, r in a.params),
+                form=fold(a.form, fix)) for a in model.asserts))
 
 
 def _check_forest(model: AlloyModel):
@@ -614,57 +603,56 @@ def _pp_params(params) -> str:
                            for n, r in params) + "]"
 
 
-def pp_form(f: AlloyForm) -> str:
-    if isinstance(f, (FIn, FEq)):
-        return "%s %s %s" % (pp_expr(f.l), _SPELLING[type(f)], pp_expr(f.r))
-    if isinstance(f, FSome):
-        return "some %s" % pp_expr(f.e)
-    if isinstance(f, FLone):
-        return "lone %s" % pp_expr(f.e)
-    if isinstance(f, FNot):
-        return "!(%s)" % pp_form(f.f)
-    if type(f) in _SPELLING:
-        return "(%s) %s (%s)" % (pp_form(f.l), _SPELLING[type(f)],
-                                 pp_form(f.r))
-    if isinstance(f, (FAll, FSomeQ)):
-        kw = "all" if isinstance(f, FAll) else "some"
-        return "%s %s : %s | %s" % (kw, f.var, pp_expr(f.bound),
-                                    pp_form(f.body))
-    if isinstance(f, FPredCall):
-        return "%s[%s]" % (f.name, ", ".join(pp_expr(a) for a in f.args))
-    raise TypeError("not a formula: %r" % (f,))
+def pp_form(x) -> str:
+    """Concrete syntax of a formula or an expression."""
+    return fold(x, _pp)
 
 
-def pp_expr(e: AlloyExpr) -> str:
-    if isinstance(e, (ASig, ARel, AVar)):
-        return e.name
-    if isinstance(e, (AIden, ANone, AUniv)):
-        return _SPELLING[type(e)]
-    if isinstance(e, AConv):
-        return "~%s" % _pp_tight(e.e)
-    if isinstance(e, AStar):
-        return "*%s" % _pp_tight(e.e)
-    return "(%s %s %s)" % (pp_expr(e.l), _SPELLING[type(e)], pp_expr(e.r))
+def _pp(x, v):
+    """The concrete syntax of one node from that of its children, v."""
+    cls = type(x)
+    if cls in (FIn, FEq):
+        return "%s %s %s" % (v[0], _SPELLING[cls], v[1])
+    if cls in (FAnd, FOr, FImp):
+        return "(%s) %s (%s)" % (v[0], _SPELLING[cls], v[1])
+    if cls in (FSome, FLone):
+        return "%s %s" % ("some" if cls is FSome else "lone", v[0])
+    if cls is FNot:
+        return "!(%s)" % v[0]
+    if cls in (FAll, FSomeQ):
+        kw = "all" if cls is FAll else "some"
+        return "%s %s : %s | %s" % (kw, x.var, v[0], v[1])
+    if cls is FPredCall:
+        return "%s[%s]" % (x.name, ", ".join(v))
+    if cls in (ASig, ARel, AVar):
+        return x.name
+    if cls in (AIden, ANone, AUniv):
+        return _SPELLING[cls]
+    if cls in (AConv, AStar):
+        t = v[0]
+        if not (t.startswith("(") or t.isalnum() or "'" in t):
+            t = "(" + t + ")"
+        return ("~" if cls is AConv else "*") + t
+    return "(%s %s %s)" % (v[0], _SPELLING[cls], v[1])
 
 
-def _pp_tight(e: AlloyExpr) -> str:
-    t = pp_expr(e)
-    return t if t.startswith("(") or t.isalnum() or "'" in t else "(" + t + ")"
+pp_expr = pp_form
 
 
 # ---------------------------------------------------------------------------
 # desugaring
 
 def free_vars(x) -> set:
+    """Names of the variables free in a formula or an expression."""
+    return fold(x, _free_vars)
+
+
+def _free_vars(x, v):
     if isinstance(x, AVar):
         return {x.name}
-    out = set()
-    for _, c in children(x):
-        out |= free_vars(c)
-    if isinstance(x, (FAll, FSomeQ)):
-        out.discard(x.var)
-        out |= free_vars(x.bound)
-    return out
+    if isinstance(x, (FAll, FSomeQ)):  # v: the bound's names, the body's
+        return v[0] | (v[1] - {x.var})
+    return set().union(*v)
 
 
 def subst(x, env: dict, fresh=None):
@@ -784,7 +772,7 @@ def check_arities(model: AlloyModel) -> AlloyModel:
     positions on conflicts."""
     arities = model.rel_arity()
 
-    def walk(f: AlloyForm):
+    def check(f, _):
         if isinstance(f, (FIn, FEq)):
             la, ra = arity_of(f.l, arities), arity_of(f.r, arities)
             if la != ra:
@@ -801,14 +789,9 @@ def check_arities(model: AlloyModel) -> AlloyModel:
         elif isinstance(f, FPredCall):
             raise ArityError("cannot type an uninlined predicate call %r%s"
                              % (f.name, at_pos(f)))
-        for _, c in children(f):
-            if isinstance(c, AlloyForm):
-                walk(c)
 
-    for f in model.facts:
-        walk(f)
-    for a in model.asserts:
-        walk(a.form)
+    for f in list(model.facts) + [a.form for a in model.asserts]:
+        _guarded(lambda g: fold(g, check), f, ArityError)
     return model
 
 

@@ -56,7 +56,7 @@ from .terms import (
     FAll, FAnd, FEq, FImp, FIn, FLone, FNot, FOr, FPredCall, FSome, FSomeQ,
     Fork, Id, Join, Ldiv, Meet, NComp, Phi, Pi1, Pi2, Prod, Rel, Rot, Star,
     Top, RAll, RAnd, RApp, REx, RFalse, RImp, RLFormula, RMark, RNot, ROr,
-    RTrue, children, unfold,
+    RTrue, fold, subterms, unfold,
 )
 
 
@@ -425,24 +425,19 @@ def eval_fa(e: FAExpr, space: Space, interp: dict):
 
 @functools.lru_cache(maxsize=1 << 12)
 def _post_order(root):
-    """(node, operands, constant?, dead) of each distinct node under root,
-    after its operands, left first, by an explicit stack that no depth
-    overflows. Constant nodes have no relation or signature under them;
-    dead lists the operands, not constant, that no later node reads.
-    NComp and Rot have their unfolding as their operand."""
-    order, const, todo = [], {}, [(root, None)]
-    while todo:
-        e, ops = todo.pop()
-        if ops is not None:
-            const[e] = (not isinstance(e, (Rel, Phi))
-                        and all(const[c] for c in ops))
-            order.append((e, ops, const[e]))
-        elif e not in const:
-            const[e] = None
-            ops = ((unfold(e),) if isinstance(e, (NComp, Rot))
-                   else tuple(c for _, c in children(e)))
-            todo.append((e, ops))
-            todo.extend((c, None) for c in reversed(ops) if c not in const)
+    """(node, operands, constant?, dead) of each distinct node under
+    root's unfolding, after its operands, left first (`terms.fold`), the
+    unfolded root last. Constant nodes have no relation or signature
+    under them; dead lists the operands, not constant, that no later
+    node reads."""
+    order, const = [], {}
+
+    def node(e, ops):
+        const[e] = not isinstance(e, (Rel, Phi)) and all(map(const.get, ops))
+        order.append((e, tuple(ops), const[e]))
+        return e
+
+    fold(unfold(root), node)
     last = {c: e for e, ops, _ in order for c in ops}
     return tuple((e, ops, k, tuple(c for c in ops
                                    if last[c] is e and not const[c]))
@@ -457,10 +452,12 @@ def _value(root, space, interp, cache):
     constant?) for this batch, space.cache a constant node for every
     model; a value below the root leaves cache after its last use.
     """
+    order = _post_order(root)
+    root = order[-1][0]  # unfolded
     hit = cache.get(root) or space.cache.get(root)
     if hit is not None:
         return hit
-    for e, ops, const, dead in _post_order(root):
+    for e, ops, const, dead in order:
         if e in cache:
             continue
         hit = space.cache.get(e) if const else None
@@ -487,8 +484,6 @@ def _node(e, args, space, interp):
         return ~args[0]
     if isinstance(e, Conv):
         return args[0].transpose(0, 2, 1)
-    if isinstance(e, (NComp, Rot)):
-        return args[0]
     if isinstance(e, Ldiv):
         # u (L\R) v  iff  for all w: w L u implies w R v
         return ~_mm(args[0].transpose(0, 2, 1), ~args[1])
@@ -692,43 +687,25 @@ def infer_width(x) -> int:
     chains; the pipeline stamps the exact width on the facts it builds,
     so this is the safety net for hand-written terms.
     """
-    sides = (x.lhs, x.rhs) if isinstance(x, FAFact) else (x,)
-    return max(map(_width, _distinct(*map(unfold, sides))))
+    return fold(x, _widths)[0]
 
 
-def _distinct(*roots):
-    """Every node under the roots; a hash-consed term is yielded once
-    however often it is shared."""
-    seen, todo = set(), list(roots)
-    while todo:
-        t = todo.pop()
-        if isinstance(t, (FAExpr, RLFormula)):
-            if t in seen:
-                continue
-            seen.add(t)
-        yield t
-        todo.extend(c for _, c in children(t))
-
-
-def _width(e):
-    """The width one node needs: a relation's arity less one, a
-    fork/product spine's length plus one, a selector chain's too."""
-    k, cur = 0, e
-    while isinstance(cur, (Fork, Prod)):
-        k += 1
-        cur = cur.r
-    rel = e.arity - 1 if isinstance(e, Rel) else 1
-    return max(rel, k + 1, _pi_chain(e) + 1)
-
-
-def _pi_chain(e):
+def _widths(e, v):
+    """(width needed under e, length of e's fork/product spine, length of
+    e's selector chain), all of e's unfolding: a node needs its
+    relation's arity less one, its spine's length plus one and its
+    chain's too."""
+    if isinstance(e, (NComp, Rot)):
+        return fold(unfold(e), _widths)
+    spine = v[1][1] + 1 if isinstance(e, (Fork, Prod)) else 0
     if isinstance(e, (Pi1, Pi2)):
-        return 1
-    if isinstance(e, Comp):
-        l, r = _pi_chain(e.l), _pi_chain(e.r)
-        if l and r:
-            return l + r
-    return 0
+        chain = 1
+    elif isinstance(e, Comp) and v[0][2] and v[1][2]:
+        chain = v[0][2] + v[1][2]
+    else:
+        chain = 0
+    rel = e.arity - 1 if isinstance(e, Rel) else 1
+    return max(rel, spine + 1, chain + 1, *(w for w, _, _ in v)), spine, chain
 
 
 def fact_holds(fact: FAFact, model: FiniteModel, width=None,
@@ -775,7 +752,7 @@ class Verdict:
 def mentioned_rels(x) -> set:
     """Names of the relations a formula, term or fact of any language
     mentions."""
-    return {t.name for t in _distinct(x) if isinstance(t, (ARel, Rel))}
+    return {t.name for t in subterms(x) if isinstance(t, (ARel, Rel))}
 
 
 def _source_truth(source, models, space, interps, batch, cache):

@@ -60,6 +60,7 @@ from .terms import (
     Star,
     children,
     cut,
+    fold,
     ncomp,
     projX,
     rl_text,
@@ -79,12 +80,8 @@ class TranslateError(Exception):
 
 def nesting(f: RLFormula) -> int:
     """Largest number of levels simultaneously in scope anywhere in f."""
-    if isinstance(f, RApp):
-        return 0
-    inner = 0
-    for _, c in children(f):
-        inner = max(inner, nesting(c))
-    return inner + (f.width if isinstance(f, (RAll, REx)) else 0)
+    return fold(f, lambda x, v: max(v, default=0) + (
+        x.width if isinstance(x, (RAll, REx)) else 0))
 
 
 # ---------------------------------------------------------------------------

@@ -151,7 +151,8 @@ def step(t, banks, state: RunState):
         else:
             return None
     except RecursionError:
-        # the term is not rendered: rendering recurses as deep as the walk
+        # the term is left out: over a thousand levels deep, it would
+        # render to a line no message should carry
         raise BudgetError("term nested too deeply for the rewrite engine "
                           "after %d steps" % state.steps,
                           state.trace) from None

@@ -36,7 +36,8 @@ class ArityError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# generic traversal, shared by every walk over every term language
+# generic traversal, shared by every walk over every term language: every
+# bottom-up walk is a `fold`; only top-down walks that carry context recurse
 
 # Field annotations of a subterm, and of a tuple of subterms. Every other
 # field is data: names, widths, markers, item tuples and source positions.
@@ -83,13 +84,48 @@ def children(t):
             yield name, v
 
 
-def subterms(t):
-    """Every node of a term, t included, in no particular order."""
-    todo = [t]
+def fold(t, node):
+    """The value of t, where the value of a node x is node(x, the values
+    of x's children in `children` order).  Children come first, by an
+    explicit stack that no depth overflows.  An interned node is folded
+    once per call however often t shares it; a node of the other term
+    languages once per occurrence."""
+    memo, vals, todo = {}, [], [t]
     while todo:
-        cur = todo.pop()
-        yield cur
-        todo.extend(c for _, c in children(cur))
+        x = todo.pop()
+        if type(x) is tuple:  # (node, child count): its children are done
+            x, k = x
+            k = len(vals) - k
+            v = node(x, vals[k:])
+            del vals[k:]
+        elif isinstance(x, Interned) and x in memo:
+            vals.append(memo[x])
+            continue
+        else:
+            kids = []  # children(x), inlined on the hot path of every walk
+            for name, many in x._slots:
+                c = getattr(x, name)
+                if many:
+                    kids += c
+                elif c is not None:
+                    kids.append(c)
+            if kids:
+                todo.append((x, len(kids)))
+                todo += reversed(kids)
+                continue
+            v = node(x, kids)
+        if isinstance(x, Interned):
+            memo[x] = v
+        vals.append(v)
+    return vals[0]
+
+
+def subterms(t) -> list:
+    """Every node of a term, t included; an interned node once however
+    often the term shares it."""
+    out = []
+    fold(t, lambda x, _: out.append(x))
+    return out
 
 
 def map_children(t, fn):
@@ -110,6 +146,13 @@ def map_children(t, fn):
             if w is not v:
                 changes[name] = w
     return dataclasses.replace(t, **changes) if changes else t
+
+
+def with_children(t, vals):
+    """The node with its subterms replaced by vals, in `children` order
+    (t itself if none changes)."""
+    vals = iter(vals)
+    return map_children(t, lambda _: next(vals))
 
 
 def with_child(t, name, v):
@@ -355,81 +398,31 @@ def cut(n: int) -> FAExpr:
     return Prod(ID, cut(n - 1))
 
 
-def unfold(e: FAExpr) -> FAExpr:
-    """Expand rotation and n-ary composition into the base vocabulary.
-    The call's memo unfolds each subterm the hash-consed term shares
-    once."""
-    memo = {}
+def unfold(e):
+    """Expand rotation and n-ary composition into the base vocabulary, in
+    a term or a fact."""
+    return fold(e, _unfold)
 
-    def go(e):
-        out = memo.get(e)
-        if out is not None:
-            return out
-        if isinstance(e, NComp):
-            out = go(e.r)
-            for _ in range(e.n - 2):
-                out = Prod(ID, out)
-            out = Comp(go(e.l), out)
-        elif isinstance(e, Rot):
-            m = e.n - 1
-            chain = projX(m, m - 1) if m >= 2 else ID
-            for i in range(m - 2, 0, -1):
-                chain = Fork(projX(m, i), chain)
-            out = Comp(projX(m, m), Conv(Fork(go(e.e), chain)))
-        else:
-            out = map_children(e, go)
-        memo[e] = out
-        return out
 
-    return go(e)
+def _unfold(e, v):
+    if isinstance(e, NComp):
+        out = v[1]
+        for _ in range(e.n - 2):
+            out = Prod(ID, out)
+        return Comp(v[0], out)
+    if isinstance(e, Rot):
+        m = e.n - 1
+        chain = projX(m, m - 1) if m >= 2 else ID
+        for i in range(m - 2, 0, -1):
+            chain = Fork(projX(m, i), chain)
+        return Comp(projX(m, m), Conv(Fork(v[0], chain)))
+    return with_children(e, v)
 
 
 def fa_op_count(e: FAExpr) -> int:
-    """Number of operator nodes (constants and named relations are free)."""
-    return sum(not isinstance(x, _FA_LEAVES) for x in subterms(e))
-
-
-_INFIX = {Join: " + ", Meet: " & ", Comp: " . ", Fork: " nabla ",
-          Prod: " x ", Ldiv: " \\ "}
-
-
-def fa_text(e: FAExpr) -> str:
-    """Compact one-line rendering, fully parenthesized at compound nodes.
-    A pattern variable is its name after a `?`, so no relation reads
-    like it."""
-    if isinstance(e, Rel):
-        return e.name
-    if isinstance(e, Phi):
-        return "Phi_" + e.sig
-    if isinstance(e, Top):
-        return "TOP"
-    if isinstance(e, Bot):
-        return "BOT"
-    if isinstance(e, Id):
-        return "id"
-    if isinstance(e, Pi1):
-        return "pi1"
-    if isinstance(e, Pi2):
-        return "pi2"
-    if isinstance(e, Compl):
-        return "-%s" % _atom_text(e.e)
-    if isinstance(e, Conv):
-        return "%s~" % _atom_text(e.e)
-    if isinstance(e, Star):
-        return "%s*" % _atom_text(e.e)
-    if isinstance(e, NComp):
-        return "(%s .%d %s)" % (fa_text(e.l), e.n, fa_text(e.r))
-    if isinstance(e, Rot):
-        return "rot%d(%s)" % (e.n, fa_text(e.e))
-    if isinstance(e, Var):
-        return "?" + e.name
-    return "(%s%s%s)" % (fa_text(e.l), _INFIX[type(e)], fa_text(e.r))
-
-
-def _atom_text(e: FAExpr) -> str:
-    t = fa_text(e)
-    atom = isinstance(e, _FA_LEAVES) or type(e) is Var
-    return t if atom or t.startswith("(") else "(" + t + ")"
+    """Number of operator nodes (constants and named relations are free),
+    a shared subterm once per occurrence."""
+    return fold(e, lambda x, v: sum(v) + (not isinstance(x, _FA_LEAVES)))
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +445,6 @@ class FactLe(FAFact):
     rhs: FAExpr
     label: str = field(default="", compare=False)
     width: int = field(default=0, compare=False)
-
-
-def fact_text(f: FAFact) -> str:
-    op = " = " if isinstance(f, FactEq) else " in "
-    return fa_text(f.lhs) + op + fa_text(f.rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +592,18 @@ def at_pos(x) -> str:
     return " at line %d, column %d" % p if p else ""
 
 
+def _guarded(fn, x, error):
+    """fn(x), or an error of class error at the first position the core
+    Alloy term x holds when x is nested too deeply for fn (say, 1,000
+    conjuncts)."""
+    try:
+        return fn(x)
+    except RecursionError:
+        first = min((t for t in subterms(x) if t.pos),
+                    key=lambda t: t.pos, default=None)
+        raise error("input nested too deeply%s" % at_pos(first)) from None
+
+
 # ---------------------------------------------------------------------------
 # core Alloy formulas
 
@@ -671,10 +671,8 @@ CORE_FORMS = (FIn, FSome, FNot, FAnd, FAll)
 
 def is_core(f: AlloyForm) -> bool:
     """Scanner for the shape the expansion step accepts."""
-    if not isinstance(f, CORE_FORMS):
-        return False
-    return all(is_core(c) for _, c in children(f)
-               if isinstance(c, AlloyForm))
+    return fold(f, lambda x, v: all(v) and isinstance(
+        x, (CORE_FORMS, AlloyExpr)))
 
 
 # ---------------------------------------------------------------------------
@@ -784,33 +782,74 @@ def unbind(f: RLFormula, lvl: int, repl: Item) -> RLFormula:
     return map_children(f, lambda c: unbind(c, lvl, repl))
 
 
-def rl_text(f: RLFormula) -> str:
-    """One-line angle-bracket rendering of an RL formula."""
-    if isinstance(f, RTrue):
-        return "true"
-    if isinstance(f, RFalse):
-        return "false"
-    if isinstance(f, RNot):
-        return "!%s" % _rl_atom(f.f)
-    if isinstance(f, RAnd):
-        return "%s && %s" % (_rl_atom(f.l), _rl_atom(f.r))
-    if isinstance(f, ROr):
-        return "%s || %s" % (_rl_atom(f.l), _rl_atom(f.r))
-    if isinstance(f, RImp):
-        return "%s => %s" % (_rl_atom(f.l), _rl_atom(f.r))
-    if isinstance(f, RAll):
-        rng = "" if f.rng is None else " " + rl_text(f.rng)
-        return "<A%d :%s: %s>" % (f.width, rng, rl_text(f.body))
-    if isinstance(f, REx):
-        return "<E%d :: %s>" % (f.width, rl_text(f.body))
-    if isinstance(f, RMark):
-        return "<Axy :: %s>" % rl_text(f.body)
-    if isinstance(f, RApp):
-        rel = fa_text(f.rel)
-        if not isinstance(f.rel, _FA_LEAVES) and not rel.startswith("("):
-            rel = "(%s)" % rel
-        return "%s %s %s" % (_side_text(f.lhs), rel, _side_text(f.rhs))
-    raise TypeError("not an RL formula: %r" % (f,))
+# ---------------------------------------------------------------------------
+# rendering, one node at a time for every term language
+
+
+def fa_text(x) -> str:
+    """Compact one-line rendering of an FA term, fully parenthesized at
+    compound nodes, of an RL formula in angle brackets, or of a fact.  A
+    pattern variable is its name after a `?`, so no relation reads like
+    it."""
+    return fold(x, _text)
+
+
+_WORDS = {Top: "TOP", Bot: "BOT", Id: "id", Pi1: "pi1", Pi2: "pi2",
+          RTrue: "true", RFalse: "false"}
+_INFIX = {Join: " + ", Meet: " & ", Comp: " . ", Fork: " nabla ",
+          Prod: " x ", Ldiv: " \\ ", RAnd: " && ", ROr: " || ",
+          RImp: " => "}
+
+
+def _text(x, v):
+    """The rendering of one node from the renderings v of its children."""
+    cls = type(x)
+    if cls in _WORDS:
+        return _WORDS[cls]
+    if cls in _INFIX:
+        op = _INFIX[cls]
+        if issubclass(cls, FAExpr):
+            return "(%s%s%s)" % (v[0], op, v[1])
+        return _tight(x.l, v[0]) + op + _tight(x.r, v[1])
+    if cls is Rel:
+        return x.name
+    if cls is Phi:
+        return "Phi_" + x.sig
+    if cls is Var:
+        return "?" + x.name
+    if cls in (Compl, Conv, Star):
+        s = _tight(x.e, v[0])
+        return "-" + s if cls is Compl else s + ("~" if cls is Conv else "*")
+    if cls is NComp:
+        return "(%s .%d %s)" % (v[0], x.n, v[1])
+    if cls is Rot:
+        return "rot%d(%s)" % (x.n, v[0])
+    if cls is RNot:
+        return "!" + _tight(x.f, v[0])
+    if cls is RAll:
+        rng = " " + v[0] if len(v) == 2 else ""  # a range comes first
+        return "<A%d :%s: %s>" % (x.width, rng, v[-1])
+    if cls is REx:
+        return "<E%d :: %s>" % (x.width, v[0])
+    if cls is RMark:
+        return "<Axy :: %s>" % v[0]
+    if cls is RApp:
+        return "%s %s %s" % (_side_text(x.lhs), _tight(x.rel, v[0]),
+                             _side_text(x.rhs))
+    if cls in (FactEq, FactLe):
+        return v[0] + (" = " if cls is FactEq else " in ") + v[1]
+    raise TypeError("cannot render %r" % (x,))
+
+
+_ATOMS = _FA_LEAVES + (Var, RTrue, RFalse, RApp, RAll, REx, RMark, RNot)
+
+
+def _tight(e, s: str) -> str:
+    """s, the rendering of e, parenthesized unless e is a leaf, a binder
+    or a negation, or an FA term that s parenthesizes already."""
+    if isinstance(e, _ATOMS) or isinstance(e, FAExpr) and s.startswith("("):
+        return s
+    return "(" + s + ")"
 
 
 def _side_text(side: tuple) -> str:
@@ -819,8 +858,4 @@ def _side_text(side: tuple) -> str:
     return "(%s)" % ",".join(str(i) for i in side)
 
 
-def _rl_atom(f: RLFormula) -> str:
-    t = rl_text(f)
-    if isinstance(f, (RTrue, RFalse, RApp, RAll, REx, RMark, RNot)):
-        return t
-    return "(" + t + ")"
+rl_text = fact_text = fa_text

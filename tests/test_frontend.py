@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alloy2fa.expand import expand_form
+from alloy2fa.expand import ExpandError, expand_form
 from alloy2fa.frontend import (
     KEYWORDS, OPS, DesugarError, ParseError, SigDecl, _Parser,
     check_arities, desugar, lex, parse, pp_expr, pp_form, pretty, subst,
@@ -273,14 +273,23 @@ class TestParseErrors:
     @pytest.mark.parametrize("deep", [
         "(" * 500 + "some A" + ")" * 500,
         "(" * 500 + "x.r in (A)" + ")" * 500,
-        " && ".join(["some A"] * 1000),
         "".join("all y%d : A | " % i for i in range(499)) + "x in A",
-    ], ids=["some A", "x.r in (A)", "1000 conjuncts", "500 quantifiers"])
+    ], ids=["some A", "x.r in (A)", "500 quantifiers"])
     def test_deep_parentheses_fail_with_a_position(self, deep):
         text = "sig A { r : A }\nassert a { all x : A | %s }" % deep
         with pytest.raises(ParseError,
                            match=r"nested too deeply.* line 2, column \d+"):
             parse(text)
+
+    def test_1000_conjuncts_parse_and_fail_to_desugar_with_a_position(self):
+        # the parser reads a chain in a loop and name resolution folds it
+        # by an explicit stack; desugaring still recurses per operator
+        text = "sig A { r : A }\nassert a { all x : A | %s }" % " && ".join(
+            ["some A"] * 1000)
+        model = parse(text)
+        with pytest.raises(DesugarError,
+                           match=r"nested too deeply.* line 2, column \d+"):
+            desugar(model)
 
     @pytest.mark.parametrize("deep", [
         "(" * 139 + "some A" + ")" * 139,
@@ -293,9 +302,11 @@ class TestParseErrors:
 
     @pytest.mark.parametrize("op", ["or", "=>", "and"])
     def test_long_chains_pass_every_stage_or_fail_with_a_position(self, op):
-        # each stage recurses at its own depth per operator, so the first
-        # to give up moves as the walks change; whichever it is names a
-        # position, and a bare RecursionError fails the test
+        # parsing, desugaring and expansion recurse at their own depth
+        # per operator, while name resolution and the arity check fold by
+        # an explicit stack; the first stage to give up moves as the walks
+        # change, whichever it is names a position, and a bare
+        # RecursionError fails the test
         def stages(n):
             text = "sig A {}\nassert a { %s }" % (" %s " % op).join(
                 ["some A"] * n)
@@ -307,6 +318,26 @@ class TestParseErrors:
             try:
                 stages(n)
             except (ParseError, DesugarError, ArityError) as e:
+                assert re.search(r"nested too deeply.* line 2, column \d+",
+                                 str(e)), (n, e)
+
+    @pytest.mark.parametrize("quants", [0, 150])
+    def test_long_joins_pass_every_stage_or_fail_with_a_position(self,
+                                                                 quants):
+        # name resolution folds a join chain of any length; the arity
+        # check and expansion recurse on it behind a depth guard, and
+        # under 150 quantifiers expansion is the first to give up
+        def stages(n):
+            text = "sig A { r : A }\nassert a { all x : A | %sx%s in A }" % (
+                "".join("all y%d : A | " % i for i in range(quants)),
+                ".r" * n)
+            model = check_arities(desugar(parse(text)))
+            expand_form(model.asserts[0].form, model.rel_arity())
+
+        for n in range(300, 1501, 100):
+            try:
+                stages(n)
+            except (ArityError, ExpandError) as e:
                 assert re.search(r"nested too deeply.* line 2, column \d+",
                                  str(e)), (n, e)
 

@@ -24,6 +24,12 @@ everything ever built, and a bare `lru_cache` hides its bound.  Every
 translation runs through the one driver, `pipeline.translate_with_trace`,
 configured by a `Translator` value; a function that builds its own
 `RunState` would be a second driver.
+
+Last, only the recorded walks in src call themselves: a walk that
+recurses once per term level fails on a term deeper than the
+interpreter stack, so a bottom-up walk folds by the explicit stack of
+`terms.fold`, and the few that still recurse are listed, each with the
+reason it stays; the list may only shrink.
 """
 
 import ast
@@ -278,3 +284,66 @@ def test_only_the_driver_and_closure_lifting_build_a_run_state():
     assert {k: v for k, v in found.items() if v} == {
         "src/alloy2fa/pipeline.py": ["translate_closure",
                                      "translate_with_trace"]}
+
+
+def self_calls(source: str) -> list:
+    """The dotted names of the functions, at any nesting, whose body
+    reads their own name: a call, or passing themselves on."""
+    out = []
+
+    def visit(node, prefix):
+        for n in ast.iter_child_nodes(node):
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+                name = prefix + n.name
+                if not isinstance(n, ast.ClassDef) and any(
+                        isinstance(m, ast.Name) and m.id == n.name
+                        and isinstance(m.ctx, ast.Load)
+                        for m in ast.walk(n)):
+                    out.append(name)
+                visit(n, name + ".")
+            else:
+                visit(n, prefix)
+
+    visit(ast.parse(source), "")
+    return sorted(out)
+
+
+# module.function of each walk that still recurses, by its reason
+RECURSIVE = {
+    # the leftmost-innermost rewrite order; ROADMAP item 11 plans its stack
+    "strategy._once",
+    # top-down walks that carry context down the term
+    "expand._form", "expand._member", "frontend.subst",
+    "oracle.eval_alloy", "oracle.eval_aexpr", "oracle._rl",
+    # runs in every discharge firing and stops at each application, where
+    # a fold would enter the relation too
+    "terms.unbind",
+    # desugaring, behind `_guarded`; now that the arity check and the
+    # expansion have depth guards too, it can be ported on its own
+    "frontend._inline_calls", "frontend._to_core",
+    # a memo shared across calls, keyed per level
+    "pipeline._count",
+    # reads a restriction's left operand before its right one
+    "terms.arity_of",
+    # one level deep: folds the unfolding of an NComp or Rot node
+    "oracle._widths",
+    # bounded by an arity, an equation's size or a generator's depth,
+    # not by the input
+    "terms.match", "terms.instantiate", "terms.projX", "terms.cut",
+    "pipeline._selector", "oracle._mm", "oracle._gen_form",
+    "oracle._gen_expr",
+}
+
+
+def test_only_the_recorded_walks_recurse():
+    assert self_calls(
+        "def f(x):\n    return f(x - 1)\ndef g(x):\n    return h(g, x)\n"
+        "def k():\n    def go(t):\n        return [go(c) for c in t]\n"
+        "    return go\nclass C:\n    def m(self):\n        return self.m()\n"
+        "def n(f):\n    return f(n.__name__)\n") == [
+            "f", "g", "k.go", "n"]
+    assert SRC
+    found = {"%s.%s" % (p.stem, name) for p in SRC
+             for name in self_calls(p.read_text())}
+    assert found <= RECURSIVE, sorted(found - RECURSIVE)

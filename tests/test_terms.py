@@ -3,11 +3,17 @@
 import copy
 import dataclasses
 import pickle
+import sys
 import typing
 
 import pytest
 
 from alloy2fa import terms
+from alloy2fa.frontend import (
+    AlloyModel, SigDecl, check_arities, free_vars, pretty,
+)
+from alloy2fa.oracle import FiniteModel, fact_holds, infer_width
+from alloy2fa.pipeline import nesting
 from alloy2fa.terms import (
     AConv, AIden, AJoin, ANone, AProd, ARel, ASig, AStar, AUnion, AUniv,
     AVar, ADiff, ADomRes, ARanRes, AInter,
@@ -440,3 +446,64 @@ class TestRLHelpers:
         assert unbind(f, 2, 1) == RApp((1,), Rel("r"), (2,))
         with pytest.raises(ValueError, match="cannot replace level 2"):
             unbind(f, 2, repl)
+
+
+class TestDeepTerms:
+    """Every bottom-up walk folds by an explicit stack (`terms.fold`), so
+    no term is too deep for it under the default recursion limit."""
+
+    N = 2000
+
+    def fa_chain(self):
+        steps = (Conv, Compl, lambda e: Comp(e, Rel("r")),
+                 lambda e: Meet(Rel("s"), e))
+        e = Rel("r")
+        for i in range(self.N):
+            e = steps[i % 4](e)
+        return e
+
+    def test_fa_walks(self):
+        assert sys.getrecursionlimit() == 1000
+        e = self.fa_chain()
+        fact = FactLe(e, TOP)
+        assert fact_text(fact).endswith(" in TOP")
+        assert unfold(e) is e
+        assert fa_op_count(e) == self.N
+        assert infer_width(fact) == 1
+        model = FiniteModel(("a", "b"), {}, {"r": frozenset({("a", "b")}),
+                                             "s": frozenset()})
+        assert fact_holds(fact, model)
+
+    def test_rl_walks(self):
+        assert sys.getrecursionlimit() == 1000
+        steps = (lambda f: REx(1, f), RNot, lambda f: RAnd(RTrue(), f))
+        f = RApp((1,), Rel("r"), (1,))
+        for i in range(self.N):
+            f = steps[i % 3](f)
+        assert rl_text(f).endswith("1 r 1" + ">" * 667)
+        assert nesting(f) == 667
+
+    def test_core_alloy_walks(self):
+        assert sys.getrecursionlimit() == 1000
+        steps = (FNot, lambda f: FAnd(FSome(ASig("A")), f),
+                 lambda f: FAll("x", ASig("A"), f))
+        f = FIn(AVar("x"), ASig("A"))
+        for i in range(self.N):
+            f = steps[i % 3](f)
+        assert free_vars(f) == set()
+        assert is_core(f)
+        model = AlloyModel((SigDecl("A"),), (), (f,), (), ())
+        assert check_arities(model) is model
+        assert pretty(model).endswith("x in A" + ")" * 1334 + " }\n")
+
+
+class TestSharedSubterms:
+    def test_a_shared_subterm_counts_once_per_occurrence(self):
+        c = Comp(Rel("r"), Rel("s"))
+        assert fa_op_count(Meet(c, c)) == 3
+
+    def test_a_doubling_term_is_counted_without_walking_its_tree(self):
+        t = Rel("r")
+        for _ in range(40):
+            t = Meet(t, t)
+        assert fa_op_count(t) == 2 ** 40 - 1
