@@ -15,12 +15,15 @@ its pre-pass, `drop_vars` as its read-off, and the simplification banks
 in front of the mechanical ones as its elimination loop;
 `translate_h_with_trace` and `translate_form_h` are bound to it.
 
-Logical and definition rules are sound pointwise over any carrier, so
-every rewrite step preserves truth on every finite model, not just on
-the full pair closure.  The algebraic and fact rules are the equations
-of `EQUATIONS`, each law-checked on the pair closure under random
-interpretations, so on every redex; whole translations are certified
-against the finite-model oracle.
+The logical, algebraic and fact rules are the equations of
+`EQUATIONS`, each a law and so sound on every redex: the FA and fact
+rows are checked on the pair closure under random interpretations, the
+RL rows by truth table.  Only four logical rules stay hand-written,
+the binder rules that read widths, ranges and level uses; they and the
+definition rules are sound pointwise over any carrier, so every rewrite
+step preserves truth on every finite model, not just on the full pair
+closure.  Whole translations are certified against the finite-model
+oracle.
 
 The definition rules are defined in `pipeline`, beside the rotations
 they build on, because closure lifting runs them too: there they
@@ -71,12 +74,14 @@ from .terms import (
     RAnd,
     RApp,
     REx,
+    RFALSE,
     RFalse,
     RImp,
     RLFormula,
     RNot,
     ROr,
     Rot,
+    RTRUE,
     RTrue,
     Var,
     instantiate,
@@ -99,9 +104,10 @@ def _pair_rule(name: str, kind, fn, marks=None) -> Rule:
     side matches, and only the pairs that straddle `t.l` and `t.r` are
     scanned.  Their first match is the first match of all pairs.
 
-    With marks, fn is the lattice identity of `_lattice_pair` whose
-    unit and zero are the classes marks, and the first straddling match
-    is found through an index (`_indexed`) instead of the scan.
+    With marks, fn solves a lattice rule's rows of EQUATIONS, its unit,
+    zero and idempotence, with the unit and zero the classes marks, and
+    the first straddling match is found through an index (`_indexed`)
+    instead of the scan.
     """
     find = _scan if marks is None else functools.partial(_indexed, marks)
 
@@ -132,9 +138,10 @@ def _scan(fn, left, right):
 
 
 def _indexed(marks, fn, left, right):
-    """`_scan` for a lattice identity fn whose unit and zero are the
-    classes marks, in O(|left| + |right|): such an fn matches a pair
-    exactly when one leaf is a mark or the two are one interned term."""
+    """`_scan` for a solver fn of a lattice rule's unit, zero and
+    idempotence rows, whose unit and zero are the classes marks, in
+    O(|left| + |right|): such an fn matches a pair exactly when one leaf
+    is a mark or the two are one interned term."""
     n = len(right)
     first = {b: j for j, b in reversed(tuple(enumerate(right)))}
     mark = next((j for j, b in enumerate(right) if isinstance(b, marks)), n)
@@ -146,70 +153,110 @@ def _indexed(marks, fn, left, right):
 
 
 # ---------------------------------------------------------------------------
-# logical rules
+# rules stated as equations
 
 
-def _lattice_pair(unit: type, zero: type):
-    """Pair identity of a lattice operator: its unit, zero and
-    idempotence.  Terms are interned, so a zero or twin b is the result."""
+def _by_rule(rows) -> dict:
+    """{rule name: [(lhs, rhs), ...]} of (rule name, lhs, rhs) rows."""
+    table = {}
+    for name, lhs, rhs in rows:
+        table.setdefault(name, []).append((lhs, rhs))
+    return table
 
-    def pair(a, b):
-        if isinstance(b, unit):
-            return a
-        if isinstance(b, zero) or a == b:
-            return b
+
+X, Y, Z, W, P = Var("X"), Var("Y"), Var("Z"), Var("W"), Var("P", Phi)
+F, G, H = Var("F", RLFormula), Var("G", RLFormula), Var("H", RLFormula)
+
+# One row per equation, a rule's rows in the order they are tried, as
+# in egg's rewrite lists: FA equations, fact equivalences and RL
+# equivalences.  A pair rule's left sides are nodes of its kind.
+EQUATIONS = _by_rule([
+    ("meet-pair", Meet(X, TOP), X),
+    ("meet-pair", Meet(X, BOT), BOT),
+    ("meet-pair", Meet(X, X), X),
+    ("meet-pair", Meet(P, ID), P),
+    ("meet-pair", Meet(Comp(Conv(PI1), X), Comp(Conv(PI2), Y)), Fork(X, Y)),
+    ("join-pair", Join(X, BOT), X),
+    ("join-pair", Join(X, TOP), TOP),
+    ("join-pair", Join(X, X), X),
+    ("converse-collapse", Conv(Conv(X)), X),
+    ("converse-collapse", Conv(ID), ID),
+    ("converse-collapse", Conv(TOP), TOP),
+    ("converse-collapse", Conv(BOT), BOT),
+    ("converse-distribute", Conv(Comp(X, Y)), Comp(Conv(Y), Conv(X))),
+    ("converse-distribute", Conv(Meet(X, Y)), Meet(Conv(X), Conv(Y))),
+    ("converse-distribute", Conv(Join(X, Y)), Join(Conv(X), Conv(Y))),
+    ("complement-collapse", Compl(Compl(X)), X),
+    ("complement-collapse", Compl(Conv(Compl(X))), Conv(X)),
+    ("complement-collapse", Compl(TOP), BOT),
+    ("complement-collapse", Compl(BOT), TOP),
+    ("complement-distribute", Compl(Meet(X, Y)), Join(Compl(X), Compl(Y))),
+    ("complement-distribute", Compl(Join(X, Y)), Meet(Compl(X), Compl(Y))),
+    ("complement-distribute", Compl(Comp(X, Y)), Ldiv(Conv(X), Compl(Y))),
+    ("complement-distribute", Compl(Ldiv(X, Y)), Comp(Conv(X), Compl(Y))),
+    ("composition-unit", Comp(X, ID), X),
+    ("composition-unit", Comp(ID, X), X),
+    ("composition-unit", Comp(BOT, X), BOT),
+    ("composition-unit", Comp(X, BOT), BOT),
+    ("residual-units", Ldiv(BOT, X), TOP),
+    ("residual-units", Ldiv(X, TOP), TOP),
+    ("residual-units", Ldiv(ID, X), X),
+    ("fork-converse-meet", Comp(Conv(Fork(X, Y)), Fork(Z, W)),
+     Meet(Comp(Conv(X), Z), Comp(Conv(Y), W))),
+    # (id nabla T) . X  duplicates X over both components
+    ("fork-absorbs-composition", Comp(Fork(ID, TOP), X),
+     Fork(X, Comp(TOP, X))),
+    ("product-intro", Fork(Comp(X, PI1), Comp(Y, PI2)), Prod(X, Y)),
+    # each fact holds exactly when its rewrite does
+    ("inequation-normalize", FactLe(Compl(X), Compl(Y)), FactLe(Y, X)),
+    ("inequation-normalize", FactLe(TOP, Conv(X)), FactLe(TOP, X)),
+    ("inequation-normalize", FactLe(Conv(X), BOT), FactLe(X, BOT)),
+    ("inequation-normalize", FactLe(X, Ldiv(Y, Z)), FactLe(Comp(Y, X), Z)),
+    ("conjunction-pair", RAnd(F, RTRUE), F),
+    ("conjunction-pair", RAnd(F, RFALSE), RFALSE),
+    ("conjunction-pair", RAnd(F, F), F),
+    ("disjunction-pair", ROr(F, RFALSE), F),
+    ("disjunction-pair", ROr(F, RTRUE), RTRUE),
+    ("disjunction-pair", ROr(F, F), F),
+    ("double-negation", RNot(RNot(F)), F),
+    ("negated-literal", RNot(RTRUE), RFALSE),
+    ("negated-literal", RNot(RFALSE), RTRUE),
+    ("negation-over-and", RNot(RAnd(F, G)), ROr(RNot(F), RNot(G))),
+    ("negation-over-or", RNot(ROr(F, G)), RAnd(RNot(F), RNot(G))),
+    ("implication-literal", RImp(RFALSE, F), RTRUE),
+    ("implication-literal", RImp(RTRUE, F), F),
+    ("implication-curry", RImp(F, RImp(G, H)), RImp(RAnd(F, G), H)),
+    ("negation-to-implication", ROr(RNot(F), G), RImp(F, G)),
+])
+
+
+def _solver(name: str, pair=False):
+    """Memoized rewriting by EQUATIONS[name]: the rhs of the first whose
+    lhs matches the redex, or None.  A pair rule's solver matches two
+    leaves against each lhs's operands; spine scans repeat their pairs."""
+    table = [((lhs.l, lhs.r) if pair else (lhs,), rhs)
+             for lhs, rhs in EQUATIONS[name]]
+
+    @functools.lru_cache(maxsize=1 << 14)
+    def solve(*ts):
+        for pats, rhs in table:
+            env = {}
+            if all(map(match, pats, ts, itertools.repeat(env))):
+                return instantiate(rhs, env)
         return None
 
-    return pair
+    return solve
 
 
-_and_pair = _lattice_pair(RTrue, RFalse)
-_or_pair = _lattice_pair(RFalse, RTrue)
+def _equation_rule(name: str) -> Rule:
+    """The node rule of EQUATIONS[name]; it ignores the depth."""
+    solve = _solver(name)
+    return Rule(name, type(EQUATIONS[name][0][0]), lambda t, depth: solve(t))
 
 
-def _or_to_imp(a, b):
-    if isinstance(a, RNot):
-        return RImp(a.f, b)
-    return None
-
-
-def _r_not_not(t, depth):
-    if isinstance(t.f, RNot):
-        return t.f.f
-    return None
-
-
-def _r_not_literal(t, depth):
-    if isinstance(t.f, RTrue):
-        return RFalse()
-    if isinstance(t.f, RFalse):
-        return RTrue()
-    return None
-
-
-def _push_not(over, dual):
-    """De Morgan: a negation over `over` becomes `dual` of negations."""
-
-    def push(t, depth):
-        if isinstance(t.f, over):
-            return dual(RNot(t.f.l), RNot(t.f.r))
-        return None
-
-    return push
-
-
-def _r_imp_literal(t, depth):
-    if isinstance(t.l, RFalse):
-        return RTrue()
-    if isinstance(t.l, RTrue):
-        return t.r
-    return None
-
-
-def _r_imp_curry(t, depth):
-    if isinstance(t.r, RImp):
-        return RImp(RAnd(t.l, t.r.l), t.r.r)
-    return None
+# ---------------------------------------------------------------------------
+# logical rules: the table's, then the binder rules, which read widths,
+# ranges and level uses that no pattern states
 
 
 def _conj(a: Optional[RLFormula], b: Optional[RLFormula]):
@@ -255,15 +302,18 @@ def _r_binder_trim(t, depth):
 
 
 LOGIC_RULES = [
-    _pair_rule("conjunction-pair", RAnd, _and_pair, (RTrue, RFalse)),
-    _pair_rule("disjunction-pair", ROr, _or_pair, (RFalse, RTrue)),
-    Rule("double-negation", RNot, _r_not_not),
-    Rule("negated-literal", RNot, _r_not_literal),
-    Rule("negation-over-and", RNot, _push_not(RAnd, ROr)),
-    Rule("negation-over-or", RNot, _push_not(ROr, RAnd)),
-    Rule("implication-literal", RImp, _r_imp_literal),
-    Rule("implication-curry", RImp, _r_imp_curry),
-    _pair_rule("negation-to-implication", ROr, _or_to_imp),
+    _pair_rule("conjunction-pair", RAnd,
+               _solver("conjunction-pair", pair=True), (RTrue, RFalse)),
+    _pair_rule("disjunction-pair", ROr,
+               _solver("disjunction-pair", pair=True), (RFalse, RTrue)),
+    _equation_rule("double-negation"),
+    _equation_rule("negated-literal"),
+    _equation_rule("negation-over-and"),
+    _equation_rule("negation-over-or"),
+    _equation_rule("implication-literal"),
+    _equation_rule("implication-curry"),
+    _pair_rule("negation-to-implication", ROr,
+               _solver("negation-to-implication", pair=True)),
     Rule("forall-absorb-implication", RAll, _r_all_absorb_imp),
     Rule("forall-fuse", RAll, _r_all_fuse),
     Rule("exists-fuse", REx, _r_ex_fuse),
@@ -272,88 +322,7 @@ LOGIC_RULES = [
 
 
 # ---------------------------------------------------------------------------
-# algebraic rules on relational terms, stated as equations
-
-
-def _by_rule(rows) -> dict:
-    """{rule name: [(lhs, rhs), ...]} of (rule name, lhs, rhs) rows."""
-    table = {}
-    for name, lhs, rhs in rows:
-        table.setdefault(name, []).append((lhs, rhs))
-    return table
-
-
-X, Y, Z, W, P = Var("X"), Var("Y"), Var("Z"), Var("W"), Var("P", Phi)
-
-# One row per equation, a rule's rows in the order they are tried, as
-# in egg's rewrite lists.  A pair rule's left sides are nodes of its kind.
-EQUATIONS = _by_rule([
-    ("meet-pair", Meet(X, TOP), X),
-    ("meet-pair", Meet(X, BOT), BOT),
-    ("meet-pair", Meet(X, X), X),
-    ("meet-pair", Meet(P, ID), P),
-    ("meet-pair", Meet(Comp(Conv(PI1), X), Comp(Conv(PI2), Y)), Fork(X, Y)),
-    ("join-pair", Join(X, BOT), X),
-    ("join-pair", Join(X, TOP), TOP),
-    ("join-pair", Join(X, X), X),
-    ("converse-collapse", Conv(Conv(X)), X),
-    ("converse-collapse", Conv(ID), ID),
-    ("converse-collapse", Conv(TOP), TOP),
-    ("converse-collapse", Conv(BOT), BOT),
-    ("converse-distribute", Conv(Comp(X, Y)), Comp(Conv(Y), Conv(X))),
-    ("converse-distribute", Conv(Meet(X, Y)), Meet(Conv(X), Conv(Y))),
-    ("converse-distribute", Conv(Join(X, Y)), Join(Conv(X), Conv(Y))),
-    ("complement-collapse", Compl(Compl(X)), X),
-    ("complement-collapse", Compl(Conv(Compl(X))), Conv(X)),
-    ("complement-collapse", Compl(TOP), BOT),
-    ("complement-collapse", Compl(BOT), TOP),
-    ("complement-distribute", Compl(Meet(X, Y)), Join(Compl(X), Compl(Y))),
-    ("complement-distribute", Compl(Join(X, Y)), Meet(Compl(X), Compl(Y))),
-    ("complement-distribute", Compl(Comp(X, Y)), Ldiv(Conv(X), Compl(Y))),
-    ("complement-distribute", Compl(Ldiv(X, Y)), Comp(Conv(X), Compl(Y))),
-    ("composition-unit", Comp(X, ID), X),
-    ("composition-unit", Comp(ID, X), X),
-    ("composition-unit", Comp(BOT, X), BOT),
-    ("composition-unit", Comp(X, BOT), BOT),
-    ("residual-units", Ldiv(BOT, X), TOP),
-    ("residual-units", Ldiv(X, TOP), TOP),
-    ("residual-units", Ldiv(ID, X), X),
-    ("fork-converse-meet", Comp(Conv(Fork(X, Y)), Fork(Z, W)),
-     Meet(Comp(Conv(X), Z), Comp(Conv(Y), W))),
-    # (id nabla T) . X  duplicates X over both components
-    ("fork-absorbs-composition", Comp(Fork(ID, TOP), X),
-     Fork(X, Comp(TOP, X))),
-    ("product-intro", Fork(Comp(X, PI1), Comp(Y, PI2)), Prod(X, Y)),
-    # each fact holds exactly when its rewrite does
-    ("inequation-normalize", FactLe(Compl(X), Compl(Y)), FactLe(Y, X)),
-    ("inequation-normalize", FactLe(TOP, Conv(X)), FactLe(TOP, X)),
-    ("inequation-normalize", FactLe(Conv(X), BOT), FactLe(X, BOT)),
-    ("inequation-normalize", FactLe(X, Ldiv(Y, Z)), FactLe(Comp(Y, X), Z)),
-])
-
-
-def _solver(name: str, pair=False):
-    """Memoized rewriting by EQUATIONS[name]: the rhs of the first whose
-    lhs matches the redex, or None.  A pair rule's solver matches two
-    leaves against each lhs's operands; spine scans repeat their pairs."""
-    table = [((lhs.l, lhs.r) if pair else (lhs,), rhs)
-             for lhs, rhs in EQUATIONS[name]]
-
-    @functools.lru_cache(maxsize=1 << 14)
-    def solve(*ts):
-        for pats, rhs in table:
-            env = {}
-            if all(map(match, pats, ts, itertools.repeat(env))):
-                return instantiate(rhs, env)
-        return None
-
-    return solve
-
-
-def _equation_rule(name: str) -> Rule:
-    """The node rule of EQUATIONS[name]; it ignores the depth."""
-    solve = _solver(name)
-    return Rule(name, type(EQUATIONS[name][0][0]), lambda t, depth: solve(t))
+# algebraic rules on relational terms
 
 
 def _r_ncomp_unit(t, depth):

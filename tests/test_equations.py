@@ -1,22 +1,42 @@
-"""Every equation of `heuristics.EQUATIONS` is a law of the matrix
-semantics, not only on the redexes the corpus reaches.
+"""Every equation of `heuristics.EQUATIONS` is a law, not only on the
+redexes the corpus reaches.
 
-Each pattern variable becomes a fresh relation constant, a `Phi`
+An FA equation or fact equivalence is checked in the matrix semantics:
+each pattern variable becomes a fresh relation constant, a `Phi`
 variable a fresh coreflexive, and both sides are evaluated on the pair
 closure of two atoms (38 elements) under seeded random
-interpretations: an equation between FA terms must give equal matrices,
-an equivalence between inclusions equal truth values.  A failure is a
-soundness bug in the rule that states the equation.  Near misses of
-the real equations fail the same check, so it is not vacuous; the
-residual near miss needs a few hundred interpretations to be refuted
-on every seed, hence INTERPRETATIONS.
+interpretations.  An equation between FA terms must give equal
+matrices, an equivalence between inclusions equal truth values.
+
+An RL equivalence is checked by truth table: each `RLFormula` variable
+is grounded to true or false in every way, and both sides must get one
+truth value from `oracle.eval_rl`.  The connectives are
+truth-functional, so this check is exhaustive, not sampled.
+
+A failure is a soundness bug in the rule that states the equation.
+Near misses of the real equations fail the same checks, so they are not
+vacuous; the residual near miss needs a few hundred interpretations to
+be refuted on every seed, hence INTERPRETATIONS.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
-from alloy2fa.heuristics import ALGEBRA_RULES, EQUATIONS, FACT_RULES
-from alloy2fa.oracle import eval_fa, pair_space, witness_rows
+from alloy2fa.heuristics import (
+    ALGEBRA_RULES,
+    EQUATIONS,
+    FACT_RULES,
+    LOGIC_RULES,
+)
+from alloy2fa.oracle import (
+    eval_fa,
+    eval_rl,
+    pair_space,
+    tuple_space,
+    witness_rows,
+)
 from alloy2fa.terms import (
     ID,
     TOP,
@@ -28,6 +48,13 @@ from alloy2fa.terms import (
     Ldiv,
     Meet,
     Phi,
+    RAnd,
+    RFALSE,
+    RImp,
+    RLFormula,
+    RNot,
+    ROr,
+    RTRUE,
     Rel,
     Var,
     fa_text,
@@ -43,14 +70,21 @@ ALL_ROWS = np.ones(SPACE.n, dtype=bool)
 # true, and the fact equivalences would compare false with false
 DENSITIES = (0.0, 0.002, 0.35, 0.998, 1.0)
 INTERPRETATIONS = 300
-HAND_RULES = {"rotation-cycle", "wide-composition-unit"}
+# the binder rules read widths, ranges and level uses; the two algebra
+# rules an n-ary relation's arity
+HAND_RULES = {"forall-absorb-implication", "forall-fuse", "exists-fuse",
+              "binder-trim", "rotation-cycle", "wide-composition-unit"}
 # the law pairs up two existential witnesses, so the sampled relations
 # keep their rows below the carrier's top layer, as in
 # test_oracle.py::TestAlgebraAxioms::test_fork_converse_law
 WITNESS_ROWS_ONLY = {"fork-converse-meet"}
 CASES = [(name, i, lhs, rhs) for name, eqs in EQUATIONS.items()
          for i, (lhs, rhs) in enumerate(eqs)]
+FA_CASES = [c for c in CASES if not isinstance(c[2], RLFormula)]
+RL_CASES = [c for c in CASES if isinstance(c[2], RLFormula)]
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
+F, G = Var("F", RLFormula), Var("G", RLFormula)
+TRUTH_SPACE = tuple_space(("a",), 1)
 
 
 def ground(lhs, rhs):
@@ -98,12 +132,31 @@ def holds(lhs, rhs, rows, seed: int) -> bool:
     return True
 
 
-@pytest.mark.parametrize("seed", range(len(CASES)),
-                         ids=["%s-%d" % c[:2] for c in CASES])
+def tautology(lhs, rhs) -> bool:
+    """Whether both sides of an RL equivalence get one truth value under
+    every grounding of their variables to true and false."""
+    variables = {v for side in (lhs, rhs) for v in subterms(side)
+                 if isinstance(v, Var)}
+    for values in itertools.product((RTRUE, RFALSE), repeat=len(variables)):
+        env = dict(zip(variables, values))
+        if (eval_rl(instantiate(lhs, env), TRUTH_SPACE, {})
+                != eval_rl(instantiate(rhs, env), TRUTH_SPACE, {})):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("seed", range(len(FA_CASES)),
+                         ids=["%s-%d" % c[:2] for c in FA_CASES])
 def test_equation_holds_on_random_interpretations(seed):
-    name, _, lhs, rhs = CASES[seed]
+    name, _, lhs, rhs = FA_CASES[seed]
     rows = witness_rows(SPACE) if name in WITNESS_ROWS_ONLY else ALL_ROWS
     assert holds(lhs, rhs, rows, seed)
+
+
+@pytest.mark.parametrize("lhs, rhs", [c[2:] for c in RL_CASES],
+                         ids=["%s-%d" % c[:2] for c in RL_CASES])
+def test_rl_equivalence_holds_on_every_truth_assignment(lhs, rhs):
+    assert tautology(lhs, rhs)
 
 
 def test_fork_converse_meet_fails_beyond_the_witness_rows():
@@ -116,9 +169,15 @@ def test_fork_converse_meet_fails_beyond_the_witness_rows():
     (Comp(Fork(TOP, ID), X), Fork(X, Comp(TOP, X))),
     (Meet(X, ID), X),
     (FactLe(X, Ldiv(Y, Z)), FactLe(Comp(X, Y), Z)),
-], ids=["converse-dropped", "fork-swapped", "kind-dropped", "comp-swapped"])
+    (ROr(RNot(F), G), RImp(G, F)),
+    (RNot(RAnd(F, G)), ROr(F, G)),
+], ids=["converse-dropped", "fork-swapped", "kind-dropped", "comp-swapped",
+        "implication-swapped", "de-morgan-unnegated"])
 def test_the_check_refutes_a_wrong_equation(lhs, rhs):
-    assert not holds(lhs, rhs, ALL_ROWS, 0)
+    if isinstance(lhs, RLFormula):
+        assert not tautology(lhs, rhs)
+    else:
+        assert not holds(lhs, rhs, ALL_ROWS, 0)
 
 
 @pytest.mark.parametrize("seed", range(len(CASES)),
@@ -141,7 +200,7 @@ def test_both_sides_render_with_their_variables(seed):
 
 
 def test_every_rule_but_the_hand_ones_is_in_the_table():
-    names = [r.name for r in ALGEBRA_RULES + FACT_RULES]
+    names = [r.name for r in LOGIC_RULES + ALGEBRA_RULES + FACT_RULES]
     assert HAND_RULES <= set(names)
     assert set(names) - HAND_RULES == set(EQUATIONS)
-    assert len(CASES) == 37
+    assert len(CASES) == 52 and len(RL_CASES) == 15

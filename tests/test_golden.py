@@ -12,9 +12,10 @@ and a sha256 over (rule, before, after) of every firing in order, each
 term by a digest of its class and fields. An engine optimization must
 keep both; the facts alone would not show a changed firing order.
 Its `algebra` entry pins the algebra and fact rules on seeded random
-terms, which reach the branches no corpus translation fires: the step
-count and a sha256 over the rule and the rendered result of every
-firing.
+terms, and its `logic` entry the logical rules on seeded random
+propositional formulas; both reach the branches no corpus translation
+fires. Each holds the step count and a sha256 over the rule and the
+rendered result of every firing.
 """
 
 import dataclasses
@@ -25,7 +26,7 @@ import random
 
 import pytest
 
-from alloy2fa.heuristics import ALGEBRA_RULES, FACT_RULES
+from alloy2fa.heuristics import ALGEBRA_RULES, FACT_RULES, LOGIC_RULES
 from alloy2fa.strategy import RunState, rewrite
 from alloy2fa.terms import (
     BOT,
@@ -37,7 +38,6 @@ from alloy2fa.terms import (
     Compl,
     Conv,
     FactLe,
-    FAFact,
     Fork,
     Interned,
     Join,
@@ -46,6 +46,13 @@ from alloy2fa.terms import (
     Node,
     Phi,
     Prod,
+    RAnd,
+    RApp,
+    RFALSE,
+    RImp,
+    RNot,
+    ROr,
+    RTRUE,
     Rel,
     fa_text,
     fact_text,
@@ -102,12 +109,15 @@ def trace_digest(steps) -> dict:
     return {"steps": len(steps), "sha256": h.hexdigest()}
 
 
+def recorded(key: str) -> dict:
+    with open(os.path.join(HERE, "data", "golden_traces.json")) as fh:
+        return json.load(fh)[key]
+
+
 @pytest.mark.parametrize("config", ["mech", "short"])
 def test_firings_match_the_recorded_digest(config, golden_runs):
-    with open(os.path.join(HERE, "data", "golden_traces.json")) as fh:
-        want = json.load(fh)[config]
     steps = [s for run in golden_runs[config] for s in run[3]]
-    assert trace_digest(steps) == want
+    assert trace_digest(steps) == recorded(config)
 
 
 LEAVES = (Rel("r"), Rel("s"), Phi("A"), ID, TOP, BOT, PI1, PI2)
@@ -115,12 +125,19 @@ OPERATORS = ((Conv, 1), (Compl, 1), (Join, 2), (Meet, 2), (Comp, 2),
              (Fork, 2), (Prod, 2), (Ldiv, 2))
 
 
-def random_term(rng, depth):
-    """A random FA term of depth at most `depth` over LEAVES."""
+RL_LEAVES = (RApp((1,), Rel("r"), (2,)), RApp((2,), Rel("s"), (1,)),
+             RTRUE, RFALSE)
+RL_OPERATORS = ((RNot, 1), (RAnd, 2), (ROr, 2), (RImp, 2))
+
+
+def random_term(rng, depth, leaves=LEAVES, operators=OPERATORS):
+    """A random term of depth at most `depth` over leaves and operators,
+    by default an FA term."""
     if depth == 0 or rng.random() < 0.25:
-        return rng.choice(LEAVES)
-    op, arity = rng.choice(OPERATORS)
-    return op(*[random_term(rng, depth - 1) for _ in range(arity)])
+        return rng.choice(leaves)
+    op, arity = rng.choice(operators)
+    return op(*[random_term(rng, depth - 1, leaves, operators)
+                for _ in range(arity)])
 
 
 def algebra_firings():
@@ -136,12 +153,28 @@ def algebra_firings():
     return state.trace
 
 
-def test_algebra_firings_match_the_recorded_digest():
-    with open(os.path.join(HERE, "data", "golden_traces.json")) as fh:
-        want = json.load(fh)["algebra"]
-    steps, h = algebra_firings(), hashlib.sha256()
+def logic_firings():
+    """Every firing that rewrites 3,000 random formulas of depth at most
+    4 to their fixpoints under LOGIC_RULES."""
+    rng, state = random.Random(0), RunState(budget=10 ** 6)
+    for _ in range(3000):
+        rewrite(random_term(rng, 4, RL_LEAVES, RL_OPERATORS),
+                (LOGIC_RULES,), state)
+    return state.trace
+
+
+def rendered_digest(steps) -> dict:
+    """The step count and a sha256 over each firing's rule and rendered
+    result."""
+    h = hashlib.sha256()
     for s in steps:
-        text = (fact_text if isinstance(s.after, FAFact) else fa_text)(
-            s.after)
-        h.update(("%s\n%s\n" % (s.rule, text)).encode())
-    assert {"steps": len(steps), "sha256": h.hexdigest()} == want
+        h.update(("%s\n%s\n" % (s.rule, fa_text(s.after))).encode())
+    return {"steps": len(steps), "sha256": h.hexdigest()}
+
+
+def test_algebra_firings_match_the_recorded_digest():
+    assert rendered_digest(algebra_firings()) == recorded("algebra")
+
+
+def test_logic_firings_match_the_recorded_digest():
+    assert rendered_digest(logic_firings()) == recorded("logic")

@@ -8,10 +8,8 @@ import pytest
 from alloy2fa.heuristics import (
     ALGEBRA_RULES,
     LOGIC_RULES,
-    _and_pair,
     _indexed,
     _leaves,
-    _or_pair,
     _rebuild,
     _scan,
     _solver,
@@ -182,9 +180,10 @@ class TestLatticeIndex:
     it is the scan's first pair, and fn is tried on it as the scan
     tries it."""
 
-    @pytest.mark.parametrize("fn, marks", [(_and_pair, (RTrue, RFalse)),
-                                           (_or_pair, (RFalse, RTrue))],
-                             ids=["conjunction", "disjunction"])
+    @pytest.mark.parametrize("fn, marks", [
+        (_solver("conjunction-pair", pair=True), (RTrue, RFalse)),
+        (_solver("disjunction-pair", pair=True), (RFalse, RTrue)),
+    ], ids=["conjunction", "disjunction"])
     def test_same_first_pair_and_calls_as_the_scan(self, fn, marks):
         rng = random.Random(repr(marks))
         # a prefix of the pool holds the units only when it is long
@@ -220,8 +219,10 @@ class TestPairScan:
     the engine's order that finds what the all-pairs scan found."""
 
     @pytest.mark.parametrize("name, kind, fn, bank, pool", [
-        ("conjunction-pair", RAnd, _and_pair, LOGIC_RULES, FORMULA_POOL),
-        ("disjunction-pair", ROr, _or_pair, LOGIC_RULES, FORMULA_POOL),
+        ("conjunction-pair", RAnd, _solver("conjunction-pair", pair=True),
+         LOGIC_RULES, FORMULA_POOL),
+        ("disjunction-pair", ROr, _solver("disjunction-pair", pair=True),
+         LOGIC_RULES, FORMULA_POOL),
         ("meet-pair", Meet, _solver("meet-pair", pair=True), ALGEBRA_RULES,
          TERM_POOL),
         ("join-pair", Join, _solver("join-pair", pair=True), ALGEBRA_RULES,
