@@ -46,6 +46,7 @@ from .pipeline import (
     _flat,
     _leaves,
     _rebuild,
+    _spine_memo,
     translate_form,
     translate_with_trace,
 )
@@ -56,6 +57,7 @@ from .terms import (
     PI1,
     PI2,
     TOP,
+    Bot,
     Comp,
     Compl,
     Conv,
@@ -83,6 +85,7 @@ from .terms import (
     Rot,
     RTRUE,
     RTrue,
+    Top,
     Var,
     instantiate,
     match,
@@ -93,25 +96,47 @@ from .terms import (
 # flattened spines: pair rules modulo associativity and commutativity
 
 
-def _pair_rule(name: str, kind, fn, marks=None) -> Rule:
-    """Try a binary identity on the leaf pairs of a flattened spine.
+def _pair_rule(name: str) -> Rule:
+    """The rule of EQUATIONS[name] on the leaf pairs of a flattened
+    spine of its left sides' kind.
 
-    The identity is tried on a pair (i, j), i < j, as fn(leaf i, leaf j)
-    and then fn(leaf j, leaf i), and the first success, in (i, j) order,
-    is merged into the spine's first place.  The rule relies on the
-    engine's leftmost-innermost order: by the time it sees a node, its
-    bank found no redex in either child, so no pair of leaves within one
-    side matches, and only the pairs that straddle `t.l` and `t.r` are
-    scanned.  Their first match is the first match of all pairs.
+    The rows' solver fn is tried on a pair (i, j), i < j, as
+    fn(leaf i, leaf j) and then fn(leaf j, leaf i), and the first
+    success, in (i, j) order, is merged into the spine's first place.
+    The rule relies on the engine's leftmost-innermost order: by the
+    time it sees a node, its bank found no redex in either child, so no
+    pair of leaves within one side matches, and only the pairs that
+    straddle `t.l` and `t.r` are tried.  Their first match is the first
+    match of all pairs.  A rule without links scans them (`_scan`).
 
-    With marks, fn solves a lattice rule's rows of EQUATIONS, its unit,
-    zero and idempotence, with the unit and zero the classes marks, and
-    the first straddling match is found through an index (`_indexed`)
-    instead of the scan.
+    A lattice rule's fn matches a pair exactly when the two leaves are
+    one interned term (idempotence) or their classes pair
+    (`_leaf_class`): a mark, the unit or zero, pairs with every class,
+    and each of the rule's `_LINKS` pairs two more.  Most nodes it is
+    offered hold no straddling match, and their sides' memoized keys
+    (`_keys`) say so at once: a side's set of leaves and mask of
+    classes.  The sides pair only if the two sets meet or the classes
+    that pair with the left side meet the right side's; both are tests
+    in C.  Only when they do does `_indexed` look up the scan's first
+    pair.  The sets and masks answer yes or no and nothing iterates
+    them, so hash order cannot reach a result or a trace.
     """
-    find = _scan if marks is None else functools.partial(_indexed, marks)
+    kind, fn = type(EQUATIONS[name][0][0]), _solver(name, pair=True)
+    links, find = _LINKS.get(name), _scan
+    if links is not None:
+        partners = _partners(links)
+        # the mask of the classes that pair with a side's mask of classes
+        pairing = [sum({1 << p for c in _CLASSES if m >> c & 1
+                        for p in partners[c]})
+                   for m in range(1 << len(_CLASSES))]
+        find = functools.partial(_indexed, partners)
 
     def go(t, depth):
+        if links is not None:
+            left, ml = _keys(kind, t.l)
+            right, mr = _keys(kind, t.r)
+            if not pairing[ml] & mr and left.isdisjoint(right):
+                return None
         left, right = _leaves(kind, t.l), _leaves(kind, t.r)
         hit = find(fn, left, right)
         if hit is None:
@@ -137,16 +162,58 @@ def _scan(fn, left, right):
     return None
 
 
-def _indexed(marks, fn, left, right):
-    """`_scan` for a solver fn of a lattice rule's unit, zero and
-    idempotence rows, whose unit and zero are the classes marks, in
-    O(|left| + |right|): such an fn matches a pair exactly when one leaf
-    is a mark or the two are one interned term."""
+# The classes of spine leaves that the lattice rules' rows tell apart:
+# the unit and zero literals (marks), a signature's coreflexive, id, and
+# the pi1~ and pi2~ heads of meet-pair's fork row.
+_CLASSES = range(6)
+_PLAIN, _MARK, _PHI, _ID, _PI1, _PI2 = _CLASSES
+_CLASS_OF = {RTrue: _MARK, RFalse: _MARK, Top: _MARK, Bot: _MARK,
+             Phi: _PHI, Id: _ID}
+_HEADS = {Conv(PI1): _PI1, Conv(PI2): _PI2}
+
+
+def _leaf_class(x) -> int:
+    if type(x) is Comp:
+        return _HEADS.get(x.l, _PLAIN)
+    return _CLASS_OF.get(type(x), _PLAIN)
+
+
+# the links of each lattice rule, the class pairs its rows match besides
+# idempotence and the marks
+_LINKS = {"conjunction-pair": (), "disjunction-pair": (), "join-pair": (),
+          "meet-pair": ((_PHI, _ID), (_PI1, _PI2))}
+
+
+def _partners(links) -> tuple:
+    """The classes each class pairs with: a mark with every class, and
+    the two classes of each link with each other."""
+    out = [{_MARK} for _ in _CLASSES]
+    out[_MARK] = set(_CLASSES)
+    for a, b in links:
+        out[a].add(b)
+        out[b].add(a)
+    return tuple(tuple(sorted(p)) for p in out)
+
+
+# (the set of a spine's leaves, the mask of their classes)
+_keys = _spine_memo(lambda x: (frozenset((x,)), 1 << _leaf_class(x)),
+                    lambda a, b: (a[0] | b[0], a[1] | b[1]))
+
+
+def _indexed(partners, fn, left, right):
+    """`_scan` for a solver fn that matches a pair exactly when the two
+    leaves are one interned term or their classes pair (partners[c] are
+    the classes that pair with class c), in O(|left| + |right|): each
+    left leaf looks up the first right leaf that is itself or of a class
+    it pairs with.  fn is tried on that pair as the scan tries it."""
     n = len(right)
     first = {b: j for j, b in reversed(tuple(enumerate(right)))}
-    mark = next((j for j, b in enumerate(right) if isinstance(b, marks)), n)
+    first_of = {}
+    for j, b in enumerate(right):
+        first_of.setdefault(_leaf_class(b), j)
     for i, a in enumerate(left):
-        j = 0 if isinstance(a, marks) else min(mark, first.get(a, n))
+        j = min(first.get(a, n), *[first_of.get(c, n)
+                                   for c in partners[_leaf_class(a)]])
         if j < n:
             return i, j, _scan(fn, (a,), (right[j],))[2]
     return None
@@ -302,18 +369,15 @@ def _r_binder_trim(t, depth):
 
 
 LOGIC_RULES = [
-    _pair_rule("conjunction-pair", RAnd,
-               _solver("conjunction-pair", pair=True), (RTrue, RFalse)),
-    _pair_rule("disjunction-pair", ROr,
-               _solver("disjunction-pair", pair=True), (RFalse, RTrue)),
+    _pair_rule("conjunction-pair"),
+    _pair_rule("disjunction-pair"),
     _equation_rule("double-negation"),
     _equation_rule("negated-literal"),
     _equation_rule("negation-over-and"),
     _equation_rule("negation-over-or"),
     _equation_rule("implication-literal"),
     _equation_rule("implication-curry"),
-    _pair_rule("negation-to-implication", ROr,
-               _solver("negation-to-implication", pair=True)),
+    _pair_rule("negation-to-implication"),
     Rule("forall-absorb-implication", RAll, _r_all_absorb_imp),
     Rule("forall-fuse", RAll, _r_all_fuse),
     Rule("exists-fuse", REx, _r_ex_fuse),
@@ -339,8 +403,8 @@ def _r_rot_cycle(t, depth):
 
 
 ALGEBRA_RULES = [
-    _pair_rule("meet-pair", Meet, _solver("meet-pair", pair=True)),
-    _pair_rule("join-pair", Join, _solver("join-pair", pair=True)),
+    _pair_rule("meet-pair"),
+    _pair_rule("join-pair"),
     _equation_rule("converse-collapse"),
     _equation_rule("converse-distribute"),
     _equation_rule("complement-collapse"),

@@ -425,23 +425,28 @@ def eval_fa(e: FAExpr, space: Space, interp: dict):
 
 @functools.lru_cache(maxsize=1 << 12)
 def _post_order(root):
-    """(node, operands, constant?, dead) of each distinct node under
-    root's unfolding, after its operands, left first (`terms.fold`), the
+    """(order, width, relations) of a term, from one walk of its
+    unfolding. order holds (node, operands, constant?, dead) of each
+    distinct node, after its operands, left first (`terms.fold`), the
     unfolded root last. Constant nodes have no relation or signature
     under them; dead lists the operands, not constant, that no later
-    node reads."""
-    order, const = [], {}
+    node reads. width is `infer_width(root)`, and relations are the
+    names of the relations root mentions: unfolding keeps both."""
+    order, const, widths = [], {}, {}
 
     def node(e, ops):
         const[e] = not isinstance(e, (Rel, Phi)) and all(map(const.get, ops))
+        widths[e] = _widths(e, [widths[c] for c in ops])
         order.append((e, tuple(ops), const[e]))
         return e
 
     fold(unfold(root), node)
     last = {c: e for e, ops, _ in order for c in ops}
-    return tuple((e, ops, k, tuple(c for c in ops
-                                   if last[c] is e and not const[c]))
-                 for e, ops, k in order)
+    return (tuple((e, ops, k, tuple(c for c in ops
+                                    if last[c] is e and not const[c]))
+                  for e, ops, k in order),
+            widths[order[-1][0]][0],
+            frozenset(e.name for e, _, _ in order if isinstance(e, Rel)))
 
 
 def _value(root, space, interp, cache):
@@ -452,7 +457,7 @@ def _value(root, space, interp, cache):
     constant?) for this batch, space.cache a constant node for every
     model; a value below the root leaves cache after its last use.
     """
-    order = _post_order(root)
+    order = _post_order(root)[0]
     root = order[-1][0]  # unfolded
     hit = cache.get(root) or space.cache.get(root)
     if hit is not None:
@@ -755,6 +760,14 @@ def mentioned_rels(x) -> set:
     return {t.name for t in subterms(x) if isinstance(t, (ARel, Rel))}
 
 
+def _fact_prelude(fact):
+    """(width, relation names) of a fact: max(its stamp, `infer_width`)
+    and `mentioned_rels`, read off the post-orders of its sides, which
+    its evaluation walks anyway."""
+    (_, wl, rl), (_, wr, rr) = _post_order(fact.lhs), _post_order(fact.rhs)
+    return max(fact.width, 1, wl, wr), rl | rr
+
+
 def _source_truth(source, models, space, interps, batch, cache):
     """Truth of the source on each model of a batch over one carrier."""
     if isinstance(source, AlloyForm):
@@ -821,10 +834,13 @@ def check_equiv(source, fact: FAFact, vocab: Vocab, bound=3,
     The source may be a core Alloy formula, an RL formula (quantifiers
     ranging over the same bounded carrier the fact uses) or another fact.
     """
-    names = mentioned_rels(source) | mentioned_rels(fact)
+    w, names = _fact_prelude(fact)
+    if isinstance(source, FAFact):
+        ws, more = _fact_prelude(source)
+        w, names = max(w, ws), names | more
+    else:
+        names = names | mentioned_rels(source)
     rel_names = sorted(n for n in names if n in vocab.rels)
-    w = max(max(x.width, infer_width(x)) for x in (source, fact)
-            if isinstance(x, FAFact))
     for r in rel_names:
         w = max(w, len(vocab.rels[r]) - 1)
     sizes = list(range(0 if include_empty else 1, bound + 1))

@@ -327,19 +327,50 @@ def _plain(app: RApp) -> bool:
     return len(app.lhs) == 1 and MARK_X not in items and MARK_Y not in items
 
 
-@functools.lru_cache(maxsize=1 << 14)
-def _leaves(kind, t) -> tuple:
-    """The leaves of t's spine of kind nodes, left to right, memoized per
-    interned spine: every rule that reads a spine flattens it again."""
-    out, todo = [], [t]
-    while todo:
-        cur = todo.pop()
-        if isinstance(cur, kind):
-            todo.append(cur.r)
-            todo.append(cur.l)
-        else:
-            out.append(cur)
-    return tuple(out)
+def _spine_memo(leaf, join, cap=1 << 12):
+    """value(kind, t): leaf(t) when t is not a kind node, else
+    join(value of t.l, value of t.r), memoized per interned spine node.
+
+    A rebuilt spine node is joined from its children's values, which
+    the engine's leftmost-innermost order has usually memoized already,
+    so a firing costs the joins of the nodes it rebuilt, not a walk of
+    the whole spine.  The children not yet memoized are folded by an
+    explicit stack, so no spine is too deep.  The memo, value.memo, is
+    keyed by the node itself, whose class is its spine's kind, and it
+    holds at most cap entries: it is emptied when full.
+    """
+    memo = {}
+
+    def value(kind, t):
+        if not isinstance(t, kind):
+            return leaf(t)
+        v = memo.get(t)
+        if v is not None:
+            return v
+        new, todo = {}, [t]
+        while todo:
+            x = todo[-1]
+            kids = [c for c in (x.l, x.r) if isinstance(c, kind)
+                    and c not in memo and c not in new]
+            if kids:
+                todo += kids
+                continue
+            todo.pop()
+            new[x] = join(*[new.get(c) or memo[c] if isinstance(c, kind)
+                            else leaf(c) for c in (x.l, x.r)])
+        for x, v in new.items():
+            if len(memo) >= cap:
+                memo.clear()
+            memo[x] = v
+        return new[t]
+
+    value.memo, value.cap = memo, cap
+    return value
+
+
+# _leaves(kind, t): the leaves of t's spine of kind nodes, left to right;
+# the definition and pair rules flatten each spine they read
+_leaves = _spine_memo(lambda x: (x,), tuple.__add__)
 
 
 def _rebuild(kind, leaves: list):

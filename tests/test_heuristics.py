@@ -1,6 +1,7 @@
-"""Shortcut translator: oracle certificates, the frame-free readings and
-the pair rules' scan."""
+"""Shortcut translator: oracle certificates, the frame-free readings, and
+the pair rules' scan, index and memoized spine leaves and keys."""
 
+import functools
 import random
 
 import pytest
@@ -8,14 +9,19 @@ import pytest
 from alloy2fa.heuristics import (
     ALGEBRA_RULES,
     LOGIC_RULES,
+    _LINKS,
     _indexed,
+    _keys,
+    _leaf_class,
     _leaves,
+    _partners,
     _rebuild,
     _scan,
     _solver,
     drop_vars,
     translate_h_with_trace,
 )
+from alloy2fa.pipeline import _spine_memo
 from alloy2fa.oracle import SigInfo, Vocab, check_equiv, gen_vocab
 from alloy2fa.strategy import Rule, RunState, rewrite
 from alloy2fa.terms import (
@@ -28,6 +34,7 @@ from alloy2fa.terms import (
     Conv,
     FactEq,
     FactLe,
+    Fork,
     Join,
     Meet,
     Phi,
@@ -140,12 +147,25 @@ class TestTranslate:
             == "PASS"
 
 
+def flatten(kind, t) -> tuple:
+    """The leaves of t's spine of kind nodes, left to right, by a plain
+    walk: the reference for the memoized spine values."""
+    out, todo = [], [t]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, kind):
+            todo += [x.r, x.l]
+        else:
+            out.append(x)
+    return tuple(out)
+
+
 def all_pairs_rule(name, kind, fn):
     """The pair rule as it was: every leaf pair of the spine, in (i, j)
     order, each tried both ways round."""
 
     def go(t, ctx):
-        leaves = _leaves(kind, t)
+        leaves = flatten(kind, t)
         for i in range(len(leaves)):
             for j in range(i + 1, len(leaves)):
                 for a, b in ((leaves[i], leaves[j]), (leaves[j], leaves[i])):
@@ -172,28 +192,47 @@ def random_spine(rng, kind, pool, n):
 FORMULA_POOL = [app(1, R, 1), app(1, S, 1), app(1, R, 2), RTrue(), RFalse()]
 TERM_POOL = [R, S, Conv(R), TOP, BOT, ID, Phi("A"), Comp(Conv(PI1), R),
              Comp(Conv(PI2), S)]
+# every leaf class of the index, the marks last, so that a short prefix
+# of a pool holds none of them
+INDEX_POOLS = {
+    "formula": [app(1, R, 1), app(1, S, 1), app(1, R, 2), app(2, S, 1),
+                app(1, R, 3), RNot(app(1, R, 1)), RTrue(), RFalse()],
+    "term": [R, S, Conv(R), Comp(R, S), Conv(PI1), Phi("A"),
+             Comp(Conv(PI1), R), ID, Phi("B"), Comp(Conv(PI2), S),
+             Comp(Conv(PI1), S), TOP, BOT],
+}
+PLAIN = {"formula": [app(1, Rel("p%d" % i), 2) for i in range(80)],
+         "term": [Rel("p%d" % i) for i in range(80)]}
+LATTICE_RULES = [("conjunction-pair", RAnd, "formula"),
+                 ("disjunction-pair", ROr, "formula"),
+                 ("meet-pair", Meet, "term"), ("join-pair", Join, "term")]
+RULES = {r.name: r for r in LOGIC_RULES + ALGEBRA_RULES}
 
 
 class TestLatticeIndex:
-    """The lattice rules find their first straddling pair through an
-    index; on any two sides, with or without matches within one side,
-    it is the scan's first pair, and fn is tried on it as the scan
-    tries it."""
+    """The lattice rules answer most nodes from their sides' key sets and
+    find their first straddling pair through an index; on any two sides,
+    with or without matches within one side, that is the scan's first
+    pair, fn is tried on it as the scan tries it, and the rule rewrites
+    the node as the scan would."""
 
-    @pytest.mark.parametrize("fn, marks", [
-        (_solver("conjunction-pair", pair=True), (RTrue, RFalse)),
-        (_solver("disjunction-pair", pair=True), (RFalse, RTrue)),
-    ], ids=["conjunction", "disjunction"])
-    def test_same_first_pair_and_calls_as_the_scan(self, fn, marks):
-        rng = random.Random(repr(marks))
-        # a prefix of the pool holds the units only when it is long
-        pool = [app(1, R, 1), app(1, S, 1), app(1, R, 2), app(2, S, 1),
-                app(1, R, 3), RNot(app(1, R, 1)), RTrue(), RFalse()]
+    @pytest.mark.parametrize("name, kind, pool", LATTICE_RULES,
+                             ids=["conjunction", "disjunction", "meet",
+                                  "join"])
+    def test_same_first_pair_and_calls_as_the_scan(self, name, kind, pool):
+        fn, partners = _solver(name, pair=True), _partners(_LINKS[name])
+        pool, plain = INDEX_POOLS[pool], PLAIN[pool]
+        rng = random.Random(name)
         hits = misses = 0
-        for _ in range(400):
-            left, right = ([rng.choice(pool[:rng.randint(1, len(pool))])
-                            for _ in range(rng.randint(1, 6))]
-                           for _ in range(2))
+        for _ in range(600):
+            # sides of up to 40 leaves: distinct plain leaves, a share of
+            # them replaced by leaves of a prefix of the pool
+            size, share = rng.choice((6, 6, 40)), rng.random()
+            base = pool[:rng.randint(1, len(pool))]
+            n = rng.randint(1, size)
+            leaves = [rng.choice(base) if rng.random() < share else x
+                      for x in rng.sample(plain, n + rng.randint(1, size))]
+            left, right = leaves[:n], leaves[n:]
             calls = {"scan": [], "index": []}
 
             def logged(key):
@@ -203,15 +242,95 @@ class TestLatticeIndex:
                 return pair
 
             want = _scan(logged("scan"), left, right)
-            got = _indexed(marks, logged("index"), left, right)
+            got = _indexed(partners, logged("index"), left, right)
             assert got == want
             tried = calls["index"]
             assert len(tried) == (0 if want is None else
                                   1 if len(calls["scan"]) % 2 else 2)
             assert tried == calls["scan"][len(calls["scan"]) - len(tried):]
+            t = kind(_rebuild(kind, left), _rebuild(kind, right))
+            assert RULES[name].fn(t, 0) == (None if want is None else
+                                            _rebuild(kind, [
+                                                want[2],
+                                                *left[:want[0]],
+                                                *left[want[0] + 1:],
+                                                *right[:want[1]],
+                                                *right[want[1] + 1:]]))
             hits += want is not None
             misses += want is None
-        assert hits > 100 and misses > 50
+        assert hits > 150 and misses > 100
+
+    def test_every_row_class_pairs(self):
+        # each kind of row fires through the index: unit, zero,
+        # idempotence, Phi & id and the fork row
+        meet = _solver("meet-pair", pair=True)
+        find = functools.partial(_indexed, _partners(_LINKS["meet-pair"]))
+        fork = Comp(Conv(PI1), R), Comp(Conv(PI2), S)
+        for left, right, res in [
+                ((R, S), (Conv(R), TOP), R), ((R, BOT), (S,), BOT),
+                ((R, S), (Conv(R), S), S), ((R, Phi("A")), (S, ID), Phi("A")),
+                ((ID,), (Phi("A"),), Phi("A")), (fork[:1], fork[1:],
+                                                  Fork(R, S)),
+                (fork[1:], fork[:1], Fork(R, S))]:
+            assert find(meet, left, right)[2] == res
+        join = functools.partial(_indexed, _partners(_LINKS["join-pair"]))
+        solve = _solver("join-pair", pair=True)
+        assert join(solve, (R, S), (BOT,)) == (0, 0, R)
+        assert join(solve, (R, S), (Conv(R), TOP)) == (0, 1, TOP)
+        assert join(solve, (Phi("A"),), (ID,)) is None
+        assert join(solve, fork[:1], fork[1:]) is None
+
+
+class TestSpineMemo:
+    """A spine node's leaves and keys are joined from its children's
+    memoized values; they must equal a plain flattening."""
+
+    @pytest.mark.parametrize("name, kind, pool", LATTICE_RULES,
+                             ids=["conjunction", "disjunction", "meet",
+                                  "join"])
+    def test_rebuilt_spines_match_a_plain_flattening(self, name, kind,
+                                                     pool):
+        rng = random.Random("memo " + name)
+        pool = INDEX_POOLS[pool]
+        for _ in range(150):
+            t = random_spine(rng, kind, pool, rng.randint(2, 30))
+            for _ in range(3):
+                want = flatten(kind, t)
+                assert _leaves(kind, t) == want
+                assert _keys(kind, t) == (frozenset(want), sum(
+                    {1 << _leaf_class(x) for x in want}))
+                # rebuild the path to a random leaf, as a firing does
+                t = replace_leaf(rng, kind, t, rng.choice(pool))
+        assert len(_leaves.memo) <= _leaves.cap
+        assert len(_keys.memo) <= _keys.cap
+
+    def test_a_deep_spine_flattens(self):
+        leaves = [app(1, Rel("deep%d" % i), 2) for i in range(2000)]
+        assert _leaves(RAnd, _rebuild(RAnd, leaves)) == tuple(leaves)
+        # every node of the fresh spine was memoized with its leaves, 2
+        # million in all; they need not stay for the tests that follow
+        _leaves.memo.clear()
+
+    def test_the_memo_holds_at_most_its_cap(self):
+        value = _spine_memo(lambda x: (x,), tuple.__add__, cap=8)
+        rng = random.Random(3)
+        for _ in range(200):
+            t = random_spine(rng, Meet, TERM_POOL, rng.randint(2, 12))
+            assert value(Meet, t) == flatten(Meet, t)
+            assert len(value.memo) <= 8
+
+
+def replace_leaf(rng, kind, t, leaf):
+    """t with one random leaf of its spine replaced by leaf; the nodes on
+    the path to it are new, the rest are t's."""
+    path = []
+    while isinstance(t, kind):
+        side = rng.choice("lr")
+        path.append((t, side))
+        t = getattr(t, side)
+    for node, side in reversed(path):
+        leaf = kind(leaf, node.r) if side == "l" else kind(node.l, leaf)
+    return leaf
 
 
 class TestPairScan:
@@ -235,9 +354,16 @@ class TestPairScan:
         assert ref_bank != bank
         rng = random.Random(name)
         fired = 0
-        for n in range(3, 9):
-            for _ in range(40):
-                t = random_spine(rng, kind, rng.sample(pool, 4), n)
+        # short spines of four leaves, then long ones of mostly distinct
+        # leaves, where nearly every node the rule is offered holds no
+        # match
+        plain = PLAIN["formula" if kind in (RAnd, ROr) else "term"]
+        for n in (*range(3, 9), 20, 40):
+            for _ in range(40 if n < 9 else 6):
+                leaves = rng.sample(pool, 4) if n < 9 else (
+                    rng.sample(plain, n - 4) + rng.sample(pool, 4))
+                t = random_spine(rng, kind, leaves, n) if n < 9 else \
+                    shuffled_spine(rng, kind, leaves)
                 got, want = RunState(), RunState()
                 assert rewrite(t, (bank,), got) == rewrite(t, (ref_bank,),
                                                            want)
@@ -245,3 +371,13 @@ class TestPairScan:
                     (s.rule, s.after) for s in want.trace]
                 fired += sum(s.rule == name for s in got.trace)
         assert fired > 200
+
+
+def shuffled_spine(rng, kind, leaves):
+    """A randomly bracketed spine of the leaves, each once, in a random
+    order."""
+    leaves = rng.sample(leaves, len(leaves))
+    while len(leaves) > 1:
+        i = rng.randrange(len(leaves) - 1)
+        leaves[i:i + 2] = [kind(leaves[i], leaves[i + 1])]
+    return leaves[0]

@@ -32,6 +32,7 @@ from alloy2fa.oracle import (
     fact_holds, gen_formula, gen_vocab, get_tuple_space, infer_width,
     interp_from_model, iter_models, iter_orbits, mentioned_rels,
     model_count, nest, pair_space, sample_model, tuple_space,
+    _fact_prelude,
 )
 
 
@@ -784,6 +785,13 @@ class TestFactEvaluation:
         sigma = Fork(projX(3, 1), Fork(projX(3, 2), projX(3, 3)))
         assert infer_width(sigma) == 3
         assert infer_width(cut(4)) == 4
+        # check_equiv reads a fact's width and relations off the
+        # evaluator's post-orders of its sides
+        for fact in (FactLe(TOP, Comp(TOP, Rel("t", 3))),
+                     FactEq(rotate(Rel("t", 3), 3), sigma),
+                     FactLe(ncomp(Rel("t", 3), Rel("u", 3), 3), cut(4))):
+            assert _fact_prelude(fact) == (infer_width(fact),
+                                           mentioned_rels(fact))
 
     def test_golden_facts_keep_the_tree_walk_results(self,
                                                      golden_translations):
@@ -817,6 +825,9 @@ class TestFactEvaluation:
                     tree_width(unfold(fact.rhs))), (config, key)
                 assert mentioned_rels(fact) == tree_rels(fact), (config, key)
                 assert mentioned_rels(form) == tree_rels(form), (config, key)
+                assert _fact_prelude(fact) == (
+                    max(fact.width, infer_width(fact)),
+                    mentioned_rels(fact)), (config, key)
 
     def test_explicit_width_wins_when_larger(self):
         m = FiniteModel(("a",), {}, {"r": frozenset({("a", "a")})})
