@@ -790,8 +790,11 @@ def check_arities(model: AlloyModel) -> AlloyModel:
             raise ArityError("cannot type an uninlined predicate call %r%s"
                              % (f.name, at_pos(f)))
 
+    def walk(f):  # into formulas only: check reads each expression whole
+        return fold(f, check, lambda x: isinstance(x, AlloyForm))
+
     for f in list(model.facts) + [a.form for a in model.asserts]:
-        _guarded(lambda g: fold(g, check), f, ArityError)
+        _guarded(walk, f, ArityError)
     return model
 
 

@@ -81,7 +81,8 @@ class TranslateError(Exception):
 def nesting(f: RLFormula) -> int:
     """Largest number of levels simultaneously in scope anywhere in f."""
     return fold(f, lambda x, v: max(v, default=0) + (
-        x.width if isinstance(x, (RAll, REx)) else 0))
+        x.width if isinstance(x, (RAll, REx)) else 0),
+        lambda x: not isinstance(x, RApp))
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 Core Alloy expressions and formulas come out of the frontend, relational
 logic (RL) is the intermediate quantified form, and FA terms are the
 variable-free fork-algebra output.  Every node class derives from
-`Node`, which makes it a frozen dataclass and records its child slots.
-FA terms and RL formulas derive from `Interned`, which adds identity
-equality: they are hash-consed, built once per field tuple.
+`Node`, which gives every class one constructor, equality, hash, repr
+and immutability, read off the field layout it records per class; a
+class is a dataclass only for that layout.  FA terms and RL formulas
+derive from `Interned`, which makes equality identity: they are
+hash-consed, built once per field tuple.
 
 Conventions that the whole pipeline relies on:
 
@@ -47,26 +49,109 @@ _CHILDREN = frozenset({"Tuple[AlloyExpr, ...]"})
 
 
 class Node:
-    """Base of every term class.
+    """Base of every term class, and the one place that defines a node's
+    constructor, equality, hash, repr and immutability.
 
-    Each subclass becomes a frozen dataclass with the dataclass options
-    of its class statement and its bases (`class C(Node, eq=False)`),
-    and records `_slots`: (field name, holds a tuple) per child slot;
-    `_kids`: the names of the slots that hold one subterm, the ones the
-    rewrite engine reads (no term it rewrites has a tuple slot); and
-    `_fields`: every field name, in order.
+    A subclass is a dataclass only for its field layout (`dataclasses.
+    fields` and `replace` work).  Node's methods read what
+    `__init_subclass__` records: `_fields` in order; `_init`, the
+    constructor's order (keyword-only last), `_npos`, `_kw_only` and
+    `_defaults`; `_compare` and `_repr`, the fields equality and repr
+    read, and `_data`, the compared ones that hold no subterm; `_slots`,
+    (name, holds a tuple) per child slot; and `_kids`, the slots of one
+    subterm, which the rewrite engine reads.  Equality, hash and repr
+    walk by explicit stacks, so no term is too deep for them.
     """
 
-    _options: dict = {}
-
-    def __init_subclass__(cls, **options):
-        cls._options = {**cls._options, **options}
-        dataclass(cls, frozen=True, **cls._options)
-        cls._fields = tuple(f.name for f in dataclasses.fields(cls))
+    def __init_subclass__(cls):
+        cls.__doc__ = cls.__doc__ or cls.__name__  # no inspect.signature
+        fs = dataclasses.fields(dataclass(cls, init=False, repr=False,
+                                          eq=False))
+        init = sorted(fs, key=lambda f: f.kw_only)
+        cls._fields = tuple(f.name for f in fs)
+        cls._init = tuple(f.name for f in init)
+        cls._kw_only = frozenset(f.name for f in fs if f.kw_only)
+        cls._npos = len(fs) - len(cls._kw_only)
+        cls._defaults = tuple(f.default for f in init)
+        cls._compare = tuple(f.name for f in fs if f.compare)
+        cls._repr = tuple(f.name for f in fs if f.repr)
         cls._slots = tuple(
-            (f.name, f.type in _CHILDREN) for f in dataclasses.fields(cls)
+            (f.name, f.type in _CHILDREN) for f in fs
             if f.type in _CHILD or f.type in _CHILDREN)
         cls._kids = tuple(name for name, many in cls._slots if not many)
+        cls._data = tuple(n for n in cls._compare
+                          if n not in dict(cls._slots))
+
+    def __init__(self, *args, **kw):
+        # a keyword-only field left out reads its default off the class;
+        # object.__setattr__, not __dict__, keeps the values inline, where
+        # attribute reads are fastest
+        cls = type(self)
+        if len(args) != cls._npos or not cls._kw_only.issuperset(kw):
+            args, kw = _bind(cls, args, kw), {}
+        for name, v in zip(cls._init, args):
+            object.__setattr__(self, name, v)
+        for name, v in kw.items():
+            object.__setattr__(self, name, v)
+
+    def __setattr__(self, name, *value):
+        raise dataclasses.FrozenInstanceError("cannot change field %r"
+                                              % name)
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if type(a) is type(b) and _structural(a):
+                todo += [(getattr(a, n), getattr(b, n)) for n in a._compare]
+            elif a != b:
+                return False
+        return True
+
+    def __hash__(self):
+        return fold(self, _hash, _structural)
+
+    def __repr__(self):
+        # a stack of text and nodes: any other field value is repr'd as
+        # it is pushed, so a str on the stack is text
+        out, todo = [], [self]
+        while todo:
+            x = todo.pop()
+            if type(x) is str:
+                out.append(x)
+                continue
+            parts = [type(x).__qualname__ + "("]
+            for i, n in enumerate(x._repr):
+                v = getattr(x, n)
+                parts += [", " * (i > 0) + n + "=",
+                          v if isinstance(v, Node) else repr(v)]
+            todo += reversed(parts + [")"])
+        return "".join(out)
+
+
+def _bind(cls, args, kw):
+    """The field values, in `_init` order, of cls(*args, **kw)."""
+    n = len(args)
+    rest = tuple(map(kw.pop, cls._init[n:], cls._defaults[n:]))
+    if kw or n > cls._npos or any(v is dataclasses.MISSING for v in rest):
+        raise TypeError("bad fields for %s" % cls.__name__)
+    return args + rest
+
+
+def _structural(x):
+    """Whether x compares and hashes by its fields: a node not interned."""
+    return isinstance(x, Node) and not isinstance(x, Interned)
+
+
+def _hash(x, v):
+    return hash(x) if isinstance(x, Interned) else hash(
+        (*[getattr(x, n) for n in x._data], *v))
 
 
 def children(t):
@@ -84,12 +169,13 @@ def children(t):
             yield name, v
 
 
-def fold(t, node):
+def fold(t, node, enter=None):
     """The value of t, where the value of a node x is node(x, the values
     of x's children in `children` order).  Children come first, by an
     explicit stack that no depth overflows.  An interned node is folded
     once per call however often t shares it; a node of the other term
-    languages once per occurrence."""
+    languages once per occurrence.  A node that enter(x) refuses is a
+    leaf: its value is node(x, [])."""
     memo, vals, todo = {}, [], [t]
     while todo:
         x = todo.pop()
@@ -103,7 +189,7 @@ def fold(t, node):
             continue
         else:
             kids = []  # children(x), inlined on the hot path of every walk
-            for name, many in x._slots:
+            for name, many in x._slots if enter is None or enter(x) else ():
                 c = getattr(x, name)
                 if many:
                     kids += c
@@ -174,22 +260,21 @@ def with_child(t, name, v):
 _INTERNED: dict = {}
 
 
-class Interned(Node, eq=False, init=False):
+class Interned(Node):
     """Base of the hash-consed term classes: equality and hash are
     identity, and the constructor returns the one term with its fields;
     `__post_init__` checks a new term first."""
 
+    __init__, __eq__, __hash__ = object.__init__, object.__eq__, \
+        object.__hash__
+
     def __new__(cls, *args, **kw):
-        fields = cls.__dataclass_fields__
-        if kw or len(args) != len(fields):
-            rest = list(fields.values())[len(args):]
-            args += tuple(kw.pop(f.name, f.default) for f in rest)
-            if kw or len(args) != len(fields) or dataclasses.MISSING in args:
-                raise TypeError("bad fields for %s" % cls.__name__)
+        if kw or len(args) != cls._npos:  # no field is keyword-only
+            args = _bind(cls, args, kw)
         t = _INTERNED.get((cls, *args))
         if t is None:
             t = object.__new__(cls)
-            for name, v in zip(fields, args):
+            for name, v in zip(cls._init, args):
                 object.__setattr__(t, name, v)
             if hasattr(t, "__post_init__"):
                 t.__post_init__()
@@ -199,8 +284,7 @@ class Interned(Node, eq=False, init=False):
     def __reduce__(self):
         # rebuild through the constructor, so a copy or an unpickled term
         # is interned again and is the one object with its fields
-        return type(self), tuple(getattr(self, f)
-                                 for f in self.__dataclass_fields__)
+        return type(self), tuple(getattr(self, f) for f in self._init)
 
 
 class FAExpr(Interned):
@@ -332,8 +416,8 @@ def match(p, t, env: dict) -> bool:
                 and env.setdefault(p, t) is t)
     if not isinstance(p, Node):
         return p == t
-    for name, f in p.__dataclass_fields__.items():
-        if f.compare and not match(getattr(p, name), getattr(t, name), env):
+    for name in p._compare:
+        if not match(getattr(p, name), getattr(t, name), env):
             return False
     return True
 
@@ -346,7 +430,7 @@ def instantiate(p, env: dict):
     if not isinstance(p, Node):
         return p
     return type(p)(*[instantiate(getattr(p, name), env)
-                     for name in p.__dataclass_fields__])
+                     for name in p._init])
 
 
 def projX(n: int, i: int) -> FAExpr:

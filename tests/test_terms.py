@@ -318,12 +318,46 @@ def names_node(hint) -> bool:
 
 
 class TestNodeModel:
+    # a value for each field annotation, to build an instance of any class
+    SAMPLES = {"FAExpr": Rel("r"), "RLFormula": RTrue(),
+               "Optional[RLFormula]": RTrue(), "AlloyExpr": ASig("A"),
+               "AlloyForm": FSome(ASig("A")),
+               "Tuple[AlloyExpr, ...]": (ASig("A"),), "str": "a", "int": 2,
+               "tuple": (1,), "type": terms.FAExpr}
+    METHODS = {"__init__", "__eq__", "__hash__", "__repr__", "__setattr__",
+               "__delattr__"}
+
     def test_every_node_class_is_a_frozen_dataclass(self):
+        # by behaviour: frozen, with a dataclass field layout, and with
+        # the methods of Node (or Interned) alone, no per-class code
         classes = node_classes()
         assert terms.Interned in classes and Rel in classes
         for cls in classes:
-            params = vars(cls).get("__dataclass_params__")
-            assert params is not None and params.frozen, cls
+            x = cls(*[self.SAMPLES[f.type] for f in dataclasses.fields(cls)
+                      if f.default is dataclasses.MISSING])
+            for name in cls._fields + ("other",):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(x, name, None)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(x, name)
+            assert tuple(f.name for f in dataclasses.fields(x)) == \
+                cls._fields
+            assert dataclasses.replace(x) == x and repr(x).startswith(
+                cls.__name__ + "(")
+            if cls is not terms.Interned:
+                assert not self.METHODS & set(vars(cls)), cls
+
+    def test_position_is_keyword_only(self):
+        a, b = AVar("x"), ASig("A")
+        assert FIn(a, b, pos=(1, 2)).pos == (1, 2)
+        assert FIn(a, b).pos is None and FIn(l=a, r=b).pos is None
+        assert dataclasses.replace(FIn(a, b, pos=(1, 2)), r=a).pos == (1, 2)
+        with pytest.raises(TypeError):
+            FIn(a, b, (1, 2))
+        with pytest.raises(TypeError):
+            FIn(a, b, l=a)
+        with pytest.raises(TypeError):
+            FIn(a)
 
     def test_interned_classes_compare_by_identity(self):
         interned = [c for c in node_classes()
@@ -495,6 +529,16 @@ class TestDeepTerms:
         model = AlloyModel((SigDecl("A"),), (), (f,), (), ())
         assert check_arities(model) is model
         assert pretty(model).endswith("x in A" + ")" * 1334 + " }\n")
+
+    def test_core_alloy_equality_hash_and_repr(self):
+        assert sys.getrecursionlimit() == 1000
+        f, g, h = (FIn(AVar("x"), ASig(s), pos=(1, 1)) for s in "AAB")
+        for _ in range(self.N):
+            f, g, h = FNot(f), FNot(g, pos=(2, 2)), FNot(h)
+        assert f == g and hash(f) == hash(g) and f is not g
+        assert f != h and f != FNot(g) and FNot(f, pos=(3, 3)) == FNot(g)
+        assert repr(f) == repr(g) == "FNot(f=" * self.N + (
+            "FIn(l=AVar(name='x'), r=ASig(name='A'))" + ")" * self.N)
 
 
 class TestSharedSubterms:
