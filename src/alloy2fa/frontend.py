@@ -228,6 +228,13 @@ class _Parser:
         self.i += 1
         return t
 
+    def names(self, what: str) -> list:
+        """A comma list of one or more identifiers, each a `what`."""
+        out = [self.ident(what)]
+        while self.eat(","):
+            out.append(self.ident(what))
+        return out
+
     def fail(self, msg: str):
         t = self.peek()
         got = t.text if t.kind != "eof" else "end of input"
@@ -276,9 +283,7 @@ class _Parser:
             self.i += 1
         abstract = self.eat("abstract")
         self.expect("sig")
-        names = [self.ident("signature name")]
-        while self.eat(","):
-            names.append(self.ident("signature name"))
+        names = self.names("signature name")
         parent = None
         if self.eat("extends"):
             parent = self.ident("parent signature name").text
@@ -298,9 +303,7 @@ class _Parser:
         return sigs, fields
 
     def field_decl(self, owners):
-        names = [self.ident("field name")]
-        while self.eat(","):
-            names.append(self.ident("field name"))
+        names = self.names("field name")
         self.expect(":")
         cols, mults = [], []
         while True:
@@ -354,9 +357,7 @@ class _Parser:
         while not self.at("]"):
             if params:
                 self.expect(",")
-            names = [self.ident("parameter name")]
-            while self.eat(","):
-                names.append(self.ident("parameter name"))
+            names = self.names("parameter name")
             self.expect(":")
             rng = self.expr()
             params.extend((n.text, rng) for n in names)
@@ -436,9 +437,7 @@ class _Parser:
         self.expect(kw)
         groups = []
         while True:
-            names = [self.ident("variable name")]
-            while self.eat(","):
-                names.append(self.ident("variable name"))
+            names = self.names("variable name")
             self.expect(":")
             rng = self.expr()
             groups.append((names, rng))

@@ -15,15 +15,16 @@ its pre-pass, `drop_vars` as its read-off, and the simplification banks
 in front of the mechanical ones as its elimination loop;
 `translate_h_with_trace` and `translate_form_h` are bound to it.
 
-The logical, algebraic and fact rules are the equations of
-`EQUATIONS`, each a law and so sound on every redex: the FA and fact
-rows are checked on the pair closure under random interpretations, the
-RL rows by truth table.  Only four logical rules stay hand-written,
-the binder rules that read widths, ranges and level uses; they and the
-definition rules are sound pointwise over any carrier, so every rewrite
-step preserves truth on every finite model, not just on the full pair
-closure.  Whole translations are certified against the finite-model
-oracle.
+The logical, algebraic and fact rules and the read-off are equations
+of `pipeline.EQUATIONS`, each a law and so sound on every redex: the
+rows are checked on the pair closure under random interpretations, and
+the RL rows between connectives by truth table too.  Five rules stay
+hand-written: the three binder rules, which add widths and read level
+uses, `rotation-cycle`, and `wide-composition-unit`, which holds only on
+typed columns.  They and the definition rules are sound pointwise over
+any carrier, so every rewrite step preserves truth on every finite
+model, not just on the full pair closure.  Whole translations are
+certified against the finite-model oracle.
 
 The definition rules are defined in `pipeline`, beside the rotations
 they build on, because closure lifting runs them too: there they
@@ -34,61 +35,41 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 from typing import Optional
 
 from .pipeline import (
     DEFINITION_RULES,
+    EQUATIONS,
     MECHANICAL,
     Translator,
     _count,
-    _first,
-    _flat,
+    _equation_rule,
     _leaves,
     _rebuild,
+    _solver,
     _spine_memo,
     translate_form,
     translate_with_trace,
 )
 from .strategy import Rule
 from .terms import (
-    BOT,
-    ID,
     PI1,
     PI2,
-    TOP,
     Bot,
     Comp,
-    Compl,
     Conv,
-    FactEq,
-    FactLe,
-    FAFact,
-    Fork,
     Id,
-    Join,
-    Ldiv,
-    Meet,
     NComp,
     Phi,
-    Prod,
     RAll,
     RAnd,
-    RApp,
     REx,
-    RFALSE,
     RFalse,
     RImp,
     RLFormula,
-    RNot,
-    ROr,
     Rot,
-    RTRUE,
     RTrue,
     Top,
-    Var,
-    instantiate,
-    match,
 )
 
 
@@ -220,110 +201,8 @@ def _indexed(partners, fn, left, right):
 
 
 # ---------------------------------------------------------------------------
-# rules stated as equations
-
-
-def _by_rule(rows) -> dict:
-    """{rule name: [(lhs, rhs), ...]} of (rule name, lhs, rhs) rows."""
-    table = {}
-    for name, lhs, rhs in rows:
-        table.setdefault(name, []).append((lhs, rhs))
-    return table
-
-
-X, Y, Z, W, P = Var("X"), Var("Y"), Var("Z"), Var("W"), Var("P", Phi)
-F, G, H = Var("F", RLFormula), Var("G", RLFormula), Var("H", RLFormula)
-
-# One row per equation, a rule's rows in the order they are tried, as
-# in egg's rewrite lists: FA equations, fact equivalences and RL
-# equivalences.  A pair rule's left sides are nodes of its kind.
-EQUATIONS = _by_rule([
-    ("meet-pair", Meet(X, TOP), X),
-    ("meet-pair", Meet(X, BOT), BOT),
-    ("meet-pair", Meet(X, X), X),
-    ("meet-pair", Meet(P, ID), P),
-    ("meet-pair", Meet(Comp(Conv(PI1), X), Comp(Conv(PI2), Y)), Fork(X, Y)),
-    ("join-pair", Join(X, BOT), X),
-    ("join-pair", Join(X, TOP), TOP),
-    ("join-pair", Join(X, X), X),
-    ("converse-collapse", Conv(Conv(X)), X),
-    ("converse-collapse", Conv(ID), ID),
-    ("converse-collapse", Conv(TOP), TOP),
-    ("converse-collapse", Conv(BOT), BOT),
-    ("converse-distribute", Conv(Comp(X, Y)), Comp(Conv(Y), Conv(X))),
-    ("converse-distribute", Conv(Meet(X, Y)), Meet(Conv(X), Conv(Y))),
-    ("converse-distribute", Conv(Join(X, Y)), Join(Conv(X), Conv(Y))),
-    ("complement-collapse", Compl(Compl(X)), X),
-    ("complement-collapse", Compl(Conv(Compl(X))), Conv(X)),
-    ("complement-collapse", Compl(TOP), BOT),
-    ("complement-collapse", Compl(BOT), TOP),
-    ("complement-distribute", Compl(Meet(X, Y)), Join(Compl(X), Compl(Y))),
-    ("complement-distribute", Compl(Join(X, Y)), Meet(Compl(X), Compl(Y))),
-    ("complement-distribute", Compl(Comp(X, Y)), Ldiv(Conv(X), Compl(Y))),
-    ("complement-distribute", Compl(Ldiv(X, Y)), Comp(Conv(X), Compl(Y))),
-    ("composition-unit", Comp(X, ID), X),
-    ("composition-unit", Comp(ID, X), X),
-    ("composition-unit", Comp(BOT, X), BOT),
-    ("composition-unit", Comp(X, BOT), BOT),
-    ("residual-units", Ldiv(BOT, X), TOP),
-    ("residual-units", Ldiv(X, TOP), TOP),
-    ("residual-units", Ldiv(ID, X), X),
-    ("fork-converse-meet", Comp(Conv(Fork(X, Y)), Fork(Z, W)),
-     Meet(Comp(Conv(X), Z), Comp(Conv(Y), W))),
-    # (id nabla T) . X  duplicates X over both components
-    ("fork-absorbs-composition", Comp(Fork(ID, TOP), X),
-     Fork(X, Comp(TOP, X))),
-    ("product-intro", Fork(Comp(X, PI1), Comp(Y, PI2)), Prod(X, Y)),
-    # each fact holds exactly when its rewrite does
-    ("inequation-normalize", FactLe(Compl(X), Compl(Y)), FactLe(Y, X)),
-    ("inequation-normalize", FactLe(TOP, Conv(X)), FactLe(TOP, X)),
-    ("inequation-normalize", FactLe(Conv(X), BOT), FactLe(X, BOT)),
-    ("inequation-normalize", FactLe(X, Ldiv(Y, Z)), FactLe(Comp(Y, X), Z)),
-    ("conjunction-pair", RAnd(F, RTRUE), F),
-    ("conjunction-pair", RAnd(F, RFALSE), RFALSE),
-    ("conjunction-pair", RAnd(F, F), F),
-    ("disjunction-pair", ROr(F, RFALSE), F),
-    ("disjunction-pair", ROr(F, RTRUE), RTRUE),
-    ("disjunction-pair", ROr(F, F), F),
-    ("double-negation", RNot(RNot(F)), F),
-    ("negated-literal", RNot(RTRUE), RFALSE),
-    ("negated-literal", RNot(RFALSE), RTRUE),
-    ("negation-over-and", RNot(RAnd(F, G)), ROr(RNot(F), RNot(G))),
-    ("negation-over-or", RNot(ROr(F, G)), RAnd(RNot(F), RNot(G))),
-    ("implication-literal", RImp(RFALSE, F), RTRUE),
-    ("implication-literal", RImp(RTRUE, F), F),
-    ("implication-curry", RImp(F, RImp(G, H)), RImp(RAnd(F, G), H)),
-    ("negation-to-implication", ROr(RNot(F), G), RImp(F, G)),
-])
-
-
-def _solver(name: str, pair=False):
-    """Memoized rewriting by EQUATIONS[name]: the rhs of the first whose
-    lhs matches the redex, or None.  A pair rule's solver matches two
-    leaves against each lhs's operands; spine scans repeat their pairs."""
-    table = [((lhs.l, lhs.r) if pair else (lhs,), rhs)
-             for lhs, rhs in EQUATIONS[name]]
-
-    @functools.lru_cache(maxsize=1 << 14)
-    def solve(*ts):
-        for pats, rhs in table:
-            env = {}
-            if all(map(match, pats, ts, itertools.repeat(env))):
-                return instantiate(rhs, env)
-        return None
-
-    return solve
-
-
-def _equation_rule(name: str) -> Rule:
-    """The node rule of EQUATIONS[name]; it ignores the depth."""
-    solve = _solver(name)
-    return Rule(name, type(EQUATIONS[name][0][0]), lambda t, depth: solve(t))
-
-
-# ---------------------------------------------------------------------------
-# logical rules: the table's, then the binder rules, which read widths,
-# ranges and level uses that no pattern states
+# logical rules: the table's, then the binder rules, which add widths and
+# read level uses that no pattern states
 
 
 def _conj(a: Optional[RLFormula], b: Optional[RLFormula]):
@@ -332,13 +211,6 @@ def _conj(a: Optional[RLFormula], b: Optional[RLFormula]):
     if b is None:
         return a
     return RAnd(a, b)
-
-
-def _r_all_absorb_imp(t, depth):
-    # forall u : rng : (a => b)  keeps a as part of the range
-    if isinstance(t.body, RImp):
-        return RAll(t.width, _conj(t.rng, t.body.l), t.body.r)
-    return None
 
 
 def _r_all_fuse(t, depth):
@@ -378,7 +250,7 @@ LOGIC_RULES = [
     _equation_rule("implication-literal"),
     _equation_rule("implication-curry"),
     _pair_rule("negation-to-implication"),
-    Rule("forall-absorb-implication", RAll, _r_all_absorb_imp),
+    _equation_rule("forall-absorb-implication"),
     Rule("forall-fuse", RAll, _r_all_fuse),
     Rule("exists-fuse", REx, _r_ex_fuse),
     Rule("binder-trim", (RAll, REx), _r_binder_trim),
@@ -425,36 +297,10 @@ FACT_RULES = [_equation_rule("inequation-normalize")]
 # the shortcut translator
 
 
-def drop_vars(f: RLFormula) -> Optional[FAFact]:
-    """Fact a closed prefix-form formula denotes, read off without frames.
-
-    The patterns quantify over plain elements only, so the facts they
-    produce are sound at every carrier width and carry no width stamp.
-    """
-    if isinstance(f, RTrue):
-        return FactEq(TOP, TOP)
-    if isinstance(f, RFalse):
-        return FactEq(TOP, BOT)
-    if not isinstance(f, RAll) or not isinstance(f.body, RApp):
-        return None
-    if f.width == 2:
-        # binary applications over levels 1 and 2, either way round
-        body = _first(f.body, 1)
-        if body is None or body[1] != 2:
-            return None
-        if f.rng is None:
-            return FactEq(body[0], TOP)
-        rng = _first(f.rng, 1) if isinstance(f.rng, RApp) else None
-        if rng is None or rng[1] != 2:
-            return None
-        return FactLe(rng[0], body[0])
-    if f.width == 1 and _flat(f.body) == (1, 1):
-        if f.rng is None:
-            return FactLe(ID, f.body.rel)
-        if isinstance(f.rng, RApp) and _flat(f.rng) == (1, 1):
-            return FactLe(Meet(f.rng.rel, ID), f.body.rel)
-    return None
-
+# the fact a closed prefix-form formula denotes, read off without frames;
+# the rows quantify over plain elements only, so the facts they produce
+# are sound at every carrier width and carry no width stamp
+drop_vars = _solver("read-off")
 
 # The pre-pass runs without FACT_RULES: an RL formula holds no fact.  The
 # elimination loop runs the simplification rules in front of the

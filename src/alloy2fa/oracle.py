@@ -54,7 +54,7 @@ from .terms import (
     ASig, AStar, AUnion, AUniv, AVar, AConv, AlloyExpr, AlloyForm,
     Bot, Comp, Compl, Conv, FAExpr, FAFact, FactEq,
     FAll, FAnd, FEq, FImp, FIn, FLone, FNot, FOr, FPredCall, FSome, FSomeQ,
-    Fork, Id, Join, Ldiv, Meet, NComp, Phi, Pi1, Pi2, Prod, Rel, Rot, Star,
+    Fork, Id, Join, Ldiv, Meet, Phi, Pi1, Pi2, Prod, Rel, Star,
     Top, RAll, RAnd, RApp, REx, RFalse, RImp, RLFormula, RMark, RNot, ROr,
     RTrue, fold, subterms, unfold,
 )
@@ -692,16 +692,13 @@ def infer_width(x) -> int:
     chains; the pipeline stamps the exact width on the facts it builds,
     so this is the safety net for hand-written terms.
     """
-    return fold(x, _widths)[0]
+    return fold(unfold(x), _widths)[0]
 
 
 def _widths(e, v):
     """(width needed under e, length of e's fork/product spine, length of
-    e's selector chain), all of e's unfolding: a node needs its
-    relation's arity less one, its spine's length plus one and its
-    chain's too."""
-    if isinstance(e, (NComp, Rot)):
-        return fold(unfold(e), _widths)
+    e's selector chain) of an unfolded node: a node needs its relation's
+    arity less one, its spine's length plus one and its chain's too."""
     spine = v[1][1] + 1 if isinstance(e, (Fork, Prod)) else 0
     if isinstance(e, (Pi1, Pi2)):
         chain = 1

@@ -10,6 +10,10 @@ between variable-free terms.  Levels never need renaming along the way:
 every rule either discharges the innermost level of the enclosing block
 or leaves binders untouched.
 
+`EQUATIONS` states the rules that are laws, both translators' and the
+shortcut read-off, as rows read by `terms.match`.  A pattern variable
+stands for a term of its kind, or for data: a width or an item tuple.
+
 Closure operands take a separate route.  Their membership formula is
 expanded with a private marker pair cx/cy and their free variables as
 markers a1..ak, so their only levels are the join witnesses, which the
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 from typing import Callable, Optional
 
 from .expand import expand_form, expand_membership
@@ -32,6 +37,10 @@ from .terms import (
     MARK_CY,
     MARK_X,
     MARK_Y,
+    PI1,
+    PI2,
+    RFALSE,
+    RTRUE,
     TOP,
     AlloyExpr,
     AlloyForm,
@@ -40,12 +49,15 @@ from .terms import (
     Compl,
     Conv,
     FactEq,
+    FactLe,
     FAFact,
     Fork,
     Id,
     Join,
     Ldiv,
     Meet,
+    Phi,
+    Prod,
     RAll,
     RAnd,
     RApp,
@@ -58,9 +70,12 @@ from .terms import (
     ROr,
     RTrue,
     Star,
+    Var,
     children,
     cut,
     fold,
+    instantiate,
+    match,
     ncomp,
     projX,
     rl_text,
@@ -86,30 +101,147 @@ def nesting(f: RLFormula) -> int:
 
 
 # ---------------------------------------------------------------------------
+# rules stated as equations
+
+
+def _by_rule(rows) -> dict:
+    """{rule name: [(lhs, rhs), ...]} of (rule name, lhs, rhs) rows."""
+    table = {}
+    for name, lhs, rhs in rows:
+        table.setdefault(name, []).append((lhs, rhs))
+    return table
+
+
+X, Y, Z, W, P = Var("X"), Var("Y"), Var("Z"), Var("W"), Var("P", Phi)
+F, G, H = Var("F", RLFormula), Var("G", RLFormula), Var("H", RLFormula)
+# data: a binder's width and an application's item tuples
+N, U, V = Var("N", int), Var("U", tuple), Var("V", tuple)
+
+# One row per equation, a rule's rows in the order they are tried, as
+# in egg's rewrite lists: FA equations, fact equivalences, RL
+# equivalences, and the read-off of a closed formula's fact.  A pair
+# rule's left sides are nodes of its kind.
+EQUATIONS = _by_rule([
+    ("meet-pair", Meet(X, TOP), X),
+    ("meet-pair", Meet(X, BOT), BOT),
+    ("meet-pair", Meet(X, X), X),
+    ("meet-pair", Meet(P, ID), P),
+    ("meet-pair", Meet(Comp(Conv(PI1), X), Comp(Conv(PI2), Y)), Fork(X, Y)),
+    ("join-pair", Join(X, BOT), X),
+    ("join-pair", Join(X, TOP), TOP),
+    ("join-pair", Join(X, X), X),
+    ("converse-collapse", Conv(Conv(X)), X),
+    ("converse-collapse", Conv(ID), ID),
+    ("converse-collapse", Conv(TOP), TOP),
+    ("converse-collapse", Conv(BOT), BOT),
+    ("converse-distribute", Conv(Comp(X, Y)), Comp(Conv(Y), Conv(X))),
+    ("converse-distribute", Conv(Meet(X, Y)), Meet(Conv(X), Conv(Y))),
+    ("converse-distribute", Conv(Join(X, Y)), Join(Conv(X), Conv(Y))),
+    ("complement-collapse", Compl(Compl(X)), X),
+    ("complement-collapse", Compl(Conv(Compl(X))), Conv(X)),
+    ("complement-collapse", Compl(TOP), BOT),
+    ("complement-collapse", Compl(BOT), TOP),
+    ("complement-distribute", Compl(Meet(X, Y)), Join(Compl(X), Compl(Y))),
+    ("complement-distribute", Compl(Join(X, Y)), Meet(Compl(X), Compl(Y))),
+    ("complement-distribute", Compl(Comp(X, Y)), Ldiv(Conv(X), Compl(Y))),
+    ("complement-distribute", Compl(Ldiv(X, Y)), Comp(Conv(X), Compl(Y))),
+    ("composition-unit", Comp(X, ID), X),
+    ("composition-unit", Comp(ID, X), X),
+    ("composition-unit", Comp(BOT, X), BOT),
+    ("composition-unit", Comp(X, BOT), BOT),
+    ("residual-units", Ldiv(BOT, X), TOP),
+    ("residual-units", Ldiv(X, TOP), TOP),
+    ("residual-units", Ldiv(ID, X), X),
+    ("fork-converse-meet", Comp(Conv(Fork(X, Y)), Fork(Z, W)),
+     Meet(Comp(Conv(X), Z), Comp(Conv(Y), W))),
+    # (id nabla T) . X  duplicates X over both components
+    ("fork-absorbs-composition", Comp(Fork(ID, TOP), X),
+     Fork(X, Comp(TOP, X))),
+    ("product-intro", Fork(Comp(X, PI1), Comp(Y, PI2)), Prod(X, Y)),
+    # each fact holds exactly when its rewrite does
+    ("inequation-normalize", FactLe(Compl(X), Compl(Y)), FactLe(Y, X)),
+    ("inequation-normalize", FactLe(TOP, Conv(X)), FactLe(TOP, X)),
+    ("inequation-normalize", FactLe(Conv(X), BOT), FactLe(X, BOT)),
+    ("inequation-normalize", FactLe(X, Ldiv(Y, Z)), FactLe(Comp(Y, X), Z)),
+    ("conjunction-pair", RAnd(F, RTRUE), F),
+    ("conjunction-pair", RAnd(F, RFALSE), RFALSE),
+    ("conjunction-pair", RAnd(F, F), F),
+    ("disjunction-pair", ROr(F, RFALSE), F),
+    ("disjunction-pair", ROr(F, RTRUE), RTRUE),
+    ("disjunction-pair", ROr(F, F), F),
+    ("double-negation", RNot(RNot(F)), F),
+    ("negated-literal", RNot(RTRUE), RFALSE),
+    ("negated-literal", RNot(RFALSE), RTRUE),
+    ("negation-over-and", RNot(RAnd(F, G)), ROr(RNot(F), RNot(G))),
+    ("negation-over-or", RNot(ROr(F, G)), RAnd(RNot(F), RNot(G))),
+    ("implication-literal", RImp(RFALSE, F), RTRUE),
+    ("implication-literal", RImp(RTRUE, F), F),
+    ("implication-curry", RImp(F, RImp(G, H)), RImp(RAnd(F, G), H)),
+    ("negation-to-implication", ROr(RNot(F), G), RImp(F, G)),
+    # normalization: implications and universal quantifiers out
+    ("implication-to-or", RImp(F, G), ROr(RNot(F), G)),
+    ("forall-range-to-implication", RAll(N, F, G),
+     RAll(N, None, RImp(F, G))),
+    ("forall-to-not-exists", RAll(N, None, F), RNot(REx(N, RNot(F)))),
+    # combining: connectives between co-located applications
+    ("combine-and", RAnd(RApp(U, X, V), RApp(U, Y, V)),
+     RApp(U, Meet(X, Y), V)),
+    ("combine-or", ROr(RApp(U, X, V), RApp(U, Y, V)),
+     RApp(U, Join(X, Y), V)),
+    ("complement-not", RNot(RApp(U, X, V)), RApp(U, Compl(X), V)),
+    # forall u : rng : (a => b)  keeps a as part of the range
+    ("forall-absorb-implication", RAll(N, None, RImp(F, G)), RAll(N, F, G)),
+    ("forall-absorb-implication", RAll(N, H, RImp(F, G)),
+     RAll(N, RAnd(H, F), G)),
+    # the fact a closed formula denotes, quantified over plain elements
+    # only: a literal, a binary application over levels 1 and 2 either
+    # way round, or a diagonal one, each with or without a range
+    ("read-off", RTRUE, FactEq(TOP, TOP)),
+    ("read-off", RFALSE, FactEq(TOP, BOT)),
+    ("read-off", RAll(2, None, RApp((1,), X, (2,))), FactEq(X, TOP)),
+    ("read-off", RAll(2, None, RApp((2,), X, (1,))), FactEq(Conv(X), TOP)),
+    ("read-off", RAll(2, RApp((1,), Y, (2,)), RApp((1,), X, (2,))),
+     FactLe(Y, X)),
+    ("read-off", RAll(2, RApp((2,), Y, (1,)), RApp((1,), X, (2,))),
+     FactLe(Conv(Y), X)),
+    ("read-off", RAll(2, RApp((1,), Y, (2,)), RApp((2,), X, (1,))),
+     FactLe(Y, Conv(X))),
+    ("read-off", RAll(2, RApp((2,), Y, (1,)), RApp((2,), X, (1,))),
+     FactLe(Conv(Y), Conv(X))),
+    ("read-off", RAll(1, None, RApp((1,), X, (1,))), FactLe(ID, X)),
+    ("read-off", RAll(1, RApp((1,), Y, (1,)), RApp((1,), X, (1,))),
+     FactLe(Meet(Y, ID), X)),
+])
+
+
+def _solver(name: str, pair=False):
+    """Memoized rewriting by EQUATIONS[name]: the rhs of the first whose
+    lhs matches the redex, or None.  A pair rule's solver matches two
+    leaves against each lhs's operands; spine scans repeat their pairs."""
+    table = [((lhs.l, lhs.r) if pair else (lhs,), rhs)
+             for lhs, rhs in EQUATIONS[name]]
+
+    @functools.lru_cache(maxsize=1 << 14)
+    def solve(*ts):
+        for pats, rhs in table:
+            env = {}
+            if all(map(match, pats, ts, itertools.repeat(env))):
+                return instantiate(rhs, env)
+        return None
+
+    return solve
+
+
+def _equation_rule(name: str) -> Rule:
+    """The node rule of EQUATIONS[name]; it ignores the depth."""
+    solve = _solver(name)
+    return Rule(name, type(EQUATIONS[name][0][0]), lambda t, depth: solve(t))
+
+
 # normalization: implications and universal quantifiers out
-
-
-def _r_imp(t, depth):
-    return ROr(RNot(t.l), t.r)
-
-
-def _r_all_ranged(t, depth):
-    if t.rng is not None:
-        return RAll(t.width, None, RImp(t.rng, t.body))
-    return None
-
-
-def _r_all_plain(t, depth):
-    if t.rng is None:
-        return RNot(REx(t.width, RNot(t.body)))
-    return None
-
-
-_NORMALIZE_RULES = [
-    Rule("implication-to-or", RImp, _r_imp),
-    Rule("forall-range-to-implication", RAll, _r_all_ranged),
-    Rule("forall-to-not-exists", RAll, _r_all_plain),
-]
+_NORMALIZE_RULES = [_equation_rule(name) for name in (
+    "implication-to-or", "forall-range-to-implication",
+    "forall-to-not-exists")]
 
 
 # ---------------------------------------------------------------------------
@@ -155,34 +287,9 @@ _FRAME_RULES = [
 ]
 
 
-# ---------------------------------------------------------------------------
-# combining: connectives between co-located applications become operators
-
-
-def _combine(op):
-    """Rule body merging two applications on the same items with op."""
-
-    def combine(t, depth):
-        if (isinstance(t.l, RApp) and isinstance(t.r, RApp)
-                and t.l.lhs == t.r.lhs and t.l.rhs == t.r.rhs):
-            return RApp(t.l.lhs, op(t.l.rel, t.r.rel), t.l.rhs)
-        return None
-
-    return combine
-
-
-def _r_not(t, depth):
-    if isinstance(t.f, RApp):
-        a = t.f
-        return RApp(a.lhs, Compl(a.rel), a.rhs)
-    return None
-
-
-_COMBINE_RULES = [
-    Rule("combine-and", RAnd, _combine(Meet)),
-    Rule("combine-or", ROr, _combine(Join)),
-    Rule("complement-not", RNot, _r_not),
-]
+# connectives between co-located applications become operators
+_COMBINE_RULES = [_equation_rule(name) for name in (
+    "combine-and", "combine-or", "complement-not")]
 
 
 # ---------------------------------------------------------------------------

@@ -392,10 +392,14 @@ class Rot(FAExpr):
 
 
 class Var(FAExpr):
-    """Pattern variable of an equation; it matches the terms of `kind`."""
+    """Pattern variable of an equation; it matches the terms of `kind`, or
+    the data of a field: a width (int) or an item tuple (tuple)."""
 
     name: str
     kind: type = FAExpr
+
+    def __str__(self):
+        return "?" + self.name
 
 
 TOP = Top()
@@ -409,11 +413,12 @@ _FA_LEAVES = (Rel, Phi, Top, Bot, Id, Pi1, Pi2)
 
 def match(p, t, env: dict) -> bool:
     """Whether pattern p matches term t, binding p's variables in env (a
-    repeated variable to one interned term).  The fields that equality
-    ignores, a fact's label and width, match anything."""
+    repeated variable to equal values: one interned term, or equal ints or
+    tuples).  The fields that equality ignores, a fact's label and width,
+    match anything."""
     if type(p) is not type(t):
         return (type(p) is Var and isinstance(t, p.kind)
-                and env.setdefault(p, t) is t)
+                and env.setdefault(p, t) == t)
     if not isinstance(p, Node):
         return p == t
     for name in p._compare:
@@ -856,14 +861,20 @@ def unbind(f: RLFormula, lvl: int, repl: Item) -> RLFormula:
 
     Used by the rules that discharge one bound variable; repl must itself
     be an item in scope above lvl, and a level at or below lvl is a
-    ValueError.
+    ValueError.  The fold stops at applications, whose relations hold no
+    item.
     """
     if isinstance(repl, int) and repl >= lvl:
         raise ValueError("level %d cannot replace level %d" % (repl, lvl))
-    if isinstance(f, RApp):
-        return RApp(tuple(_unbind_item(i, lvl, repl) for i in f.lhs), f.rel,
-                    tuple(_unbind_item(i, lvl, repl) for i in f.rhs))
-    return map_children(f, lambda c: unbind(c, lvl, repl))
+
+    def node(x, v):
+        if isinstance(x, RApp):
+            return RApp(tuple(_unbind_item(i, lvl, repl) for i in x.lhs),
+                        x.rel,
+                        tuple(_unbind_item(i, lvl, repl) for i in x.rhs))
+        return with_children(x, v)
+
+    return fold(f, node, lambda x: not isinstance(x, RApp))
 
 
 # ---------------------------------------------------------------------------
@@ -900,7 +911,7 @@ def _text(x, v):
     if cls is Phi:
         return "Phi_" + x.sig
     if cls is Var:
-        return "?" + x.name
+        return str(x)
     if cls in (Compl, Conv, Star):
         s = _tight(x.e, v[0])
         return "-" + s if cls is Compl else s + ("~" if cls is Conv else "*")
@@ -912,9 +923,9 @@ def _text(x, v):
         return "!" + _tight(x.f, v[0])
     if cls is RAll:
         rng = " " + v[0] if len(v) == 2 else ""  # a range comes first
-        return "<A%d :%s: %s>" % (x.width, rng, v[-1])
+        return "<A%s :%s: %s>" % (x.width, rng, v[-1])
     if cls is REx:
-        return "<E%d :: %s>" % (x.width, v[0])
+        return "<E%s :: %s>" % (x.width, v[0])
     if cls is RMark:
         return "<Axy :: %s>" % v[0]
     if cls is RApp:
@@ -936,7 +947,9 @@ def _tight(e, s: str) -> str:
     return "(" + s + ")"
 
 
-def _side_text(side: tuple) -> str:
+def _side_text(side) -> str:
+    if type(side) is not tuple:  # a pattern variable
+        return str(side)
     if len(side) == 1:
         return str(side[0])
     return "(%s)" % ",".join(str(i) for i in side)

@@ -316,9 +316,6 @@ RECURSIVE = {
     # top-down walks that carry context down the term
     "expand._form", "expand._member", "frontend.subst",
     "oracle.eval_alloy", "oracle.eval_aexpr", "oracle._rl",
-    # runs in every discharge firing and stops at each application, where
-    # a fold would enter the relation too
-    "terms.unbind",
     # desugaring, behind `_guarded`; now that the arity check and the
     # expansion have depth guards too, it can be ported on its own
     "frontend._inline_calls", "frontend._to_core",
@@ -326,8 +323,6 @@ RECURSIVE = {
     "pipeline._count",
     # reads a restriction's left operand before its right one
     "terms.arity_of",
-    # one level deep: folds the unfolding of an NComp or Rot node
-    "oracle._widths",
     # bounded by an arity, an equation's size or a generator's depth,
     # not by the input
     "terms.match", "terms.instantiate", "terms.projX", "terms.cut",

@@ -21,7 +21,7 @@ from alloy2fa.terms import (
     FPredCall, FSome, FactEq, FactLe, Fork, Ldiv, Meet, NComp,
     Phi, Prod, Rel, Rot, Star, Var,
     BOT, ID, PI1, PI2, TOP,
-    RAll, RAnd, RApp, REx, RImp, RMark, RNot, RTrue, RFalse,
+    RAll, RAnd, RApp, REx, RImp, RLFormula, RMark, RNot, RTrue, RFalse,
     arity_of, children, cut, fa_op_count,
     fa_text, fact_text, instantiate, is_core, map_children, match, ncomp,
     projX, rl_text, rotate, unbind, unfold,
@@ -434,6 +434,9 @@ class TestTraversal:
         assert swapped.args == (ASig("B"), AVar("x"))
 
 
+F = Var("F", RLFormula)
+
+
 class TestPatterns:
     X, Y, P = Var("X"), Var("Y"), Var("P", Phi)
 
@@ -448,6 +451,32 @@ class TestPatterns:
     def test_a_repeated_variable_meets_one_term(self):
         assert match(Meet(self.X, self.X), Meet(Rel("r"), Rel("r")), {})
         assert not match(Meet(self.X, self.X), Meet(Rel("r"), Rel("s")), {})
+
+    def test_a_repeated_data_variable_meets_equal_values(self):
+        # item tuples and widths bind by equality, not identity
+        U, V, N = Var("U", tuple), Var("V", tuple), Var("N", int)
+        a, b = tuple(range(1, 3)), tuple([1, 2])
+        assert a == b and a is not b
+        pat = RAnd(RApp(U, self.X, V), RApp(U, self.Y, V))
+        t = RAnd(RApp(a, Rel("u"), (3,)), RApp(b, Rel("v"), (3,)))
+        assert t.l.lhs is not t.r.lhs
+        env = {}
+        assert match(pat, t, env) and env[U] == (1, 2) and env[V] == (3,)
+        assert not match(pat, RAnd(RApp(a, Rel("u"), (3,)),
+                                   RApp((2, 1), Rel("v"), (3,))), {})
+        body = RApp((1,), Rel("r"), (1,))
+        assert match(RAll(N, None, REx(N, F)), RAll(2, None, REx(2, body)),
+                     {})
+        assert not match(RAll(N, None, REx(N, F)),
+                         RAll(2, None, REx(1, body)), {})
+        assert not match(RAll(N, None, F), RAll(2, body, body), {})
+
+    def test_data_variables_render_with_a_question_mark(self):
+        U, N = Var("U", tuple), Var("N", int)
+        assert fa_text(RAll(N, None, RApp(U, self.X, (1,)))) == \
+            "<A?N :: ?U ?X 1>"
+        assert fa_text(REx(N, RApp((1, 2), Conv(self.X), U))) == \
+            "<E?N :: (1,2) (?X~) ?U>"
 
     def test_kind_restricts_the_match(self):
         assert match(Meet(self.P, ID), Meet(Phi("A"), ID), {})
@@ -508,14 +537,25 @@ class TestDeepTerms:
                                              "s": frozenset()})
         assert fact_holds(fact, model)
 
-    def test_rl_walks(self):
-        assert sys.getrecursionlimit() == 1000
+    def rl_chain(self, app):
         steps = (lambda f: REx(1, f), RNot, lambda f: RAnd(RTrue(), f))
-        f = RApp((1,), Rel("r"), (1,))
+        f = app
         for i in range(self.N):
             f = steps[i % 3](f)
+        return f
+
+    def test_rl_walks(self):
+        assert sys.getrecursionlimit() == 1000
+        f = self.rl_chain(RApp((1,), Rel("r"), (1,)))
         assert rl_text(f).endswith("1 r 1" + ">" * 667)
         assert nesting(f) == 667
+
+    def test_unbind(self):
+        assert sys.getrecursionlimit() == 1000
+        f = self.rl_chain(RApp((1,), Rel("r"), (3,)))
+        assert unbind(f, 2, "cx") is self.rl_chain(
+            RApp((1,), Rel("r"), (2,)))
+        assert unbind(f, 3, 1) is self.rl_chain(RApp((1,), Rel("r"), (1,)))
 
     def test_core_alloy_walks(self):
         assert sys.getrecursionlimit() == 1000
