@@ -15,7 +15,10 @@ whose rows are all equal) keeps one row, TOP, BOT and unknown names are
 one model. A 1 stands for n >= 1 equal rows or columns, so on the empty
 carrier every matrix is 0 x 0. Union, meet, complement and converse keep
 the shapes by broadcasting, composition has cases for them (``_mm``);
-fork, product, closure and ``eval_fa`` use the full layout.
+fork, product, closure and ``eval_fa`` use the full layout. A carrier
+above ``_RESTRICT_INNER`` elements knows which constants, id, the
+projections and their chains and forks, are partial functions on
+columns, and composes with them by one gather (``_by_columns``).
 ``check_equiv`` batches its model stream by carrier (``_truths``). Two
 kinds of carrier cover the different jobs:
 
@@ -82,7 +85,8 @@ class Space:
     Pair elements are pre-scanned into index arrays so fork, product and
     the projections are fancy-indexing operations. The cache holds
     the results of constant terms (no relation or signature symbols), which
-    are shared by every model over this carrier.
+    are shared by every model over this carrier; above _RESTRICT_INNER
+    elements, columns holds the column functions of some of them.
     """
 
     def __init__(self, elements, atom_count, width=None):
@@ -104,6 +108,14 @@ class Space:
         self._left = np.asarray(pl, dtype=np.intp)
         self._right = np.asarray(pr, dtype=np.intp)
         self.cache = {}
+        # above the gate, column functions (_by_columns) and the pair keys
+        # left * n + right in order, closed by n * n, with each one's pair
+        self.columns = None
+        if self.n > _RESTRICT_INNER:
+            self.columns, keys = {}, self._left * self.n + self._right
+            order = keys.argsort()
+            self._pair_keys = np.append(keys[order], self.n * self.n)
+            self._pair_at = np.append(self._pairs[order], 0)
 
     def __repr__(self):
         return "Space(%d elements, %d atoms)" % (self.n, self.atom_count)
@@ -348,7 +360,8 @@ def interp_from_model(model: FiniteModel, space: Space) -> dict:
 # dense/restricted time ratio is 0.63 at 64, 0.78 at 96, 1.12 at 128 and
 # 1.57 at 256: below this the mask and the two slices cost more than the
 # float32 product they shrink. The row and column counts a gather needs
-# cost as much as the product at n = 62 and a fifth of it at 256.
+# cost as much as the product at n = 62 and a fifth of it at 256. Only
+# a carrier above it keeps column functions (Space.columns, _by_columns).
 _RESTRICT_INNER = 128
 
 # Most boolean entries, B models times n x n, in one check_equiv batch; a
@@ -384,7 +397,10 @@ def _mm(a, b):
     The gate sits where these pay on unstructured operands, from the
     kernel's own cost, not from any carrier size of a workload; batches
     of several models stay below it (_BATCH_CELLS). The int32 counts and
-    float32 sums are exact well past any carrier here.
+    float32 sums are exact well past any carrier here. Above the gate,
+    X . K for a constant K with a column function is a gather that never
+    reaches _mm (_by_columns); the counts serve the other operands and
+    Star.
     """
     if a.ndim == 3 and len(a) == len(b) == 1:
         return _mm(a[0], b[0])[None]
@@ -462,18 +478,66 @@ def _value(root, space, interp, cache):
     hit = cache.get(root) or space.cache.get(root)
     if hit is not None:
         return hit
+    gate = space.columns is not None
     for e, ops, const, dead in order:
         if e in cache:
             continue
         hit = space.cache.get(e) if const else None
         if hit is None:
-            hit = (_node(e, [cache[c][0] for c in ops], space, interp), const)
+            args = [cache[c][0] for c in ops]
+            m = _by_columns(e, ops, args, space) if gate else None
+            hit = (_node(e, args, space, interp) if m is None else m, const)
             if const:
                 space.cache[e] = hit
         cache[e] = hit
         for c in dead:
             cache.pop(c, None)
     return cache[root]
+
+
+def _by_columns(e, ops, args, space):
+    """One node's value from column functions, on a carrier above the
+    gate, or None.
+
+    A constant's column function (index, mask) says that its column v
+    holds the one entry (index[v], v) where mask[v]. id, pi1 and pi2
+    have one, read off the carrier, and so has a composition (u a w b v
+    for w = cb[v], u = ca[w]) or fork (the pair (ca[v], cb[v]) if the
+    carrier has it) of two of them, composed in O(n) and scattered.
+    X . K for another X gathers X's columns, or is X for K = id."""
+    cols, n = space.columns, space.n
+    if isinstance(e, Id):
+        f = np.arange(n), np.ones(n, dtype=bool)
+    elif isinstance(e, (Pi1, Pi2)):
+        f = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=bool)
+        f[0][space._pairs] = space._right if isinstance(e, Pi2) else \
+            space._left
+        f[1][space._pairs] = True
+    elif not isinstance(e, (Comp, Fork)) or ops[1] not in cols:
+        return None
+    elif ops[0] not in cols:
+        if isinstance(e, Fork):
+            return None
+        if isinstance(ops[1], Id):
+            return args[0]
+        x, (index, mask) = args[0], cols[ops[1]]
+        if x.shape[-1] == 1:
+            return x & mask
+        m = x.take(index, -1)
+        m &= mask
+        return m
+    else:
+        (ca, ma), (cb, mb) = cols[ops[0]], cols[ops[1]]
+        if isinstance(e, Comp):
+            f = ca[cb], mb & ma[cb]
+        else:
+            keys = ca * n + cb
+            at = space._pair_keys.searchsorted(keys)
+            f = space._pair_at[at], ma & mb & (space._pair_keys[at] == keys)
+    cols[e] = index, mask = f
+    m = np.zeros((1, n, n), dtype=bool)
+    m[0, index[mask], np.flatnonzero(mask)] = True
+    return m
 
 
 def _node(e, args, space, interp):

@@ -5,6 +5,7 @@ before the evaluator existed; everything downstream is certified
 against them, so change them only with a written justification.
 """
 
+import functools
 import hashlib
 import itertools
 import os
@@ -12,7 +13,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from alloy2fa import oracle
@@ -599,10 +600,15 @@ class TestVectorShapes:
         hashes, spaces = {}, []
 
         def check(space):
-            for term, (m, _) in space.cache.items():
+            # and every index and mask array of space.columns
+            arrays = [(term, m) for term, (m, _) in space.cache.items()]
+            arrays += [((term, i), a)
+                       for term, f in (space.columns or {}).items()
+                       for i, a in enumerate(f)]
+            for key, m in arrays:
                 h = hashlib.sha256(np.ascontiguousarray(m).tobytes())
                 h = (m.shape, h.hexdigest())
-                assert hashes.setdefault((space, term), h) == h, term
+                assert hashes.setdefault((space, key), h) == h, key
 
         def checking(model, space):
             spaces.append(space)
@@ -614,11 +620,71 @@ class TestVectorShapes:
         v = check_equiv(form, fact, vocab, **settings)
         for space in set(spaces):
             check(space)
+            # a write before the first hash shows against a fresh carrier
+            fresh = Space(space.elements, space.atom_count, space.width)
+            for term, f in (space.columns or {}).items():
+                oracle._value(term, fresh, {}, {})
+                assert all(map(np.array_equal, f, fresh.columns[term])), term
         # the sampled check evaluates its 6 samples, the exhaustive one
         # the first model of each of the 28 orbits of its 44 models
         assert v.status != "FAIL"
         assert len(spaces) == {"mech": 6, "short": 28}[config]
         assert len(hashes) > 10
+        # only the mechanical fact's carrier (510 elements) is above GATE
+        assert any(sp.columns for sp in spaces) == (config == "mech")
+
+
+# constants built from id and the projections: their compositions and
+# forks have column functions, a converse under them has none
+column_terms = st.recursive(
+    st.lists(st.sampled_from([ID, PI1, PI2]), min_size=1, max_size=4).map(
+        lambda ks: functools.reduce(Comp, ks)),
+    lambda sub: st.one_of(st.builds(Comp, sub, sub), st.builds(Fork, sub, sub),
+                          st.builds(Conv, sub)),
+    max_leaves=4)
+
+# just above GATE, and the 510 elements of the running example's
+# mechanical fact (two atoms, width 8)
+COLUMN_SPACES = {GATE + 1: SHAPE_SPACES[GATE + 1],
+                 len(_ELEMENTS): Space(_ELEMENTS, 2, width=8)}
+
+
+class TestColumnFunctions:
+    """Above GATE elements, X . K for a constant K built from id and the
+    projections is a gather of X's columns, and such constants are
+    scattered from their column functions: every value matches the dense
+    evaluator, on one model or a batch."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(x=fa_terms, k1=column_terms, k2=column_terms,
+           n=st.sampled_from(sorted(COLUMN_SPACES)), b=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    # the chains of the running example's mechanical fact, where the
+    # order of a composition and each mask decide the value
+    @example(x=Rel("r"), k1=Comp(PI1, PI2), k2=Comp(Comp(PI2, PI2), PI1),
+             n=len(_ELEMENTS), b=2, seed=1)
+    @example(x=Compl(Phi("A")), k1=Comp(Comp(PI2, PI2), PI2),
+             k2=Fork(Comp(PI1, PI2), PI1), n=GATE + 1, b=1, seed=2)
+    def test_gathers_match_the_dense_evaluator(self, x, k1, k2, n, b, seed):
+        space = COLUMN_SPACES[n]
+        rng = np.random.default_rng(seed)
+        interps = [_shape_interp(space, rng) for _ in range(b)]
+        batch = {key: np.stack([itp[key] for itp in interps])
+                 for key in interps[0]}
+        for term in (Comp(x, k1), Fork(k1, k2), Comp(x, ID)):
+            m = oracle._value(term, space, batch, {})[0]
+            assert m.ndim == 3 and m.shape[0] in (1, b)
+            for one, itp in zip(np.broadcast_to(m, (b, n, n)), interps):
+                assert np.array_equal(one, dense_eval(term, space, itp))
+        # the gathers ran: every constant free of converses has a column
+        # function
+        for k in (k1, k2, ID):
+            if not any(isinstance(t, Conv) for t in subterms(k)):
+                assert k in space.columns
+
+    def test_at_or_below_the_gate_no_carrier_has_column_functions(self):
+        assert all(SHAPE_SPACES[n].columns is None for n in (0, 1, GATE - 1))
+        assert Space(_ELEMENTS[:GATE], 2).columns is None
 
 
 def _random_interp(space, rng, names, density=0.35):
@@ -1169,6 +1235,25 @@ class TestOrbits:
                               if run[0].startswith("university:")]
         v = check_equiv(form, fact, university_vocab(), bound=3)
         assert (v.status, v.checked) == ("PASS", 841), v.detail
+
+    def test_mechanical_running_example_is_certified_at_two_atoms(
+            self, golden_translations, monkeypatch):
+        # the mechanical fact of the running example's assert, exhaustively
+        # over every model of 1-2 atoms, whose carriers reach 510 elements:
+        # 28 orbits cover the 44 models
+        ((_, form, fact),) = [run for run in golden_translations["mech"]
+                              if run[0].startswith("university:")]
+        evaluated = []
+
+        def counting(model, space):
+            evaluated.append(space.n)
+            return real(model, space)
+
+        real = oracle.interp_from_model
+        monkeypatch.setattr(oracle, "interp_from_model", counting)
+        v = check_equiv(form, fact, university_vocab(), bound=2)
+        assert (v.status, v.checked) == ("PASS", 44), v.detail
+        assert len(evaluated) == 28 and max(evaluated) == len(_ELEMENTS)
 
 
 class TestGenerator:
