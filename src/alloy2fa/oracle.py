@@ -10,12 +10,16 @@ and counts the whole orbit as checked.
 Relational terms are evaluated as boolean matrices over a finite carrier,
 a batch of models at once. A value has shape (B|1, 1|n, 1|n) and stands
 for its broadcast to B models of n x n: a vector (a relation TOP;X,
-whose rows are all equal) keeps one row, TOP, BOT and unknown names are
-(1, 1, 1), and a value every model shares, as a constant term's, keeps
-one model. A 1 stands for n >= 1 equal rows or columns, so on the empty
-carrier every matrix is 0 x 0. Union, meet, complement and converse keep
-the shapes by broadcasting, composition has cases for them (``_mm``);
-fork, product, closure and ``eval_fa`` use the full layout. A carrier
+whose rows are all equal) keeps one row, and a value every model
+shares, as a constant term's, keeps one model. TOP, BOT, unknown names
+and an extent empty in every model of a batch (``_truths``) are one
+shared read-only cell (1, 1, 1) (``_CELLS``). A 1 stands for n >= 1
+equal rows or columns, so on the empty carrier every matrix is 0 x 0.
+Union, meet, complement and converse keep the shapes by broadcasting,
+and a one-cell operand of a meet or join returns one of the operands
+(``_lattice``); composition has cases for them (``_mm``), the closure
+of a vector is id | X, and fork, product, the closure of any other
+value and ``eval_fa`` use the full layout. A carrier
 above ``_RESTRICT_INNER`` elements knows which constants, id, the
 projections and their chains and forks, are partial functions on
 columns, and composes with them by one gather (``_by_columns``).
@@ -371,6 +375,11 @@ _RESTRICT_INNER = 128
 # above the gate has one-model batches.
 _BATCH_CELLS = 1 << 15
 
+# The one-cell values, (1, 1, 1) or (1, 0, 0) on the empty carrier, keyed
+# by (truth, min(n, 1)): read-only and shared by every carrier and batch.
+_CELLS = {(v, k): np.broadcast_to(v, (1, k, k))
+          for v in (False, True) for k in (0, 1)}
+
 
 def _mm(a, b):
     """Boolean product a;b of two values of shape (B|1, 1|n, 1|n), or of
@@ -540,15 +549,24 @@ def _by_columns(e, ops, args, space):
     return m
 
 
+def _lattice(meet, a, b):
+    """a & b for a meet, else a | b. A one-cell operand is the other's
+    unit (TOP for a meet, BOT for a join), which returns the other, or its
+    zero, which returns itself: numpy broadcasts a one-cell operand over
+    n x n many times slower than it combines two n x n operands."""
+    for x, y in ((a, b), (b, a)):
+        if x.shape == (1, 1, 1):
+            return y if x[0, 0, 0] == meet else x
+    return a & b if meet else a | b
+
+
 def _node(e, args, space, interp):
     """The value of one node from the values of its operands."""
     n = space.n
     if isinstance(e, Comp):
         return _mm(*args)
-    if isinstance(e, Meet):
-        return args[0] & args[1]
-    if isinstance(e, Join):
-        return args[0] | args[1]
+    if isinstance(e, (Meet, Join)):
+        return _lattice(isinstance(e, Meet), *args)
     if isinstance(e, Compl):
         return ~args[0]
     if isinstance(e, Conv):
@@ -562,7 +580,7 @@ def _node(e, args, space, interp):
         if m is not None:
             return m if m.ndim == 3 else m[None]
     if isinstance(e, (Top, Bot, Rel, Phi)):
-        return np.full((1,) + (min(n, 1),) * 2, isinstance(e, Top))
+        return _CELLS[isinstance(e, Top), min(n, 1)]
     if isinstance(e, Id):
         return np.eye(n, dtype=bool)[None]
     if isinstance(e, (Pi1, Pi2)):
@@ -571,7 +589,9 @@ def _node(e, args, space, interp):
           space._pairs] = True
         return m
     if isinstance(e, Star):
-        m = np.eye(n, dtype=bool) | args[0]
+        m = _lattice(False, np.eye(n, dtype=bool)[None], args[0])
+        if 1 in args[0].shape[1:]:
+            return m  # all rows, or all columns, equal: X;X = X
         while True:
             nxt = _mm(m, m) | m
             if np.array_equal(nxt, m):
@@ -845,7 +865,9 @@ def _truths(source, fact, models, width):
     in order. The stream is read in chunks, each cut before one carrier's
     batch would pass _BATCH_CELLS; the models of a chunk over one carrier
     are one batch, whose extents are stacked for one evaluation of each
-    fact."""
+    fact. An extent empty in every model of the batch, as the models'
+    own extents tell, enters as the shared one-cell False of `_CELLS`
+    instead."""
     models = iter(models)
     while True:
         chunk, groups = [], {}
@@ -861,9 +883,14 @@ def _truths(source, fact, models, width):
         for space, idx in groups.items():
             ms = [chunk[i][0] for i in idx]
             interps = [interp_from_model(m, space) for m in ms]
-            batch = interps[0] if len(idx) == 1 else {
-                key: np.stack([itp[key] for itp in interps])
-                for key in interps[0]}
+            batch = {}
+            for (kind, name), m in interps[0].items():
+                exts = (x.sigs if kind == "sig" else x.rels for x in ms)
+                if not any(ext[name] for ext in exts):
+                    m = _CELLS[False, min(space.n, 1)]
+                elif len(idx) > 1:
+                    m = np.stack([itp[kind, name] for itp in interps])
+                batch[kind, name] = m
             cache = {}
             truths = (np.broadcast_to(t, len(idx)).tolist() for t in (
                 _source_truth(source, ms, space, interps, batch, cache),

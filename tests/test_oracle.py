@@ -498,14 +498,18 @@ def _shape_interp(space, rng):
             ("sig", "A"): np.diag(rng.random(n) < 0.5)}
 
 
-def _shape_model(rng, k):
+def _shape_model(rng, k, empty=()):
+    """A random model of k atoms whose relations named in empty have
+    empty extents."""
     atoms = tuple("a%d" % i for i in range(k))
     fun = {(x, atoms[rng.integers(k)]) for x in atoms if rng.random() < 0.7}
     con = {(atoms[rng.integers(k)], x) for x in atoms if rng.random() < 0.7}
+    rels = {"r": frozenset((x, y) for x in atoms for y in atoms
+                           if rng.random() < 0.1),
+            "f": frozenset(fun), "g": frozenset(con)}
     return FiniteModel(atoms, {"A": frozenset(atoms[:k // 2])}, {
-        "r": frozenset((x, y) for x in atoms for y in atoms
-                       if rng.random() < 0.1),
-        "f": frozenset(fun), "g": frozenset(con)})
+        name: frozenset() if name in empty else ext
+        for name, ext in rels.items()})
 
 
 def _near_gate(width):
@@ -685,6 +689,112 @@ class TestColumnFunctions:
     def test_at_or_below_the_gate_no_carrier_has_column_functions(self):
         assert all(SHAPE_SPACES[n].columns is None for n in (0, 1, GATE - 1))
         assert Space(_ELEMENTS[:GATE], 2).columns is None
+
+
+def _batch(space, rng, b):
+    """b random interpretations and their stacked batch."""
+    interps = [_shape_interp(space, rng) for _ in range(b)]
+    return interps, {key: np.stack([itp[key] for itp in interps])
+                     for key in interps[0]}
+
+
+# the relations of _shape_model, each over the one signature
+SHAPE_VOCAB = Vocab({"A": SigInfo("A")}, {name: ("A", "A") for name in "rfg"})
+
+
+class TestSmallShapes:
+    """Values keep their smallest shape: an extent empty in a whole batch
+    is the shared one-cell False, a one-cell operand of a meet or join is
+    absorbed, and the closure of a vector is id | X. Verdicts and values
+    are those of the sequential check and the dense evaluator."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lhs=fa_terms, rhs=fa_terms, eq=st.booleans(),
+           k=st.sampled_from([1, 2]),
+           empty=st.lists(st.booleans(), min_size=1, max_size=5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_check_equiv_matches_the_sequential_check(self, lhs, rhs, eq, k,
+                                                      empty, seed):
+        # one batch of k-atom models, whose relation r is empty in the
+        # models empty marks: in all of them, in some or in none
+        source = FactLe(Rel("r"), lhs)
+        fact = (FactEq if eq else FactLe)(Meet(Rel("r"), rhs), lhs)
+        assume(infer_width(fact) <= 4)
+        rng = np.random.default_rng(seed)
+        models = [_shape_model(rng, k, {"r"} if e else ()) for e in empty]
+
+        def orbits(vocab, n, rel_names):
+            return ((m, 1) for m in models if len(m.atoms) == n)
+
+        def spy(f, space, interp, cache, frame):
+            seen.append((interp["rel", "r"], space.n))
+            return truth(f, space, interp, cache, frame)
+
+        seen, truth = [], oracle._fact_truth
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "iter_orbits", orbits)
+            mp.setitem(globals(), "iter_orbits", orbits)
+            expected = sequential_check(source, fact, SHAPE_VOCAB, bound=2)
+            mp.setattr(oracle, "_fact_truth", spy)
+            v = check_equiv(source, fact, SHAPE_VOCAB, bound=2)
+        assert (v.status, v.checked, v.counterexample, v.detail) == expected
+        # both facts saw the one batch's r: the one cell, or every
+        # model's full extent
+        assert len(seen) == 2
+        b = (len(models),) if len(models) > 1 else ()
+        for m, n in seen:
+            if not any(model.rels["r"] for model in models):
+                assert m is oracle._CELLS[False, 1]
+            else:
+                assert m.shape == b + (n, n) and m.flags.writeable
+
+    @settings(max_examples=120, deadline=None)
+    @given(x=fa_terms, cell=st.sampled_from([TOP, BOT, Rel("nope")]),
+           meet=st.booleans(), swap=st.booleans(),
+           n=st.sampled_from(sorted(SHAPE_SPACES)), b=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(x=Rel("r"), cell=TOP, meet=True, swap=False, n=GATE + 1, b=2,
+             seed=0)
+    def test_a_one_cell_operand_is_absorbed(self, x, cell, meet, swap, n, b,
+                                            seed):
+        space = SHAPE_SPACES[n]
+        interps, batch = _batch(space, np.random.default_rng(seed), b)
+        term = (Meet if meet else Join)(*((cell, x) if swap else (x, cell)))
+        cache = {}
+        xv = oracle._value(x, space, batch, cache)[0]
+        m = oracle._value(term, space, batch, cache)[0]
+        # TOP is the unit of a meet, BOT and unknown names of a join
+        unit = (cell == TOP) == meet
+        if n and xv.shape != (1, 1, 1):
+            assert m is (xv if unit else oracle._CELLS[cell == TOP, 1])
+        for one, itp in zip(np.broadcast_to(m, (b, n, n)), interps):
+            assert np.array_equal(one, dense_eval(term, space, itp))
+
+    @settings(max_examples=80, deadline=None)
+    @given(x=fa_terms, n=st.sampled_from(sorted(SHAPE_SPACES)),
+           b=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    # a random relation, whose closure is more than id | r
+    @example(x=Rel("r"), n=GATE + 1, b=1, seed=0)
+    @example(x=Rel("r"), n=GATE - 1, b=2, seed=1)
+    def test_star_of_a_vector_matches_the_dense_evaluator(self, x, n, b,
+                                                          seed):
+        space = SHAPE_SPACES[n]
+        interps, batch = _batch(space, np.random.default_rng(seed), b)
+        for term in (Star(Comp(TOP, x)), Star(Comp(x, TOP)), Star(x)):
+            m = oracle._value(term, space, batch, {})[0]
+            for one, itp in zip(np.broadcast_to(m, (b, n, n)), interps):
+                assert np.array_equal(one, dense_eval(term, space, itp))
+
+    def test_one_cell_values_are_shared_and_read_only(self):
+        for n, space in SHAPE_SPACES.items():
+            k = min(n, 1)
+            for term, truth in ((TOP, True), (BOT, False),
+                                (Rel("nope"), False), (Phi("nope"), False)):
+                m = oracle._value(term, space, {}, {})[0]
+                assert m is oracle._CELLS[truth, k]
+                assert m.shape == (1, k, k) and not m.flags.writeable
+                with pytest.raises(ValueError):
+                    m[...] = not truth
 
 
 def _random_interp(space, rng, names, density=0.35):
