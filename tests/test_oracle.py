@@ -785,6 +785,29 @@ class TestSmallShapes:
             for one, itp in zip(np.broadcast_to(m, (b, n, n)), interps):
                 assert np.array_equal(one, dense_eval(term, space, itp))
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from(sorted(SHAPE_SPACES)), b=st.integers(1, 3),
+           dims=st.sampled_from(["row", "column", "cell"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_star_of_a_vector_squares_nothing(self, n, b, dims, seed):
+        # all rows, or all columns, equal: X;X = X, so no product is taken
+        assume(n or dims != "cell")
+        space = SHAPE_SPACES[n]
+        shape = {"row": (b, 1, n), "column": (b, n, 1),
+                 "cell": (1, 1, 1)}[dims]
+        x = np.random.default_rng(seed).random(shape) < 0.3
+
+        def no_product(a, c):
+            raise AssertionError("the closure of a vector took a product")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_mm", no_product)
+            m = oracle._node(Star(Rel("x")), [x], space, {})
+        for i, one in enumerate(np.broadcast_to(m, (b, n, n))):
+            xi = np.broadcast_to(x[min(i, len(x) - 1)], (n, n))
+            assert np.array_equal(one, dense_eval(Star(Rel("x")), space,
+                                                  {("rel", "x"): xi}))
+
     def test_one_cell_values_are_shared_and_read_only(self):
         for n, space in SHAPE_SPACES.items():
             k = min(n, 1)
