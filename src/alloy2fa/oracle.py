@@ -19,10 +19,12 @@ Union, meet, complement and converse keep the shapes by broadcasting,
 and a one-cell operand of a meet or join returns one of the operands
 (``_lattice``); composition has cases for them (``_mm``), the closure
 of a vector is id | X, and fork, product, the closure of any other
-value and ``eval_fa`` use the full layout. A carrier
-above ``_RESTRICT_INNER`` elements knows which constants, id, the
-projections and their chains and forks, are partial functions on
-columns, and composes with them by one gather (``_by_columns``).
+value and ``eval_fa`` use the full layout. On a carrier above
+``_RESTRICT_INNER`` elements, id, the projections and the constants built
+from them are functional values (``_Fun``), an index array with at most
+one entry per column or per row, and meets, compositions, forks and
+products with them read O(n) entries per model (``_kinds``); any other
+operator makes its operands dense once (``_dense``).
 ``check_equiv`` batches its model stream by carrier (``_truths``). Two
 kinds of carrier cover the different jobs:
 
@@ -88,9 +90,11 @@ class Space:
 
     Pair elements are pre-scanned into index arrays so fork, product and
     the projections are fancy-indexing operations. The cache holds
-    the results of constant terms (no relation or signature symbols), which
-    are shared by every model over this carrier; above _RESTRICT_INNER
-    elements, columns holds the column functions of some of them.
+    the values of constant terms (no relation or signature symbols), which
+    are shared by every model over this carrier. Above _RESTRICT_INNER
+    elements the constants built from id and the projections are
+    functional values (`_Fun`), held as they are: an index array and a
+    mask, never scattered unless a dense operator reads them.
     """
 
     def __init__(self, elements, atom_count, width=None):
@@ -112,11 +116,10 @@ class Space:
         self._left = np.asarray(pl, dtype=np.intp)
         self._right = np.asarray(pr, dtype=np.intp)
         self.cache = {}
-        # above the gate, column functions (_by_columns) and the pair keys
+        # above the gate, for functional values (_pair), the pair keys
         # left * n + right in order, closed by n * n, with each one's pair
-        self.columns = None
         if self.n > _RESTRICT_INNER:
-            self.columns, keys = {}, self._left * self.n + self._right
+            keys = self._left * self.n + self._right
             order = keys.argsort()
             self._pair_keys = np.append(keys[order], self.n * self.n)
             self._pair_at = np.append(self._pairs[order], 0)
@@ -365,7 +368,7 @@ def interp_from_model(model: FiniteModel, space: Space) -> dict:
 # 1.57 at 256: below this the mask and the two slices cost more than the
 # float32 product they shrink. The row and column counts a gather needs
 # cost as much as the product at n = 62 and a fifth of it at 256. Only
-# a carrier above it keeps column functions (Space.columns, _by_columns).
+# a carrier above it has functional values (_Fun, _kinds).
 _RESTRICT_INNER = 128
 
 # Most boolean entries, B models times n x n, in one check_equiv batch; a
@@ -407,8 +410,10 @@ def _mm(a, b):
     kernel's own cost, not from any carrier size of a workload; batches
     of several models stay below it (_BATCH_CELLS). The int32 counts and
     float32 sums are exact well past any carrier here. Above the gate,
-    X . K for a constant K with a column function is a gather that never
-    reaches _mm (_by_columns); the counts serve the other operands and
+    a composition with a functional operand (id, the projections and
+    the constants built from them) is composed, gathered or scattered by
+    `_kinds` and never reaches _mm unless neither orientation fits; the
+    counts serve relation extents, their complements and products, and
     Star.
     """
     if a.ndim == 3 and len(a) == len(b) == 1:
@@ -480,73 +485,214 @@ def _value(root, space, interp, cache):
     interp maps each extent key to the batch's n x n extents stacked as
     (B, n, n), or to one model's (n, n). cache maps a node to its (value,
     constant?) for this batch, space.cache a constant node for every
-    model; a value below the root leaves cache after its last use.
+    model; a value below the root leaves cache after its last use. Above
+    _RESTRICT_INNER elements a node first tries the kernels of functional
+    values (`_kinds`); any other node takes `_node`, the one dense
+    fallback, on its operands made dense (`_dense`). The root's value is
+    returned dense.
     """
     order = _post_order(root)[0]
     root = order[-1][0]  # unfolded
     hit = cache.get(root) or space.cache.get(root)
-    if hit is not None:
-        return hit
-    gate = space.columns is not None
-    for e, ops, const, dead in order:
-        if e in cache:
-            continue
-        hit = space.cache.get(e) if const else None
-        if hit is None:
-            args = [cache[c][0] for c in ops]
-            m = _by_columns(e, ops, args, space) if gate else None
-            hit = (_node(e, args, space, interp) if m is None else m, const)
-            if const:
-                space.cache[e] = hit
-        cache[e] = hit
-        for c in dead:
-            cache.pop(c, None)
-    return cache[root]
+    if hit is None:
+        gate = space.n > _RESTRICT_INNER
+        for e, ops, const, dead in order:
+            if e in cache:
+                continue
+            hit = space.cache.get(e) if const else None
+            if hit is None:
+                args = [cache[c][0] for c in ops]
+                m = _kinds(e, ops, args, space) if gate else None
+                if m is None:
+                    args = [_dense(a) for a in args] if gate else args
+                    m = _node(e, args, space, interp)
+                hit = (m, const)
+                if const:
+                    space.cache[e] = hit
+            cache[e] = hit
+            for c in dead:
+                cache.pop(c, None)
+        hit = cache[root]
+    return _dense(hit[0]), hit[1]
 
 
-def _by_columns(e, ops, args, space):
-    """One node's value from column functions, on a carrier above the
-    gate, or None.
+class _Fun:
+    """A functional value on a carrier above the gate: column v holds at
+    most the entry (index[v], v), in the models where mask[:, v]; or, with
+    rows, row u holds at most (u, index[u]) where mask[:, u]. index is
+    shared by the batch, mask has shape (B|1, n), and both are read-only,
+    since constants are shared by every batch. id and the projections
+    are functional, and so are a meet of one with anything, a converse
+    (which swaps rows), and the compositions, forks and products that
+    `_kinds` keeps functional."""
 
-    A constant's column function (index, mask) says that its column v
-    holds the one entry (index[v], v) where mask[v]. id, pi1 and pi2
-    have one, read off the carrier, and so has a composition (u a w b v
-    for w = cb[v], u = ca[w]) or fork (the pair (ca[v], cb[v]) if the
-    carrier has it) of two of them, composed in O(n) and scattered.
-    X . K for another X gathers X's columns, or is X for K = id."""
-    cols, n = space.columns, space.n
-    if isinstance(e, Id):
-        f = np.arange(n), np.ones(n, dtype=bool)
-    elif isinstance(e, (Pi1, Pi2)):
-        f = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=bool)
-        f[0][space._pairs] = space._right if isinstance(e, Pi2) else \
-            space._left
-        f[1][space._pairs] = True
-    elif not isinstance(e, (Comp, Fork)) or ops[1] not in cols:
-        return None
-    elif ops[0] not in cols:
-        if isinstance(e, Fork):
-            return None
-        if isinstance(ops[1], Id):
-            return args[0]
-        x, (index, mask) = args[0], cols[ops[1]]
-        if x.shape[-1] == 1:
-            return x & mask
-        m = x.take(index, -1)
-        m &= mask
+    __slots__ = ("index", "mask", "rows", "full")
+
+    def __init__(self, index, mask, rows=False):
+        index.flags.writeable = mask.flags.writeable = False
+        self.index, self.mask, self.rows, self.full = index, mask, rows, None
+
+    @property
+    def shape(self):
+        return self.mask.shape[:1] + self.index.shape * 2
+
+    def at(self, u, v):
+        if self.rows:
+            u, v = v, u
+        return self.mask[:, v] & (self.index[v] == u)
+
+    def build(self):
+        m = np.zeros(self.shape, dtype=bool)
+        b, w = np.nonzero(self.mask)
+        m[(b, w, self.index[w]) if self.rows else (b, self.index[w], w)] = True
         return m
-    else:
-        (ca, ma), (cb, mb) = cols[ops[0]], cols[ops[1]]
-        if isinstance(e, Comp):
-            f = ca[cb], mb & ma[cb]
-        else:
-            keys = ca * n + cb
-            at = space._pair_keys.searchsorted(keys)
-            f = space._pair_at[at], ma & mb & (space._pair_keys[at] == keys)
-    cols[e] = index, mask = f
-    m = np.zeros((1, n, n), dtype=bool)
-    m[0, index[mask], np.flatnonzero(mask)] = True
-    return m
+
+    def turned(self, rows):
+        """The value with rows as asked, or None: only a coreflexive (an
+        index that is the identity) is both."""
+        if rows == self.rows:
+            return self
+        if np.array_equal(self.index, np.arange(len(self.index))):
+            return _Fun(self.index, self.mask, rows)
+        return None
+
+
+class _Gather:
+    """X . K for a column function K, gathered only when read whole:
+    column v is X's column K.index[v] where K.mask[:, v]. A meet with a
+    functional value reads it at that value's entries alone."""
+
+    __slots__ = ("x", "k", "full")
+
+    def __init__(self, x, k):
+        self.x, self.k, self.full = x, k, None
+
+    @property
+    def shape(self):
+        return (max(len(self.x), len(self.k.mask)),) + self.x.shape[1:]
+
+    def at(self, u, v):
+        return _at(self.x, u, self.k.index[v]) & self.k.mask[:, v]
+
+    def build(self):
+        return self.x.take(self.k.index, -1) & self.k.mask[:, None]
+
+
+def _at(x, u, v):
+    """The entries of a value at the points (u[i], v[i]), shape (B|1, k)."""
+    if not isinstance(x, np.ndarray):
+        return x.at(u, v)
+    m = x[:, u if x.shape[1] > 1 else 0, v if x.shape[2] > 1 else 0]
+    return m if m.ndim == 2 else m[:, None]
+
+
+def _dense(x):
+    """A value as an array: a functional value scattered, a gather taken,
+    once each, kept read-only on the value."""
+    if isinstance(x, np.ndarray):
+        return x
+    if x.full is None:
+        x.full = x.build()
+        x.full.flags.writeable = False
+    return x.full
+
+
+def _pair(space, left, right):
+    """(element, found?) of each pair (left[i], right[i]), searched in the
+    carrier's sorted pair keys."""
+    keys = left * space.n + right
+    at = space._pair_keys.searchsorted(keys)
+    return space._pair_at[at], space._pair_keys[at] == keys
+
+
+def _on_pairs(space, index, mask, rows):
+    """The functional value whose pair elements p hold index[i] and
+    mask[:, i] for p = space._pairs[i], and no other element anything."""
+    n, pairs = space.n, space._pairs
+    full = np.zeros(n, dtype=np.intp), np.zeros((len(mask), n), dtype=bool)
+    full[0][pairs], full[1][:, pairs] = index, mask
+    return _Fun(*full, rows)
+
+
+def _aligned(a, b):
+    """Two functional values turned to one orientation, or None."""
+    b = b.turned(a.rows) or b
+    a = a.turned(b.rows) or a
+    return (a, b) if a.rows == b.rows else None
+
+
+def _kinds(e, ops, args, space):
+    """One node's value on a carrier above the gate, where a kernel of
+    functional values gives it, or None. Each reads O(n) entries per
+    model: a meet reads its other operand at the functional one's
+    entries, TOP . F is F's mask, V . G scatters a row vector V through a
+    row function G, X . K for a column function K is a gather (`_Gather`),
+    and compositions, forks and products of functional operands are
+    composed from their indexes."""
+    n, left, right = space.n, space._left, space._right
+    if isinstance(e, Id):
+        return _Fun(np.arange(n), np.ones((1, n), dtype=bool))
+    if isinstance(e, (Pi1, Pi2)):
+        return _on_pairs(space, right if isinstance(e, Pi2) else left,
+                         np.ones((1, len(left)), dtype=bool), False)
+    if all(isinstance(a, np.ndarray) for a in args):
+        return None
+    if isinstance(e, Conv):
+        (a,) = args
+        return _Fun(a.index, a.mask, not a.rows) if isinstance(a, _Fun) \
+            else None
+    if not isinstance(e, (Meet, Join, Comp, Fork, Prod)):
+        return None
+    a, b = args
+    funs = isinstance(a, _Fun), isinstance(b, _Fun)
+    if isinstance(e, (Meet, Join)):
+        if (1, 1, 1) in (a.shape, b.shape):
+            return _lattice(isinstance(e, Meet), a, b)
+        if isinstance(e, Join) or not any(funs):
+            return None
+        f, x = (a, b) if funs[0] else (b, a)
+        pos = np.arange(n)
+        at = (pos, f.index) if f.rows else (f.index, pos)
+        return _Fun(f.index, f.mask & _at(x, *at), f.rows)
+    if isinstance(e, Comp):
+        if isinstance(ops[1], Id) or isinstance(ops[0], Id):
+            return a if isinstance(ops[1], Id) else b
+        pair = _aligned(a, b) if all(funs) else None
+        if pair is not None:
+            ca, cb = pair[::-1] if pair[0].rows else pair
+            return _Fun(ca.index[cb.index], cb.mask & ca.mask[:, cb.index],
+                        ca.rows)
+        if not funs[1]:
+            return None
+        if not b.rows:
+            x = _dense(a)
+            if min(x.shape[1:]) > 1:
+                return _Gather(x, b)
+            return (x.take(b.index, -1) if x.shape[2] > 1 else x) \
+                & b.mask[:, None]
+        if a.shape[1] > 1:
+            return None
+        m = np.zeros((max(len(a), len(b.mask)), 1, n), dtype=bool)
+        w, v = np.nonzero(a[:, 0] & b.mask)
+        m[w, 0, b.index[v]] = True
+        return m
+    if isinstance(e, Fork):
+        if all(funs) and not a.rows and not b.rows:
+            index, found = _pair(space, a.index, b.index)
+            return _Fun(index, a.mask & b.mask & found)
+        for f, x, i, j in ((a, b, left, right), (b, a, right, left)):
+            f = f.turned(True) if isinstance(f, _Fun) else None
+            if f is not None:
+                g = f.index[i]
+                return _on_pairs(space, g, f.mask[:, i] & _at(x, j, g), True)
+        return None
+    pair = _aligned(a, b) if all(funs) else None
+    if pair is None:
+        return None
+    a, b = pair
+    index, found = _pair(space, a.index[left], b.index[right])
+    return _on_pairs(space, index, a.mask[:, left] & b.mask[:, right] & found,
+                     a.rows)
 
 
 def _lattice(meet, a, b):

@@ -604,15 +604,15 @@ class TestVectorShapes:
         hashes, spaces = {}, []
 
         def check(space):
-            # and every index and mask array of space.columns
-            arrays = [(term, m) for term, (m, _) in space.cache.items()]
-            arrays += [((term, i), a)
-                       for term, f in (space.columns or {}).items()
-                       for i, a in enumerate(f)]
-            for key, m in arrays:
-                h = hashlib.sha256(np.ascontiguousarray(m).tobytes())
-                h = (m.shape, h.hexdigest())
-                assert hashes.setdefault((space, key), h) == h, key
+            # and every array a functional value or a gather holds
+            for term, (v, _) in space.cache.items():
+                if isinstance(v, oracle._Fun):
+                    assert not v.index.flags.writeable, term
+                    assert not v.mask.flags.writeable, term
+                for i, m in enumerate(_arrays(v)):
+                    h = hashlib.sha256(np.ascontiguousarray(m).tobytes())
+                    h = (m.shape, h.hexdigest())
+                    assert hashes.setdefault((space, term, i), h) == h, term
 
         def checking(model, space):
             spaces.append(space)
@@ -626,69 +626,184 @@ class TestVectorShapes:
             check(space)
             # a write before the first hash shows against a fresh carrier
             fresh = Space(space.elements, space.atom_count, space.width)
-            for term, f in (space.columns or {}).items():
-                oracle._value(term, fresh, {}, {})
-                assert all(map(np.array_equal, f, fresh.columns[term])), term
+            for term, (f, _) in space.cache.items():
+                if isinstance(f, oracle._Fun):
+                    oracle._value(term, fresh, {}, {})
+                    g = fresh.cache[term][0]
+                    assert f.rows == g.rows, term
+                    assert np.array_equal(f.index, g.index), term
+                    assert np.array_equal(f.mask, g.mask), term
         # the sampled check evaluates its 6 samples, the exhaustive one
         # the first model of each of the 28 orbits of its 44 models
         assert v.status != "FAIL"
         assert len(spaces) == {"mech": 6, "short": 28}[config]
         assert len(hashes) > 10
         # only the mechanical fact's carrier (510 elements) is above GATE
-        assert any(sp.columns for sp in spaces) == (config == "mech")
+        assert any(isinstance(f, oracle._Fun) for sp in spaces
+                   for f, _ in sp.cache.values()) == (config == "mech")
 
 
-# constants built from id and the projections: their compositions and
-# forks have column functions, a converse under them has none
-column_terms = st.recursive(
+def _arrays(v):
+    """The arrays a value holds: an array itself; a functional value's
+    index and mask; a gather's operand and its column function's; then
+    the dense form built from a value, if any."""
+    if isinstance(v, np.ndarray):
+        return [v]
+    if isinstance(v, oracle._Fun):
+        own = [v.index, v.mask]
+    else:
+        own = [v.x, v.k.index, v.k.mask]
+    return own + ([v.full] if v.full is not None else [])
+
+
+# constants built from id and the projections: chains, compositions,
+# forks and products of them, their converses, forks with TOP and
+# products with id, functional or not
+fun_terms = st.recursive(
     st.lists(st.sampled_from([ID, PI1, PI2]), min_size=1, max_size=4).map(
         lambda ks: functools.reduce(Comp, ks)),
-    lambda sub: st.one_of(st.builds(Comp, sub, sub), st.builds(Fork, sub, sub),
-                          st.builds(Conv, sub)),
+    lambda sub: st.one_of(
+        *[st.builds(op, sub, sub) for op in (Comp, Fork, Prod)],
+        st.builds(Conv, sub), st.builds(Fork, sub, st.just(TOP)),
+        st.builds(Fork, st.just(TOP), sub), st.builds(Prod, st.just(ID), sub)),
     max_leaves=4)
+
+# their other operands: relation extents, vectors, one-cell values,
+# functional values and dense terms
+other_terms = (fa_terms | st.builds(Comp, st.just(TOP), fa_terms)
+               | st.builds(Comp, fa_terms, st.just(TOP)))
 
 # just above GATE, and the 510 elements of the running example's
 # mechanical fact (two atoms, width 8)
-COLUMN_SPACES = {GATE + 1: SHAPE_SPACES[GATE + 1],
-                 len(_ELEMENTS): Space(_ELEMENTS, 2, width=8)}
+FUN_SPACES = {GATE + 1: SHAPE_SPACES[GATE + 1],
+              len(_ELEMENTS): Space(_ELEMENTS, 2, width=8)}
 
 
-class TestColumnFunctions:
-    """Above GATE elements, X . K for a constant K built from id and the
-    projections is a gather of X's columns, and such constants are
-    scattered from their column functions: every value matches the dense
-    evaluator, on one model or a batch."""
+def _orientation(k):
+    """False where the kernels keep a constant k a column function, True
+    where a row function, None where they need not keep it functional:
+    id and the projections are column functions, a converse swaps the
+    two, a composition or product keeps one shared by its operands (id
+    takes the other's), a fork of column functions is one, and a fork
+    with a row function or with id is a row function."""
+    if isinstance(k, (Id, Pi1, Pi2)):
+        return False
+    if isinstance(k, Conv):
+        o = _orientation(k.e)
+        return None if o is None else not o
+    if not isinstance(k, (Comp, Fork, Prod)):
+        return None
+    lo, ro = _orientation(k.l), _orientation(k.r)
+    if isinstance(k, Fork):
+        if lo is False and ro is False:
+            return False
+        return True if True in (lo, ro) or ID in (k.l, k.r) else None
+    if lo == ro or k.l == ID:
+        return ro
+    return lo if k.r == ID else None
 
-    @settings(max_examples=80, deadline=None)
-    @given(x=fa_terms, k1=column_terms, k2=column_terms,
-           n=st.sampled_from(sorted(COLUMN_SPACES)), b=st.integers(1, 4),
+
+class TestFunctionalValues:
+    """Above GATE elements, constants built from id and the projections
+    are functional values, index arrays with at most one entry per column
+    or per row, and the kernels that meet, compose, fork and multiply them
+    keep them so; every other operator takes the dense fallback. Every
+    value matches the dense evaluator, on one model or a batch."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=other_terms, k1=fun_terms, k2=fun_terms,
+           n=st.sampled_from(sorted(FUN_SPACES)), b=st.integers(1, 4),
            seed=st.integers(0, 2 ** 32 - 1))
     # the chains of the running example's mechanical fact, where the
-    # order of a composition and each mask decide the value
+    # order of a composition and each mask decide the value, and a
+    # product chain that is a row function
     @example(x=Rel("r"), k1=Comp(PI1, PI2), k2=Comp(Comp(PI2, PI2), PI1),
              n=len(_ELEMENTS), b=2, seed=1)
-    @example(x=Compl(Phi("A")), k1=Comp(Comp(PI2, PI2), PI2),
-             k2=Fork(Comp(PI1, PI2), PI1), n=GATE + 1, b=1, seed=2)
-    def test_gathers_match_the_dense_evaluator(self, x, k1, k2, n, b, seed):
-        space = COLUMN_SPACES[n]
-        rng = np.random.default_rng(seed)
-        interps = [_shape_interp(space, rng) for _ in range(b)]
-        batch = {key: np.stack([itp[key] for itp in interps])
-                 for key in interps[0]}
-        for term in (Comp(x, k1), Fork(k1, k2), Comp(x, ID)):
+    @example(x=Compl(Phi("A")), k1=Prod(ID, Prod(ID, Fork(ID, TOP))),
+             k2=Fork(Comp(PI1, PI2), PI1), n=GATE + 1, b=3, seed=2)
+    def test_kernels_match_the_dense_evaluator(self, x, k1, k2, n, b, seed):
+        space = FUN_SPACES[n]
+        interps, batch = _batch(space, np.random.default_rng(seed), b)
+        terms = (Meet(k1, x), Meet(x, k1), Meet(k1, k2), Comp(x, k1),
+                 Comp(k1, x), Comp(k1, k2), Comp(Comp(TOP, x), k1),
+                 Comp(TOP, Meet(k1, Comp(x, k2))), Fork(k1, k2),
+                 Fork(k1, x), Fork(x, k1), Prod(k1, k2), Conv(k1),
+                 Join(k1, x), Compl(k1), Star(k1))
+        for term in terms:
             m = oracle._value(term, space, batch, {})[0]
             assert m.ndim == 3 and m.shape[0] in (1, b)
             for one, itp in zip(np.broadcast_to(m, (b, n, n)), interps):
                 assert np.array_equal(one, dense_eval(term, space, itp))
-        # the gathers ran: every constant free of converses has a column
-        # function
-        for k in (k1, k2, ID):
-            if not any(isinstance(t, Conv) for t in subterms(k)):
-                assert k in space.columns
+        # the constants the kernels keep functional are, in the
+        # orientation they should have
+        for k in {t for term in terms for t in subterms(term)}:
+            rows = _orientation(k)
+            if rows is not None and not any(
+                    isinstance(t, (Rel, Phi)) for t in subterms(k)):
+                # a coreflexive, such as id, is either
+                f = space.cache[k][0]
+                assert isinstance(f, oracle._Fun), k
+                assert f.turned(rows) is not None, k
 
-    def test_at_or_below_the_gate_no_carrier_has_column_functions(self):
-        assert all(SHAPE_SPACES[n].columns is None for n in (0, 1, GATE - 1))
-        assert Space(_ELEMENTS[:GATE], 2).columns is None
+    def test_at_or_below_the_gate_no_value_is_functional(self, monkeypatch):
+        def no_kernel(*args):
+            raise AssertionError("a functional kernel ran below the gate")
+
+        monkeypatch.setattr(oracle, "_kinds", no_kernel)
+        rng = np.random.default_rng(0)
+        for space in (Space(_ELEMENTS[:n], min(n, 2))
+                      for n in (0, 1, GATE - 1, GATE)):
+            interp = _shape_interp(space, rng)
+            for term in (ID, PI1, Fork(ID, TOP), Prod(ID, Fork(ID, TOP)),
+                         Meet(PI2, Rel("r")), Comp(Rel("r"), PI2)):
+                oracle._value(term, space, interp, {})
+            assert all(isinstance(v, np.ndarray)
+                       for v, _ in space.cache.values())
+
+    def test_the_running_example_builds_no_dense_functional_value(
+            self, golden_translations, monkeypatch):
+        # the mechanical fact's TOP . (K & (R . K')) and V . P nodes, K and
+        # K' chains and forks of id and the projections and P a chain of
+        # products, take no dense path on its 510-element carrier
+        ((_, form, fact),) = [run for run in golden_translations["mech"]
+                              if run[0].startswith("university:")]
+        order = [e for e, *_ in oracle._post_order(fact.lhs)[0]]
+
+        def constant(t):
+            return all(isinstance(c, (Id, Pi1, Pi2, Top, Comp, Fork, Prod))
+                       for c in subterms(t))
+
+        meets = [e for e in order if isinstance(e, Comp)
+                 and isinstance(e.l, Top) and isinstance(e.r, Meet)
+                 and isinstance(e.r.r, Comp) and constant(e.r.l)
+                 and constant(e.r.r.r)]
+        products = [e for e in order if isinstance(e, Comp)
+                    and isinstance(e.r, Prod) and constant(e.r)]
+        pinned = {t for e in meets for t in (e, e.r, e.r.r)}
+        pinned |= set(products)
+        pinned |= {t for e in meets for k in (e.r.l, e.r.r.r)
+                   for t in subterms(k)}
+        pinned |= {t for e in products for t in subterms(e.r)}
+        assert len(meets) >= 10 and len(products) >= 10
+
+        def spy(e, args, space, interp):
+            m = node(e, args, space, interp)
+            if space.n > GATE and m.shape[1:] == (space.n, space.n):
+                dense.add(e)
+            return m
+
+        def build(self):
+            raise AssertionError("a functional value was made dense")
+
+        dense, node = set(), oracle._node
+        monkeypatch.setattr(oracle, "_node", spy)
+        monkeypatch.setattr(oracle._Fun, "build", build)
+        monkeypatch.setattr(oracle._Gather, "build", build)
+        v = check_equiv(form, fact, university_vocab(), bound=2,
+                        max_exhaustive=0, samples=6)
+        assert (v.status, v.checked) == ("SAMPLED", 6)
+        # the relation extents and their complements are n x n
+        assert dense and not dense & pinned
 
 
 def _batch(space, rng, b):
